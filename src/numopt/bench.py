@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,7 +152,8 @@ def run_bench(spec, clock=time.perf_counter):
                     f"--dataset {spec.dataset}: logistic labels must be 0/1"
                 )
         loaded = (X, y)
-        spec.d, spec.n = X.shape
+        d, n = X.shape
+        spec = replace(spec, d=d, n=n)
     run_seconds = []
     final_objectives = []
     terminations = []

@@ -140,6 +140,10 @@ class LBFGS:
     with the max-abs norm; ``min_objective_improvement`` is relative to
     max(1, |f|).  Needs evaluate and gradient (a fused
     evaluate_with_gradient is used when present).
+
+    Whenever the curvature memory is empty (the first iteration and after a
+    restart), the steepest-descent direction is scaled to at most unit
+    2-norm, as in ensmallen; the line search still starts at step 1.
     """
 
     memory_size: int = 10
@@ -200,6 +204,10 @@ class LBFGS:
                 # steepest descent.
                 memory.clear()
                 direction = -gradient
+            if len(memory) == 0:
+                # Steepest descent carries no curvature scale; cap the first
+                # trial step at unit length (Nocedal & Wright, 2nd ed., 3.5).
+                direction = direction / max(1.0, float(np.linalg.norm(direction.ravel())))
             found = backtracking_line_search(
                 adapter,
                 x,

@@ -76,7 +76,8 @@ class TestRunBench:
         path.write_text("a,b,y\n0.5,1.0,2.0\n-0.3,0.2,0.5\n1.2,-0.7,1.5\n0.8,0.1,-0.2\n")
         spec = small_spec(d=99, n=99, runs=2, dataset=str(path))
         record = run_bench(spec)
-        assert (spec.d, spec.n) == (2, 4)
+        assert (record.spec.d, record.spec.n) == (2, 4)
+        assert (spec.d, spec.n) == (99, 99)
         assert len(record.final_objectives) == 2
 
     def test_validation_rejects_bad_spec(self):

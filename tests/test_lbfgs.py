@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from numopt import (
@@ -335,3 +337,107 @@ class TestLbfgsOptimize:
     def test_unlimited_iterations_allowed(self):
         _, result = LBFGS(max_iterations=0).optimize(Quadratic(), np.array([4.0]))
         assert result.termination == TerminationReason.GRADIENT_NORM_TOLERANCE
+
+
+class WeightedQuadratic:
+    """f(x) = sum(w * x^2): uneven curvature, so -g is not the Newton step."""
+
+    weights = np.array([0.3, 1.7, 0.05])
+
+    def evaluate(self, x):
+        return float(np.sum(self.weights * x * x))
+
+    def gradient(self, x):
+        return 2.0 * self.weights * x
+
+
+class TestUnitSteepestDescent:
+    """With empty memory the direction -g is scaled to at most unit 2-norm."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_regression_takes_one_trial_per_line_search(self, seed):
+        X, y, _ = generate_noisy_linear(20, 2000, 10.0, seed=seed)
+        x0 = np.random.default_rng([seed, 1]).uniform(-1.0, 1.0, size=(20, 1))
+        _, result = LBFGS().optimize(LinearRegression(X, y), x0)
+        assert result.termination in (
+            TerminationReason.GRADIENT_NORM_TOLERANCE,
+            TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE,
+        )
+        assert result.evaluate_calls == 1 + result.iterations
+
+    def test_small_gradient_step_is_plain_negated_gradient_bitwise(self):
+        objective = WeightedQuadratic()
+        x0 = np.array([0.9, -0.2, 1.5])
+        g0 = objective.gradient(x0)
+        assert np.linalg.norm(g0) <= 1.0
+        reference = backtracking_line_search(
+            ObjectiveAdapter(objective), x0, objective.evaluate(x0), g0, -g0
+        )
+        x, result = LBFGS(max_iterations=1).optimize(objective, x0)
+        assert result.iterations == 1
+        assert np.array_equal(x, x0 + reference.step * -g0)
+        assert result.final_objective == reference.value
+
+    def test_large_gradient_first_step_has_at_most_unit_length(self):
+        objective = WeightedQuadratic()
+        x0 = np.array([10.0, -7.0, 30.0])
+        g0 = objective.gradient(x0)
+        assert np.linalg.norm(g0) > 1.0
+        x, result = LBFGS(max_iterations=1).optimize(objective, x0)
+        assert result.iterations == 1
+        assert result.evaluate_calls == 2  # x0 plus one accepted trial
+        assert np.linalg.norm(x - x0) <= 1.0 + 4 * np.finfo(np.float64).eps
+        assert_allclose(x - x0, -g0 / np.linalg.norm(g0), rtol=1e-12)
+
+
+class ScaledQuadratic:
+    """Random SPD quadratic whose gradient at its start has a chosen 2-norm.
+
+    Arithmetic stays in the start's dtype, and every call is counted.
+    """
+
+    def __init__(self, dim, seed, gradient_norm, dtype):
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        hessian = basis @ np.diag(rng.uniform(0.5, 20.0, dim)) @ basis.T
+        self.center = rng.uniform(-1.0, 1.0, dim).astype(dtype)
+        self.start = rng.uniform(-1.0, 1.0, dim).astype(dtype)
+        g0 = hessian @ (self.start - self.center)
+        self.hessian = (hessian * (gradient_norm / np.linalg.norm(g0))).astype(dtype)
+        self.evaluate_calls = 0
+        self.gradient_calls = 0
+
+    def evaluate(self, x):
+        self.evaluate_calls += 1
+        offset = x - self.center
+        return 0.5 * float(offset @ (self.hessian @ offset))
+
+    def gradient(self, x):
+        self.gradient_calls += 1
+        return self.hessian @ (x - self.center)
+
+
+class TestGradientScaleProperties:
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        dim=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        log_gradient_norm=st.floats(-3.0, 6.0),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_run_invariants_hold_across_gradient_scales(
+        self, dim, seed, log_gradient_norm, dtype
+    ):
+        objective = ScaledQuadratic(dim, seed, 10.0**log_gradient_norm, dtype)
+        x0 = objective.start.copy()
+        x, result = LBFGS().optimize(objective, objective.start)
+        assert np.array_equal(objective.start, x0)
+        assert x.dtype == dtype
+        assert np.all(np.isfinite(x))
+        assert result.evaluate_calls == objective.evaluate_calls
+        assert result.gradient_calls == objective.gradient_calls
+        if dtype is np.float64:
+            assert result.termination not in (
+                TerminationReason.LINE_SEARCH_FAILURE,
+                TerminationReason.STEP_SIZE_UNDERFLOW,
+            )
