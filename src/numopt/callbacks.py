@@ -112,9 +112,9 @@ def dispatch(callbacks, event):
 class CallbackList:
     """The callbacks of one run plus a sticky termination flag.
 
-    Once any dispatch returns TERMINATE, ``terminate_requested`` stays True;
-    optimizers poll it at their next safe point.  Empty lists are free:
-    ``bool(cbs)`` is False and dispatch is skipped by the caller.
+    Once any dispatch returns TERMINATE, ``terminate_requested`` stays True
+    and the run's ``ObjectiveAdapter`` refuses every further objective call.
+    Empty lists are free: ``bool(cbs)`` is False and dispatch is skipped.
     """
 
     def __init__(self, callbacks=()):

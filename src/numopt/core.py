@@ -10,18 +10,27 @@ An objective is any object exposing some subset of:
     gradient_parts(x, first, count) -> ndarray
 
 Nothing is registered or subclassed; presence of the methods is the contract.
-``ObjectiveCapabilities.of`` reports what an object provides,
-``check_requirements`` turns a shortfall into a ``Diagnostic`` that names the
-missing methods, and ``ObjectiveAdapter`` fills in the combinations that can
-be built from what exists.
+``ObjectiveCapabilities.of`` reports what an object provides.  Two inference
+rules, stated once in ``_with_inference``, say what can be built from that:
+the full value from the parts, and the fused call from evaluate and
+gradient.  ``check_requirements`` turns a shortfall into a ``Diagnostic``
+that names the missing methods, and ``ObjectiveAdapter`` binds each call to
+the objective's own method or its inferred form.
+
+The adapter is also the stop gate: once a callback has returned TERMINATE,
+it refuses every further objective call, and the optimizer ends the run at
+its last completed step with ``CALLBACK_REQUESTED``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
+
+from .callbacks import EvaluateCalled, GradientCalled
 
 __all__ = [
     "Diagnostic",
@@ -111,30 +120,26 @@ class ObjectiveCapabilities:
             num_parts=num_parts,
         )
 
-    def can_evaluate(self):
-        """True when a full objective value is available, directly or summed from parts."""
-        return self.evaluate or self.part_evaluate
 
-    def can_gradient(self):
-        return self.gradient
+def _with_inference(caps):
+    """``caps`` plus what the two inference rules build: the full value from
+    the parts, and the fused call from evaluate and gradient.  Both
+    ``check_requirements`` and ``ObjectiveAdapter`` read the rules here."""
+    evaluate = caps.evaluate or caps.part_evaluate
+    return replace(
+        caps,
+        evaluate=evaluate,
+        evaluate_with_gradient=caps.evaluate_with_gradient or (evaluate and caps.gradient),
+    )
 
-    def can_evaluate_with_gradient(self):
-        """True when a fused value+gradient is available directly or by pairing
-        an available evaluate with an available gradient."""
-        return self.evaluate_with_gradient or (self.can_evaluate() and self.gradient)
 
-
-# Maps a requirement flag to the check that decides whether it is satisfiable
-# and to the method name used in diagnostics.
-_REQUIREMENT_PROBES = {
-    "evaluate": (ObjectiveCapabilities.can_evaluate, "evaluate"),
-    "gradient": (ObjectiveCapabilities.can_gradient, "gradient"),
-    "evaluate_with_gradient": (
-        ObjectiveCapabilities.can_evaluate_with_gradient,
-        "evaluate_with_gradient",
-    ),
-    "part_evaluate": (lambda c: c.part_evaluate, "evaluate_parts (with num_parts)"),
-    "part_gradient": (lambda c: c.part_gradient, "gradient_parts (with num_parts)"),
+# Requirement flags, in diagnostic order, and the method each names.
+_METHOD_NAMES = {
+    "evaluate": "evaluate",
+    "gradient": "gradient",
+    "evaluate_with_gradient": "evaluate_with_gradient",
+    "part_evaluate": "evaluate_parts (with num_parts)",
+    "part_gradient": "gradient_parts (with num_parts)",
 }
 
 
@@ -148,10 +153,12 @@ def check_requirements(provided, required, consumer="optimizer"):
     Diagnostic names each missing method and the consumer that wants it; it is
     returned, not raised, so callers can probe without try/except.
     """
-    missing = []
-    for flag, (probe, method_name) in _REQUIREMENT_PROBES.items():
-        if getattr(required, flag) and not probe(provided):
-            missing.append(method_name)
+    available = _with_inference(provided)
+    missing = [
+        method_name
+        for flag, method_name in _METHOD_NAMES.items()
+        if getattr(required, flag) and not getattr(available, flag)
+    ]
     if not missing:
         return None
     return Diagnostic(
@@ -160,14 +167,19 @@ def check_requirements(provided, required, consumer="optimizer"):
     )
 
 
+class _StopRequested(Exception):
+    """The adapter's refusal of an objective call after a TERMINATE."""
+
+
 class ObjectiveAdapter:
     """Uniform front for an objective: inference, call counting, event reporting.
 
-    Optimizers only ever talk to the adapter.  It fills in ``evaluate`` from
-    part sums and ``evaluate_with_gradient`` from separate calls when the
-    objective lacks the direct method, keeps ``evaluate_calls`` and
-    ``gradient_calls`` tallies, and reports each underlying objective call to
-    the optional ``events`` sink (a ``CallbackList``).
+    Optimizers only ever talk to the adapter.  ``__init__`` binds each call
+    once: to the objective's own method, to its inferred form, or to a
+    ``Diagnostic`` naming what is missing.  Each objective call is counted
+    and reported to the optional ``events`` sink (a ``CallbackList``); after
+    a termination request it is refused with ``_StopRequested``.  Values
+    become floats and gradients take the dtype of ``x``.
 
     Counting rules: a part-window call of ``count`` parts costs ``count``
     evaluations (or gradients); a fused call costs one of each.
@@ -175,69 +187,42 @@ class ObjectiveAdapter:
 
     def __init__(self, objective, events=None):
         self.objective = objective
-        self.capabilities = ObjectiveCapabilities.of(objective)
+        self.capabilities = caps = ObjectiveCapabilities.of(objective)
         self.events = events
         self.evaluate_calls = 0
         self.gradient_calls = 0
+        available = _with_inference(caps)
+        # Plain functions, called with the adapter: bound methods stored on
+        # it would make each adapter a reference cycle that outlives its run.
+        cls = type(self)
 
-    # ------------------------------------------------------------------
+        def bind(flag, own, inferred=None):
+            if getattr(caps, flag):
+                return own
+            return inferred if getattr(available, flag) else partial(cls._refuse, flag=flag)
+
+        # The inferred full value is one window spanning all parts.
+        summed = partial(cls._own_evaluate_parts, first=0, count=caps.num_parts)
+        self._evaluate = bind("evaluate", cls._own_evaluate, summed)
+        self._gradient = bind("gradient", cls._own_gradient)
+        self._evaluate_with_gradient = bind("evaluate_with_gradient", cls._own_fused, cls._paired)
+        self._evaluate_parts = bind("part_evaluate", cls._own_evaluate_parts)
+        self._gradient_parts = bind("part_gradient", cls._own_gradient_parts)
+
     def evaluate(self, x):
-        caps = self.capabilities
-        if caps.evaluate:
-            self.evaluate_calls += 1
-            value = float(self.objective.evaluate(x))
-        elif caps.part_evaluate:
-            # Full value as the sum over all parts, one window spanning them.
-            n = caps.num_parts
-            self.evaluate_calls += n
-            value = float(self.objective.evaluate_parts(x, 0, n))
-        else:
-            raise Diagnostic(
-                f"{type(self.objective).__name__} provides neither evaluate nor evaluate_parts"
-            )
-        self._emit_evaluate(value)
-        return value
+        return self._evaluate(self, x)
 
     def gradient(self, x):
-        if not self.capabilities.gradient:
-            raise Diagnostic(f"{type(self.objective).__name__} provides no gradient")
-        self.gradient_calls += 1
-        g = self._checked_gradient(self.objective.gradient(x), x, "gradient")
-        self._emit_gradient(g)
-        return g
+        return self._gradient(self, x)
 
     def evaluate_with_gradient(self, x):
-        caps = self.capabilities
-        if caps.evaluate_with_gradient:
-            self.evaluate_calls += 1
-            self.gradient_calls += 1
-            value, g = self.objective.evaluate_with_gradient(x)
-            value = float(value)
-            g = self._checked_gradient(g, x, "evaluate_with_gradient")
-            self._emit_evaluate(value)
-            self._emit_gradient(g)
-            return value, g
-        # Inferred from the separate methods; both report and count as usual.
-        value = self.evaluate(x)
-        return value, self.gradient(x)
+        return self._evaluate_with_gradient(self, x)
 
     def evaluate_parts(self, x, first, count):
-        if not self.capabilities.part_evaluate:
-            raise Diagnostic(f"{type(self.objective).__name__} provides no evaluate_parts")
-        self.evaluate_calls += count
-        value = float(self.objective.evaluate_parts(x, first, count))
-        self._emit_evaluate(value)
-        return value
+        return self._evaluate_parts(self, x, first, count)
 
     def gradient_parts(self, x, first, count):
-        if not self.capabilities.part_gradient:
-            raise Diagnostic(f"{type(self.objective).__name__} provides no gradient_parts")
-        self.gradient_calls += count
-        g = self._checked_gradient(
-            self.objective.gradient_parts(x, first, count), x, "gradient_parts"
-        )
-        self._emit_gradient(g)
-        return g
+        return self._gradient_parts(self, x, first, count)
 
     @property
     def num_parts(self):
@@ -246,27 +231,68 @@ class ObjectiveAdapter:
             raise Diagnostic(f"{type(self.objective).__name__} is not separable")
         return n
 
-    # ------------------------------------------------------------------
-    def _checked_gradient(self, g, x, method):
-        g = np.asarray(g)
+    def _own_evaluate(self, x):
+        self._admit(1, 0)
+        return self._reported_value(self.objective.evaluate(x), "evaluate")
+
+    def _own_gradient(self, x):
+        self._admit(0, 1)
+        return self._reported_gradient(self.objective.gradient(x), x, "gradient")
+
+    def _own_fused(self, x):
+        self._admit(1, 1)
+        value, g = self.objective.evaluate_with_gradient(x)
+        value = self._reported_value(value, "evaluate_with_gradient")
+        return value, self._reported_gradient(g, x, "evaluate_with_gradient")
+
+    def _paired(self, x):
+        return self._evaluate(self, x), self._gradient(self, x)
+
+    def _own_evaluate_parts(self, x, first, count):
+        self._admit(count, 0)
+        return self._reported_value(
+            self.objective.evaluate_parts(x, first, count), "evaluate_parts"
+        )
+
+    def _own_gradient_parts(self, x, first, count):
+        self._admit(0, count)
+        return self._reported_gradient(
+            self.objective.gradient_parts(x, first, count), x, "gradient_parts"
+        )
+
+    def _refuse(self, *args, flag):
+        required = ObjectiveCapabilities(**{flag: True})
+        consumer = f"the adapter of {type(self.objective).__name__}"
+        raise check_requirements(self.capabilities, required, consumer)
+
+    def _admit(self, evaluations, gradients):
+        """Refuse the call after a termination request, else count it."""
+        if self.events is not None and self.events.terminate_requested:
+            raise _StopRequested
+        self.evaluate_calls += evaluations
+        self.gradient_calls += gradients
+
+    def _reported_value(self, value, method):
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            got = f"shape {value.shape}" if hasattr(value, "shape") else type(value).__name__
+            name = f"{type(self.objective).__name__}.{method}"
+            raise Diagnostic(f"{name} returned a value of {got}, not a scalar") from None
+        if self.events:
+            self.events.dispatch(EvaluateCalled(value=value))
+        return value
+
+    def _reported_gradient(self, g, x, method):
+        g = np.asarray(g, dtype=x.dtype)
         if g.shape != x.shape:
             raise Diagnostic(
                 f"{type(self.objective).__name__}.{method} returned gradient of shape "
                 f"{g.shape} for parameters of shape {x.shape}"
             )
-        return g
-
-    def _emit_evaluate(self, value):
         if self.events:
-            from .callbacks import EvaluateCalled
-
-            self.events.dispatch(EvaluateCalled(value=value))
-
-    def _emit_gradient(self, g):
-        if self.events:
-            from .callbacks import GradientCalled
-
             self.events.dispatch(GradientCalled(norm=float(np.max(np.abs(g)))))
+        return g
 
 
 def finite_difference_gradient(objective, x, step=None):

@@ -1,4 +1,4 @@
-"""Run setup and teardown shared by every optimizer."""
+"""Run setup, teardown and the stopping rule shared by the optimizers."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import time
 from ..callbacks import BeginOptimization, CallbackList, EndOptimization
 from ..core import (
     ObjectiveAdapter,
-    ObjectiveCapabilities,
     OptimizationResult,
+    TerminationReason,
     as_parameters,
     check_requirements,
 )
@@ -20,17 +20,30 @@ def prepare_run(objective, x0, callbacks, requires, consumer):
     The capability check happens before any objective call, so an unusable
     pairing fails fast with a Diagnostic instead of mid-run.  Returns the
     working parameter array, the adapter, the callback list (already sent
-    BeginOptimization), and the start time.
+    BeginOptimization), and the start time.  ``optimize`` turns the
+    adapter's ``_StopRequested`` into CALLBACK_REQUESTED.
     """
     x = as_parameters(x0)
-    diagnostic = check_requirements(ObjectiveCapabilities.of(objective), requires, consumer)
-    if diagnostic is not None:
-        raise diagnostic
     events = CallbackList(callbacks)
     adapter = ObjectiveAdapter(objective, events=events)
+    diagnostic = check_requirements(adapter.capabilities, requires, consumer)
+    if diagnostic is not None:
+        raise diagnostic
     started = time.perf_counter()
     events.dispatch(BeginOptimization())
     return x, adapter, events, started
+
+
+def progress_stop(options, value, new_value, iteration):
+    """The improvement and iteration-cap stop after a step from ``value`` to
+    ``new_value``, or None.  ``options`` is the optimizer; a step that makes
+    the objective worse never counts as converged."""
+    improvement = value - new_value
+    if 0 <= improvement <= options.min_objective_improvement * max(1.0, abs(value)):
+        return TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE
+    if options.max_iterations and iteration >= options.max_iterations:
+        return TerminationReason.MAX_ITERATIONS
+    return None
 
 
 def finish_run(adapter, events, started, final_objective, iterations, termination):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..callbacks import StepTaken
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
+from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _StopRequested
 from ._common import finish_run, prepare_run
 
 __all__ = ["SimulatedAnnealing"]
@@ -71,52 +71,41 @@ class SimulatedAnnealing:
         x, adapter, events, started = prepare_run(
             objective, x0, callbacks, self.requires, "simulated annealing"
         )
-        if events.terminate_requested:
-            return x, finish_run(
-                adapter, events, started, np.nan, 0, TerminationReason.CALLBACK_REQUESTED
-            )
         rng = np.random.default_rng(self.seed)
-        value = adapter.evaluate(x)
-        best_x = x.copy()
-        best_value = value
-        temperature = (
-            self.initial_temperature
-            if self.initial_temperature is not None
-            else 100.0 * abs(value) + 1.0
-        )
-        moves_per_temperature = (
-            self.moves_per_temperature if self.moves_per_temperature is not None else 20 * x.size
-        )
-        moves = 0
-        reason = None
-        while reason is None:
-            for _ in range(moves_per_temperature):
-                if self.max_iterations and moves >= self.max_iterations:
-                    reason = TerminationReason.MAX_ITERATIONS
-                    break
-                if events.terminate_requested:
-                    reason = TerminationReason.CALLBACK_REQUESTED
-                    break
-                j = int(rng.integers(x.size))
-                half_width = self.move_scale * (1.0 + abs(float(x.flat[j])))
-                proposal = x.copy()
-                proposal.flat[j] += rng.uniform(-half_width, half_width)
-                trial = adapter.evaluate(proposal)
-                delta = trial - value
-                accept = not math.isnan(trial) and (
-                    delta <= 0
-                    or (
-                        temperature >= self.min_temperature
-                        and rng.random() < math.exp(-delta / temperature)
+        # Both options are validated positive when set, so ``or`` picks the default.
+        moves_per_temperature = self.moves_per_temperature or 20 * x.size
+        best_x, best_value, moves = x, np.nan, 0
+        try:
+            value = best_value = adapter.evaluate(x)
+            temperature = self.initial_temperature or 100.0 * abs(value) + 1.0
+            reason = None
+            while reason is None:
+                for _ in range(moves_per_temperature):
+                    if self.max_iterations and moves >= self.max_iterations:
+                        reason = TerminationReason.MAX_ITERATIONS
+                        break
+                    j = int(rng.integers(x.size))
+                    half_width = self.move_scale * (1.0 + abs(float(x.flat[j])))
+                    proposal = x.copy()
+                    proposal.flat[j] += rng.uniform(-half_width, half_width)
+                    trial = adapter.evaluate(proposal)
+                    delta = trial - value
+                    accept = not math.isnan(trial) and (
+                        delta <= 0
+                        or (
+                            temperature >= self.min_temperature
+                            and rng.random() < math.exp(-delta / temperature)
+                        )
                     )
-                )
-                if accept:
-                    x, value = proposal, trial
-                    if value < best_value:
-                        best_x = x.copy()
-                        best_value = value
-                moves += 1
-                events.dispatch(StepTaken(iteration=moves, objective=value))
-            else:
-                temperature *= self.cooling_factor
+                    if accept:
+                        # Proposals are fresh and never modified; best_x may share them.
+                        x, value = proposal, trial
+                        if value < best_value:
+                            best_x, best_value = x, value
+                    moves += 1
+                    events.dispatch(StepTaken(iteration=moves, objective=value))
+                else:
+                    temperature *= self.cooling_factor
+        except _StopRequested:
+            reason = TerminationReason.CALLBACK_REQUESTED
         return best_x, finish_run(adapter, events, started, best_value, moves, reason)

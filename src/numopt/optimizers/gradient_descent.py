@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..callbacks import StepTaken
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
-from ._common import finish_run, prepare_run
+from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _StopRequested
+from ._common import finish_run, prepare_run, progress_stop
 
 __all__ = ["GradientDescent"]
 
@@ -49,37 +49,26 @@ class GradientDescent:
         x, adapter, events, started = prepare_run(
             objective, x0, callbacks, self.requires, "gradient descent"
         )
-        if events.terminate_requested:
-            return x, finish_run(
-                adapter, events, started, np.nan, 0, TerminationReason.CALLBACK_REQUESTED
-            )
-        value = adapter.evaluate(x)
-        iteration = 0
-        while True:
-            gradient = adapter.gradient(x)
-            gradient_norm = float(np.max(np.abs(gradient)))
-            if gradient_norm <= self.min_gradient_norm:
-                reason = TerminationReason.GRADIENT_NORM_TOLERANCE
-                break
-            if events.terminate_requested:
-                reason = TerminationReason.CALLBACK_REQUESTED
-                break
-            iteration += 1
-            x = x - self.step_size * gradient
-            new_value = adapter.evaluate(x)
-            events.dispatch(
-                StepTaken(iteration=iteration, objective=new_value, gradient_norm=gradient_norm)
-            )
-            improvement = value - new_value
-            threshold = self.min_objective_improvement * max(1.0, abs(value))
-            value = new_value
-            if 0 <= improvement <= threshold:
-                reason = TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE
-                break
-            if self.max_iterations and iteration >= self.max_iterations:
-                reason = TerminationReason.MAX_ITERATIONS
-                break
-            if events.terminate_requested:
-                reason = TerminationReason.CALLBACK_REQUESTED
-                break
+        value, iteration = np.nan, 0
+        try:
+            value = adapter.evaluate(x)
+            reason = None
+            while reason is None:
+                gradient = adapter.gradient(x)
+                gradient_norm = float(np.max(np.abs(gradient)))
+                if gradient_norm <= self.min_gradient_norm:
+                    reason = TerminationReason.GRADIENT_NORM_TOLERANCE
+                    break
+                new_x = x - self.step_size * gradient
+                new_value = adapter.evaluate(new_x)
+                x, iteration = new_x, iteration + 1
+                events.dispatch(
+                    StepTaken(
+                        iteration=iteration, objective=new_value, gradient_norm=gradient_norm
+                    )
+                )
+                reason = progress_stop(self, value, new_value, iteration)
+                value = new_value
+        except _StopRequested:
+            reason = TerminationReason.CALLBACK_REQUESTED
         return x, finish_run(adapter, events, started, value, iteration, reason)

@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..callbacks import StepTaken
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
-from ._common import finish_run, prepare_run
+from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _StopRequested
+from ._common import finish_run, prepare_run, progress_stop
 
 __all__ = ["LbfgsMemory", "two_loop_direction", "backtracking_line_search", "LBFGS"]
 
@@ -103,17 +103,17 @@ def backtracking_line_search(
     backtrack_factor=0.5,
     max_trials=50,
     min_step=1e-20,
-    should_stop=None,
 ):
     """Find a step along ``direction`` passing the sufficient-decrease test.
 
     Tries steps 1, b, b^2, ... and accepts the first with
     f(x + a d) <= f(x) + c1 a g.d.  A NaN trial value is rejected like any
     insufficient decrease.  Failures are reported in the result, not raised:
-    LINE_SEARCH_FAILURE after ``max_trials`` rejections, STEP_SIZE_UNDERFLOW
-    when the next trial step would fall below ``min_step``, and
-    CALLBACK_REQUESTED when ``should_stop()`` turns true between trials.
-    Each trial costs one objective evaluation through ``adapter``.
+    LINE_SEARCH_FAILURE after ``max_trials`` rejections, and
+    STEP_SIZE_UNDERFLOW when the next trial step would fall below
+    ``min_step``.  Each trial costs one objective evaluation through
+    ``adapter``; once a callback has returned TERMINATE, the adapter refuses
+    the next trial, and its stop signal propagates to the caller.
     """
     slope = float(np.vdot(gradient, direction))
     if slope >= 0:
@@ -123,8 +123,6 @@ def backtracking_line_search(
     for _ in range(max_trials):
         if step < min_step:
             return LineSearchResult(step, value, TerminationReason.STEP_SIZE_UNDERFLOW)
-        if should_stop is not None and should_stop():
-            return LineSearchResult(step, value, TerminationReason.CALLBACK_REQUESTED)
         trial_value = adapter.evaluate(x + step * direction)
         if not np.isnan(trial_value) and trial_value <= value + armijo_constant * step * slope:
             return LineSearchResult(step, trial_value, None)
@@ -183,72 +181,57 @@ class LBFGS:
         x, adapter, events, started = prepare_run(
             objective, x0, callbacks, self.requires, "L-BFGS"
         )
-        if events.terminate_requested:
-            return x, finish_run(
-                adapter, events, started, np.nan, 0, TerminationReason.CALLBACK_REQUESTED
-            )
-        value, gradient = adapter.evaluate_with_gradient(x)
-        if float(np.max(np.abs(gradient))) <= self.min_gradient_norm:
-            return x, finish_run(
-                adapter, events, started, value, 0, TerminationReason.GRADIENT_NORM_TOLERANCE
-            )
-        memory = LbfgsMemory(self.memory_size)
-        iteration = 0
-        while True:
-            if events.terminate_requested:
-                reason = TerminationReason.CALLBACK_REQUESTED
-                break
-            direction = two_loop_direction(memory, gradient)
-            if float(np.vdot(gradient, direction)) >= 0:
-                # Stale curvature produced an uphill model; restart from
-                # steepest descent.
-                memory.clear()
-                direction = -gradient
-            if len(memory) == 0:
-                # Steepest descent carries no curvature scale; cap the first
-                # trial step at unit length (Nocedal & Wright, 2nd ed., 3.5).
-                direction = direction / max(1.0, float(np.linalg.norm(direction.ravel())))
-            found = backtracking_line_search(
-                adapter,
-                x,
-                value,
-                gradient,
-                direction,
-                armijo_constant=self.armijo_constant,
-                backtrack_factor=self.backtrack_factor,
-                max_trials=self.max_line_search_trials,
-                should_stop=lambda: events.terminate_requested,
-            )
-            if found.failure is not None:
-                reason = found.failure
-                break
-            iteration += 1
-            s = found.step * direction
-            x = x + s
-            new_value = found.value
-            new_gradient = adapter.gradient(x)
-            if not memory.push(s, new_gradient - gradient):
-                # A rejected pair means the local quadratic model broke down
-                # (negative curvature along the step).  Steering by the old
-                # history stalls in that situation, so restart it.
-                memory.clear()
-            gradient_norm = float(np.max(np.abs(new_gradient)))
-            events.dispatch(
-                StepTaken(iteration=iteration, objective=new_value, gradient_norm=gradient_norm)
-            )
-            improvement = value - new_value
-            threshold = self.min_objective_improvement * max(1.0, abs(value))
-            value, gradient = new_value, new_gradient
-            if gradient_norm <= self.min_gradient_norm:
+        value, iteration = np.nan, 0
+        try:
+            value, gradient = adapter.evaluate_with_gradient(x)
+            memory = LbfgsMemory(self.memory_size)
+            reason = None
+            if float(np.max(np.abs(gradient))) <= self.min_gradient_norm:
                 reason = TerminationReason.GRADIENT_NORM_TOLERANCE
-                break
-            if 0 <= improvement <= threshold:
-                reason = TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE
-                break
-            if self.max_iterations and iteration >= self.max_iterations:
-                reason = TerminationReason.MAX_ITERATIONS
-                break
-            if events.terminate_requested:
-                reason = TerminationReason.CALLBACK_REQUESTED
-                break
+            while reason is None:
+                direction = two_loop_direction(memory, gradient)
+                if float(np.vdot(gradient, direction)) >= 0:
+                    # Stale curvature produced an uphill model; restart from
+                    # steepest descent.
+                    memory.clear()
+                    direction = -gradient
+                if len(memory) == 0:
+                    # Steepest descent carries no curvature scale; cap the first
+                    # trial step at unit length (Nocedal & Wright, 2nd ed., 3.5).
+                    direction = direction / max(1.0, float(np.linalg.norm(direction.ravel())))
+                found = backtracking_line_search(
+                    adapter,
+                    x,
+                    value,
+                    gradient,
+                    direction,
+                    armijo_constant=self.armijo_constant,
+                    backtrack_factor=self.backtrack_factor,
+                    max_trials=self.max_line_search_trials,
+                )
+                if found.failure is not None:
+                    reason = found.failure
+                    break
+                s = found.step * direction
+                new_x = x + s
+                new_gradient = adapter.gradient(new_x)
+                x, iteration = new_x, iteration + 1
+                if not memory.push(s, new_gradient - gradient):
+                    # A rejected pair means the local quadratic model broke down
+                    # (negative curvature along the step).  Steering by the old
+                    # history stalls in that situation, so restart it.
+                    memory.clear()
+                gradient_norm = float(np.max(np.abs(new_gradient)))
+                events.dispatch(
+                    StepTaken(
+                        iteration=iteration, objective=found.value, gradient_norm=gradient_norm
+                    )
+                )
+                if gradient_norm <= self.min_gradient_norm:
+                    reason = TerminationReason.GRADIENT_NORM_TOLERANCE
+                else:
+                    reason = progress_stop(self, value, found.value, iteration)
+                value, gradient = found.value, new_gradient
+        except _StopRequested:
+            reason = TerminationReason.CALLBACK_REQUESTED
         return x, finish_run(adapter, events, started, value, iteration, reason)

@@ -15,7 +15,7 @@ from typing import Protocol
 import numpy as np
 
 from ..callbacks import BeginEpoch, EndEpoch, StepTaken
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
+from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _StopRequested
 from ._common import finish_run, prepare_run
 
 __all__ = ["UpdatePolicy", "VanillaUpdate", "MomentumUpdate", "AdamUpdate", "SGD"]
@@ -147,10 +147,6 @@ class SGD:
         after a completed epoch, otherwise the last batch mean.
         """
         x, adapter, events, started = prepare_run(objective, x0, callbacks, self.requires, "SGD")
-        if events.terminate_requested:
-            return x, finish_run(
-                adapter, events, started, np.nan, 0, TerminationReason.CALLBACK_REQUESTED
-            )
         n = adapter.num_parts
         starts = list(range(0, n, self.batch_size))
         rng = np.random.default_rng(self.seed)
@@ -160,47 +156,47 @@ class SGD:
         previous_mean = None
         observed = np.nan
         reason = None
-        while reason is None:
-            if self.max_iterations and steps >= self.max_iterations:
-                reason = TerminationReason.MAX_ITERATIONS
-                break
-            epoch += 1
-            events.dispatch(BeginEpoch(epoch=epoch))
-            order = rng.permutation(len(starts)) if self.shuffle else range(len(starts))
-            epoch_total = 0.0
-            for window in order:
-                if events.terminate_requested:
-                    reason = TerminationReason.CALLBACK_REQUESTED
-                    break
-                # Checked before the step so that a cap landing exactly on
-                # an epoch boundary still lets the epoch finish below.
+        try:
+            while reason is None:
                 if self.max_iterations and steps >= self.max_iterations:
                     reason = TerminationReason.MAX_ITERATIONS
                     break
-                first = starts[window]
-                count = min(self.batch_size, n - first)
-                batch_value = adapter.evaluate_parts(x, first, count)
-                gradient = adapter.gradient_parts(x, first, count) / count
-                x = x + self.update.step(state, gradient, self.step_size)
-                steps += 1
-                epoch_total += batch_value
-                observed = batch_value / count
-                events.dispatch(
-                    StepTaken(
-                        iteration=steps,
-                        objective=observed,
-                        gradient_norm=float(np.max(np.abs(gradient))),
+                epoch += 1
+                events.dispatch(BeginEpoch(epoch=epoch))
+                order = rng.permutation(len(starts)) if self.shuffle else range(len(starts))
+                epoch_total = 0.0
+                for window in order:
+                    # Checked before the step so that a cap landing exactly on
+                    # an epoch boundary still lets the epoch finish below.
+                    if self.max_iterations and steps >= self.max_iterations:
+                        reason = TerminationReason.MAX_ITERATIONS
+                        break
+                    first = starts[window]
+                    count = min(self.batch_size, n - first)
+                    batch_value = adapter.evaluate_parts(x, first, count)
+                    gradient = adapter.gradient_parts(x, first, count) / count
+                    x = x + self.update.step(state, gradient, self.step_size)
+                    steps += 1
+                    epoch_total += batch_value
+                    observed = batch_value / count
+                    events.dispatch(
+                        StepTaken(
+                            iteration=steps,
+                            objective=observed,
+                            gradient_norm=float(np.max(np.abs(gradient))),
+                        )
                     )
-                )
-            else:
-                # Epoch completed; the mean is over values observed at the
-                # iterates current when each window was visited.
-                mean = epoch_total / n
-                observed = mean
-                events.dispatch(EndEpoch(epoch=epoch, mean_objective=mean))
-                if events.terminate_requested:
-                    reason = TerminationReason.CALLBACK_REQUESTED
-                elif previous_mean is not None and abs(previous_mean - mean) < self.tolerance:
-                    reason = TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE
-                previous_mean = mean
+                else:
+                    # Epoch completed; the mean is over values observed at the
+                    # iterates current when each window was visited.
+                    mean = epoch_total / n
+                    observed = mean
+                    events.dispatch(EndEpoch(epoch=epoch, mean_objective=mean))
+                    if events.terminate_requested:
+                        reason = TerminationReason.CALLBACK_REQUESTED
+                    elif previous_mean is not None and abs(previous_mean - mean) < self.tolerance:
+                        reason = TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE
+                    previous_mean = mean
+        except _StopRequested:
+            reason = TerminationReason.CALLBACK_REQUESTED
         return x, finish_run(adapter, events, started, observed, steps, reason)

@@ -1,5 +1,7 @@
 """Capability detection, requirement checking, inference, and counting."""
 
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -222,6 +224,67 @@ class TestAdapterInference:
         adapter = ObjectiveAdapter(WrongShape())
         with pytest.raises(Diagnostic, match="shape"):
             adapter.gradient(np.zeros((2, 1)))
+
+    def test_adapter_is_freed_without_the_cycle_collector(self):
+        # The bindings must not make the adapter reference itself, or every
+        # run's callbacks would live on until the next garbage collection.
+        for objective in (FullObjective(), PartsOnlyObjective(), FusedObjective()):
+            adapter = ObjectiveAdapter(objective)
+            freed = weakref.ref(adapter)
+            del adapter
+            assert freed() is None
+
+    def test_gradient_takes_the_parameter_dtype(self):
+        adapter = ObjectiveAdapter(FullObjective())
+        g = adapter.gradient(np.zeros(1, dtype=np.float32))
+        assert g.dtype == np.float32
+        assert_allclose(g, [-10.0])
+
+
+class VectorValued:
+    """Every value path returns a length-2 array instead of a scalar."""
+
+    num_parts = 2
+
+    def evaluate(self, x):
+        return np.array([1.0, 2.0])
+
+    def evaluate_with_gradient(self, x):
+        return np.array([1.0, 2.0]), np.zeros_like(x)
+
+    def evaluate_parts(self, x, first, count):
+        return np.array([1.0, 2.0])
+
+
+class TestNonScalarValues:
+    @pytest.mark.parametrize(
+        "call, method",
+        [
+            (lambda adapter, x: adapter.evaluate(x), "evaluate"),
+            (lambda adapter, x: adapter.evaluate_with_gradient(x), "evaluate_with_gradient"),
+            (lambda adapter, x: adapter.evaluate_parts(x, 0, 1), "evaluate_parts"),
+        ],
+    )
+    def test_each_value_path_is_diagnosed(self, call, method):
+        with pytest.raises(Diagnostic, match=rf"VectorValued\.{method} .*shape \(2,\)"):
+            call(ObjectiveAdapter(VectorValued()), np.zeros(1))
+
+    def test_inferred_parts_sum_is_diagnosed(self):
+        class PartsOnly:
+            num_parts = 2
+
+            def evaluate_parts(self, x, first, count):
+                return [1.0, 2.0]
+
+        with pytest.raises(Diagnostic, match=r"PartsOnly\.evaluate_parts .*list"):
+            ObjectiveAdapter(PartsOnly()).evaluate(np.zeros(1))
+
+    def test_zero_dimensional_values_are_scalars(self):
+        class ZeroDim:
+            def evaluate(self, x):
+                return np.array(3.5)
+
+        assert ObjectiveAdapter(ZeroDim()).evaluate(np.zeros(1)) == 3.5
 
 
 class TestAsParameters:

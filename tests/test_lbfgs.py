@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from numopt import (
-    Diagnostic,
     LBFGS,
+    CallbackDecision,
+    CallbackList,
+    Diagnostic,
+    EvaluateCalled,
     LbfgsMemory,
     ObjectiveAdapter,
     TerminationReason,
@@ -16,6 +19,7 @@ from numopt import (
     backtracking_line_search,
     two_loop_direction,
 )
+from numopt.core import _StopRequested
 from numopt.problems import LinearRegression, Rosenbrock, generate_noisy_linear
 
 
@@ -211,23 +215,26 @@ class TestBacktrackingLineSearch:
         assert adapter.evaluate_calls == 0
 
     def test_stop_hook_aborts_between_trials(self):
-        adapter = ObjectiveAdapter(AlwaysNan())
+        # A TERMINATE on the first trial's EvaluateCalled makes the adapter
+        # refuse the second trial, although the first one was rejected.
         trials = []
-
-        def stop():
-            return len(trials) >= 2
 
         class Counting(AlwaysNan):
             def evaluate(self, x):
                 trials.append(1)
                 return float("nan")
 
-        adapter = ObjectiveAdapter(Counting())
-        found = backtracking_line_search(
-            adapter, np.array([1.0]), 1.0, np.array([2.0]), np.array([-1.0]), should_stop=stop
-        )
-        assert found.failure == TerminationReason.CALLBACK_REQUESTED
-        assert len(trials) == 2
+        def stop_on_evaluate(event):
+            if isinstance(event, EvaluateCalled):
+                return CallbackDecision.TERMINATE
+
+        adapter = ObjectiveAdapter(Counting(), events=CallbackList([stop_on_evaluate]))
+        with pytest.raises(_StopRequested):
+            backtracking_line_search(
+                adapter, np.array([1.0]), 1.0, np.array([2.0]), np.array([-1.0])
+            )
+        assert len(trials) == 1
+        assert adapter.evaluate_calls == 1
 
 
 class TestLbfgsOptimize:

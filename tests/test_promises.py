@@ -1,0 +1,161 @@
+"""README promises checked across every optimizer.
+
+A callback's TERMINATE means no further objective calls, the reported call
+counts are exact, and a float32 start gives a float32 result even when the
+objective computes in float64.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+from numopt import (
+    LBFGS,
+    SGD,
+    BeginOptimization,
+    CallbackDecision,
+    EvaluateCalled,
+    GradientCalled,
+    GradientDescent,
+    SimulatedAnnealing,
+    StepTaken,
+    TerminationReason,
+)
+from numopt.problems import Rosenbrock, SeparableLinearRegression, generate_noisy_linear
+
+X, Y, _ = generate_noisy_linear(3, 40, 1.0, seed=0)
+
+
+class Counting:
+    """Counts calls to ``inner`` and tallies them as the adapter does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self.evaluations = 0
+        self.gradients = 0
+
+    def _tally(self, evaluations, gradients):
+        self.calls += 1
+        self.evaluations += evaluations
+        self.gradients += gradients
+
+
+class CountingFull(Counting):
+    def evaluate(self, x):
+        self._tally(1, 0)
+        return self.inner.evaluate(x)
+
+    def gradient(self, x):
+        self._tally(0, 1)
+        return self.inner.gradient(x)
+
+
+class CountingFused(CountingFull):
+    def evaluate_with_gradient(self, x):
+        self._tally(1, 1)
+        return self.inner.evaluate(x), self.inner.gradient(x)
+
+
+class CountingParts(Counting):
+    @property
+    def num_parts(self):
+        return self.inner.num_parts
+
+    def evaluate_parts(self, x, first, count):
+        self._tally(count, 0)
+        return self.inner.evaluate_parts(x, first, count)
+
+    def gradient_parts(self, x, first, count):
+        self._tally(0, count)
+        return self.inner.gradient_parts(x, first, count)
+
+
+def make_run(name, fused, offset, seed):
+    """(counting objective, optimizer, x0) for one probe; no run converges
+    within seven steps, and none lasts beyond 30."""
+    rosenbrock_start = np.array([-1.2, 1.0]) + offset
+    if name == "lbfgs":
+        counting = CountingFused if fused else CountingFull
+        return counting(Rosenbrock()), LBFGS(max_iterations=30), rosenbrock_start
+    if name == "gd":
+        optimizer = GradientDescent(step_size=1e-4, max_iterations=30)
+        return CountingFull(Rosenbrock()), optimizer, rosenbrock_start
+    if name == "sgd":
+        # Windows of 16, 16 and 8 parts: the third step ends an epoch.
+        optimizer = SGD(batch_size=16, max_iterations=30, tolerance=0.0, seed=seed)
+        x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, 3)
+        return CountingParts(SeparableLinearRegression(X, Y)), optimizer, x0
+    optimizer = SimulatedAnnealing(max_iterations=30, seed=seed)
+    return CountingFull(Rosenbrock()), optimizer, rosenbrock_start
+
+
+class StopAt:
+    """Returns TERMINATE on the k-th event of one type and notes the call count."""
+
+    def __init__(self, kind, k, objective):
+        self.kind, self.k, self.objective = kind, k, objective
+        self.seen = 0
+        self.calls_at_stop = None
+
+    def __call__(self, event):
+        if isinstance(event, self.kind):
+            self.seen += 1
+            if self.seen == self.k:
+                self.calls_at_stop = self.objective.calls
+                return CallbackDecision.TERMINATE
+        return None
+
+
+@pytest.mark.parametrize("name", ["lbfgs", "gd", "sgd", "annealing"])
+@pytest.mark.parametrize("kind", [BeginOptimization, EvaluateCalled, GradientCalled, StepTaken])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 3, 7]),
+    offset=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)).map(np.array),
+    seed=st.integers(0, 2**16),
+    fused=st.booleans(),
+)
+def test_terminate_means_no_further_objective_calls(name, kind, k, offset, seed, fused):
+    objective, optimizer, x0 = make_run(name, fused, offset, seed)
+    stopper = StopAt(kind, k, objective)
+    x, result = optimizer.optimize(objective, x0, callbacks=[stopper])
+    assert result.evaluate_calls == objective.evaluations
+    assert result.gradient_calls == objective.gradients
+    if stopper.calls_at_stop is None:
+        return  # the k-th event of this type never happened
+    assert objective.calls == stopper.calls_at_stop
+    assert result.termination == TerminationReason.CALLBACK_REQUESTED
+    if name in ("lbfgs", "gd") and not np.isnan(result.final_objective):
+        # The run ends at its last completed step, never half-way into one.
+        assert_allclose(result.final_objective, objective.inner.evaluate(x), rtol=1e-12)
+
+
+class Float64Quadratic:
+    """x @ A @ x with a float64 A, so a float32 x gets float64 gradients."""
+
+    A = np.array([[3.0, 1.0], [1.0, 2.0]])
+
+    def evaluate(self, x):
+        return float(x @ self.A @ x)
+
+    def gradient(self, x):
+        return 2.0 * (self.A @ x)
+
+
+@pytest.mark.parametrize(
+    "optimizer, objective, x0",
+    [
+        (LBFGS(), Float64Quadratic(), [1.0, -2.0]),
+        (GradientDescent(step_size=0.1), Float64Quadratic(), [1.0, -2.0]),
+        (SGD(batch_size=8, max_iterations=50), SeparableLinearRegression(X, Y), [0.0] * 3),
+        (SimulatedAnnealing(max_iterations=200), Float64Quadratic(), [1.0, -2.0]),
+    ],
+    ids=["lbfgs", "gd", "sgd", "annealing"],
+)
+def test_float32_start_stays_float32_with_float64_objective(optimizer, objective, x0):
+    x, result = optimizer.optimize(objective, np.array(x0, dtype=np.float32))
+    assert x.dtype == np.float32
+    assert np.isfinite(result.final_objective)
