@@ -16,83 +16,11 @@ see ``numopt.core`` for the method contracts and what gets inferred when a
 method is missing.
 """
 
-from .callbacks import (
-    BeginEpoch,
-    BeginOptimization,
-    CallbackDecision,
-    CallbackList,
-    EarlyStopping,
-    EndEpoch,
-    EndOptimization,
-    EvaluateCalled,
-    GradientCalled,
-    ProgressPrinter,
-    StepTaken,
-    TimeLimit,
-    TraceRecorder,
-    dispatch,
-    parse_progress_line,
-)
-from .core import (
-    Diagnostic,
-    ObjectiveAdapter,
-    ObjectiveCapabilities,
-    OptimizationResult,
-    TerminationReason,
-    as_parameters,
-    check_requirements,
-    finite_difference_gradient,
-)
-from .optimizers import (
-    LBFGS,
-    SGD,
-    AdamUpdate,
-    GradientDescent,
-    LbfgsMemory,
-    MomentumUpdate,
-    SimulatedAnnealing,
-    UpdatePolicy,
-    VanillaUpdate,
-    backtracking_line_search,
-    two_loop_direction,
-)
+from . import callbacks, core, optimizers
+from .callbacks import *
+from .core import *
+from .optimizers import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Diagnostic",
-    "ObjectiveCapabilities",
-    "ObjectiveAdapter",
-    "OptimizationResult",
-    "TerminationReason",
-    "check_requirements",
-    "finite_difference_gradient",
-    "as_parameters",
-    "CallbackDecision",
-    "BeginOptimization",
-    "EndOptimization",
-    "EvaluateCalled",
-    "GradientCalled",
-    "StepTaken",
-    "BeginEpoch",
-    "EndEpoch",
-    "dispatch",
-    "CallbackList",
-    "EarlyStopping",
-    "ProgressPrinter",
-    "parse_progress_line",
-    "TraceRecorder",
-    "TimeLimit",
-    "LBFGS",
-    "LbfgsMemory",
-    "two_loop_direction",
-    "backtracking_line_search",
-    "GradientDescent",
-    "SGD",
-    "UpdatePolicy",
-    "VanillaUpdate",
-    "MomentumUpdate",
-    "AdamUpdate",
-    "SimulatedAnnealing",
-    "__version__",
-]
+__all__ = core.__all__ + callbacks.__all__ + optimizers.__all__ + ["__version__"]

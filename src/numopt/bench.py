@@ -37,9 +37,20 @@ from .problems import (
 __all__ = ["BenchSpec", "BenchRecord", "run_bench", "emit_report", "main"]
 
 PROBLEMS = ("linear", "logistic")
-OPTIMIZERS = ("lbfgs", "gd", "sgd", "sgd-momentum", "adam", "sa")
-# Optimizers that consume the objective part-wise.
-BATCH_OPTIMIZERS = ("sgd", "sgd-momentum", "adam")
+# Each optimizer's factory, called with (max_iterations, run seed).
+_FACTORIES = {
+    "lbfgs": lambda iterations, seed: LBFGS(max_iterations=iterations),
+    "gd": lambda iterations, seed: GradientDescent(max_iterations=iterations),
+    "sgd": lambda iterations, seed: SGD(max_iterations=iterations, seed=seed),
+    "sgd-momentum": lambda iterations, seed: SGD(
+        max_iterations=iterations, seed=seed, update=MomentumUpdate()
+    ),
+    "adam": lambda iterations, seed: SGD(
+        max_iterations=iterations, seed=seed, update=AdamUpdate()
+    ),
+    "sa": lambda iterations, seed: SimulatedAnnealing(max_iterations=iterations, seed=seed),
+}
+OPTIMIZERS = tuple(_FACTORIES)
 # Default size sweep: small enough to finish in seconds, large enough that
 # the d and n axes both move.
 DEFAULT_GRID = ((10, 100), (10, 1000), (10, 10000), (100, 10000))
@@ -95,29 +106,12 @@ class BenchRecord:
         return sum(self.final_objectives) / len(self.final_objectives)
 
 
-def _build_optimizer(spec, run_seed):
-    kind = spec.optimizer
-    if kind == "lbfgs":
-        return LBFGS(max_iterations=spec.max_iterations)
-    if kind == "gd":
-        return GradientDescent(max_iterations=spec.max_iterations)
-    if kind == "sgd":
-        return SGD(max_iterations=spec.max_iterations, seed=run_seed)
-    if kind == "sgd-momentum":
-        return SGD(max_iterations=spec.max_iterations, seed=run_seed, update=MomentumUpdate())
-    if kind == "adam":
-        return SGD(max_iterations=spec.max_iterations, seed=run_seed, update=AdamUpdate())
-    if kind == "sa":
-        return SimulatedAnnealing(max_iterations=spec.max_iterations, seed=run_seed)
-    raise Diagnostic(f"unknown optimizer {kind!r}")
-
-
-def _build_objective(spec, X, y):
+def _build_objective(spec, optimizer, X, y):
     """Objective for one run, plus the full-objective view used for reporting."""
     if spec.problem == "logistic":
         objective = LogisticRegression(X, y)
         return objective, objective.evaluate
-    if spec.optimizer in BATCH_OPTIMIZERS:
+    if optimizer.requires.part_gradient:
         return SeparableLinearRegression(X, y), LinearRegression(X, y).evaluate
     objective = LinearRegression(X, y)
     return objective, objective.evaluate
@@ -159,8 +153,8 @@ def run_bench(spec, clock=time.perf_counter):
     terminations = []
     for run_index in range(spec.runs):
         X, y = _run_data(spec, run_index, loaded)
-        objective, full_value = _build_objective(spec, X, y)
-        optimizer = _build_optimizer(spec, spec.seed + run_index)
+        optimizer = _FACTORIES[spec.optimizer](spec.max_iterations, spec.seed + run_index)
+        objective, full_value = _build_objective(spec, optimizer, X, y)
         x0 = np.random.default_rng([spec.seed + run_index, 1]).uniform(
             -1.0, 1.0, size=(spec.d, 1)
         )
@@ -256,26 +250,20 @@ def main(argv=None):
         parser.error("--dataset replaces --d/--n; give one or the other")
     if (args.d is None) != (args.n is None):
         parser.error("--d and --n must be given together")
+    base = BenchSpec(
+        problem=args.problem,
+        optimizer=args.optimizer,
+        runs=args.runs,
+        max_iterations=args.max_iterations,
+        seed=args.seed,
+        noise_scale=args.noise,
+        dataset=args.dataset,
+    )
     if args.dataset is not None:
-        sizes = [(1, 1)]  # placeholder; run_bench takes the shape from the file
-    elif args.d is not None:
-        sizes = [(args.d, args.n)]
+        specs = [base]  # run_bench takes d and n from the file
     else:
-        sizes = list(DEFAULT_GRID)
-    specs = [
-        BenchSpec(
-            problem=args.problem,
-            d=d,
-            n=n,
-            optimizer=args.optimizer,
-            runs=args.runs,
-            max_iterations=args.max_iterations,
-            seed=args.seed,
-            noise_scale=args.noise,
-            dataset=args.dataset,
-        )
-        for d, n in sizes
-    ]
+        sizes = [(args.d, args.n)] if args.d is not None else DEFAULT_GRID
+        specs = [replace(base, d=d, n=n) for d, n in sizes]
     for spec in specs:
         try:
             spec.validate()

@@ -1,21 +1,10 @@
 """Pre-built optimizers.  Each exposes optimize(objective, x0, callbacks=()) ->
 (parameters, OptimizationResult) and a ``requires`` capability constant."""
 
-from .annealing import SimulatedAnnealing
-from .gradient_descent import GradientDescent
-from .lbfgs import LBFGS, LbfgsMemory, backtracking_line_search, two_loop_direction
-from .sgd import SGD, AdamUpdate, MomentumUpdate, UpdatePolicy, VanillaUpdate
+from . import annealing, gradient_descent, lbfgs, sgd
+from .annealing import *
+from .gradient_descent import *
+from .lbfgs import *
+from .sgd import *
 
-__all__ = [
-    "LBFGS",
-    "LbfgsMemory",
-    "two_loop_direction",
-    "backtracking_line_search",
-    "GradientDescent",
-    "SGD",
-    "UpdatePolicy",
-    "VanillaUpdate",
-    "MomentumUpdate",
-    "AdamUpdate",
-    "SimulatedAnnealing",
-]
+__all__ = lbfgs.__all__ + gradient_descent.__all__ + sgd.__all__ + annealing.__all__

@@ -190,11 +190,6 @@ class LBFGS:
                 reason = TerminationReason.GRADIENT_NORM_TOLERANCE
             while reason is None:
                 direction = two_loop_direction(memory, gradient)
-                if float(np.vdot(gradient, direction)) >= 0:
-                    # Stale curvature produced an uphill model; restart from
-                    # steepest descent.
-                    memory.clear()
-                    direction = -gradient
                 if len(memory) == 0:
                     # Steepest descent carries no curvature scale; cap the first
                     # trial step at unit length (Nocedal & Wright, 2nd ed., 3.5).

@@ -209,7 +209,11 @@ class Rosenbrock:
 
     def evaluate(self, x):
         a, b = self._point(x)
-        return (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+        try:
+            return (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+        except OverflowError:
+            # Python's float ** raises where IEEE arithmetic gives inf.
+            return np.inf
 
     def gradient(self, x):
         a, b = self._point(x)

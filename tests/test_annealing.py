@@ -183,6 +183,10 @@ class TestContract:
             SimulatedAnnealing(move_scale=0.0)
         with pytest.raises(Diagnostic, match="moves_per_temperature"):
             SimulatedAnnealing(moves_per_temperature=0)
+        with pytest.raises(Diagnostic, match="min_temperature"):
+            SimulatedAnnealing(min_temperature=0.0)
+        with pytest.raises(Diagnostic, match="max_iterations"):
+            SimulatedAnnealing(max_iterations=-1)
 
     def test_start_point_not_mutated(self):
         x0 = np.array([0.25, -0.5])

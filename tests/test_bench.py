@@ -85,6 +85,14 @@ class TestRunBench:
             run_bench(small_spec(runs=0))
         with pytest.raises(Diagnostic, match="--problem"):
             run_bench(small_spec(problem="quadratic"))
+        with pytest.raises(Diagnostic, match="--optimizer"):
+            run_bench(small_spec(optimizer="newton"))
+        with pytest.raises(Diagnostic, match="--d and --n"):
+            run_bench(small_spec(n=0))
+        with pytest.raises(Diagnostic, match="--max-iterations"):
+            run_bench(small_spec(max_iterations=-1))
+        with pytest.raises(Diagnostic, match="--noise"):
+            run_bench(small_spec(noise_scale=-1.0))
 
 
 class TestEmitReport:

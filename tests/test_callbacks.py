@@ -142,6 +142,10 @@ class TestProgressPrinter:
             printer(step(k))
         assert len(sink.lines) == 2  # steps 10 and 20
 
+    def test_period_validated(self):
+        with pytest.raises(ValueError, match="period"):
+            ProgressPrinter(period=0)
+
     def test_line_format_round_trips(self):
         sink = LineSink()
         ProgressPrinter(stream=sink)(step(7, f=0.125, g=2.5))
@@ -173,6 +177,8 @@ class TestProgressPrinter:
     def test_rejects_non_progress_line(self):
         with pytest.raises(ValueError):
             parse_progress_line("hello world")
+        with pytest.raises(ValueError, match="not a progress line"):
+            parse_progress_line("g=1.0")
 
 
 class TestTraceRecorder:

@@ -201,6 +201,10 @@ class TestAdapterInference:
         assert adapter.evaluate_calls == 1
         assert adapter.gradient_calls == 1
 
+    def test_num_parts_of_non_separable_is_diagnostic(self):
+        with pytest.raises(Diagnostic, match="FullObjective is not separable"):
+            ObjectiveAdapter(FullObjective()).num_parts
+
     def test_gradient_not_inferred(self):
         adapter = ObjectiveAdapter(PartsOnlyObjective())
         with pytest.raises(Diagnostic, match="gradient"):

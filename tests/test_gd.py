@@ -120,6 +120,10 @@ class TestGradientDescent:
             GradientDescent(step_size=0.0)
         with pytest.raises(Diagnostic, match="max_iterations"):
             GradientDescent(max_iterations=-1)
+        with pytest.raises(Diagnostic, match="tolerances"):
+            GradientDescent(min_gradient_norm=-1.0)
+        with pytest.raises(Diagnostic, match="tolerances"):
+            GradientDescent(min_objective_improvement=-1.0)
 
     def test_requires_gradient(self):
         class EvaluateOnly:

@@ -340,6 +340,10 @@ class TestLbfgsOptimize:
             LBFGS(backtrack_factor=1.0)
         with pytest.raises(Diagnostic, match="tolerances"):
             LBFGS(min_gradient_norm=-1.0)
+        with pytest.raises(Diagnostic, match="max_iterations"):
+            LBFGS(max_iterations=-1)
+        with pytest.raises(Diagnostic, match="max_line_search_trials"):
+            LBFGS(max_line_search_trials=0)
 
     def test_unlimited_iterations_allowed(self):
         _, result = LBFGS(max_iterations=0).optimize(Quadratic(), np.array([4.0]))

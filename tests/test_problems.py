@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from numopt import Diagnostic, ObjectiveAdapter, finite_difference_gradient
+from numopt import (
+    Diagnostic,
+    GradientDescent,
+    ObjectiveAdapter,
+    TerminationReason,
+    finite_difference_gradient,
+)
 from numopt.problems import (
     LinearRegression,
     LogisticRegression,
@@ -85,6 +91,15 @@ class TestLinearRegression:
     def test_inconsistent_data_is_diagnostic(self):
         with pytest.raises(Diagnostic, match="columns"):
             LinearRegression(np.ones((2, 5)), np.ones(4))
+        with pytest.raises(Diagnostic, match="non-empty"):
+            LinearRegression(np.ones((2, 0)), [])
+        with pytest.raises(Diagnostic, match="d x n"):
+            LinearRegression(np.ones(5), np.ones(5))
+
+    def test_integer_data_becomes_float64(self):
+        objective = LinearRegression([[1, 2]], [1, 2])
+        assert objective.X.dtype == objective.y.dtype == np.float64
+        assert objective.evaluate(np.zeros(1)) == 5.0
 
     def test_provides_exactly_evaluate_and_gradient(self):
         objective = LinearRegression([[1.0]], [1.0])
@@ -212,6 +227,19 @@ class TestLogisticRegression:
         # Part windows carry their share, and the full window still matches.
         assert objective.evaluate_parts(phi, 0, 1) == objective.evaluate(phi)
 
+    def test_ridge_windows_sum_to_full_gradient(self):
+        rng = np.random.default_rng(23)
+        X = rng.uniform(-1, 1, (3, 10))
+        y = (rng.uniform(size=10) > 0.5).astype(float)
+        objective = LogisticRegression(X, y, ridge=0.7)
+        phi = rng.uniform(-1, 1, 3)
+        windows = objective.gradient_parts(phi, 0, 4) + objective.gradient_parts(phi, 4, 6)
+        assert_allclose(windows, objective.gradient(phi), rtol=1e-12)
+        # A window of 4 of the 10 parts carries 4/10 of the ridge gradient.
+        plain = LogisticRegression(X, y)
+        share = objective.gradient_parts(phi, 0, 4) - plain.gradient_parts(phi, 0, 4)
+        assert_allclose(share, 2.0 * 0.7 * phi * (4 / 10), rtol=1e-12)
+
     def test_ridge_validated(self):
         with pytest.raises(Diagnostic, match="ridge"):
             LogisticRegression([[1.0]], [1.0], ridge=-0.1)
@@ -242,6 +270,20 @@ class TestRosenbrock:
     def test_wrong_size_is_diagnostic(self):
         with pytest.raises(Diagnostic, match="2-D"):
             Rosenbrock().evaluate(np.zeros(3))
+
+    def test_overflowing_value_is_inf(self):
+        # Python's float ** raises OverflowError here; IEEE arithmetic gives inf.
+        assert Rosenbrock().evaluate(np.array([1e80, 0.0])) == np.inf
+        assert Rosenbrock().evaluate(np.array([0.0, 1e200])) == np.inf
+
+    def test_diverging_descent_returns_a_result(self):
+        # Gradient descent at its default step overflows from this start
+        # within eight steps; the run must still end with a result.
+        x0 = np.random.default_rng(1).uniform(-1, 1, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, result = GradientDescent(max_iterations=20).optimize(Rosenbrock(), x0)
+        assert result.termination == TerminationReason.MAX_ITERATIONS
+        assert result.iterations == 20
 
 
 class TestGenerateNoisyLinear:
@@ -291,6 +333,12 @@ class TestLoadCsv:
         assert X.shape == (2, 2)
         assert np.array_equal(X, [[1.0, 4.0], [2.0, 5.0]])
         assert np.array_equal(y, [3.0, 6.0])
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = self.write(tmp_path, "1.0,2.0\n\n3.0,4.0\n")
+        X, y = load_csv(path)
+        assert np.array_equal(X, [[1.0, 3.0]])
+        assert np.array_equal(y, [2.0, 4.0])
 
     def test_single_header_line_skipped(self, tmp_path):
         path = self.write(tmp_path, "a,b,label\n1.0,2.0,0.0\n")

@@ -1,8 +1,8 @@
 """README promises checked across every optimizer.
 
 A callback's TERMINATE means no further objective calls, the reported call
-counts are exact, and a float32 start gives a float32 result even when the
-objective computes in float64.
+counts are exact, ``x0`` is never mutated, and a float32 start gives a
+float32 result, also when the objective computes in float64.
 """
 
 import numpy as np
@@ -14,16 +14,25 @@ from numpy.testing import assert_allclose
 from numopt import (
     LBFGS,
     SGD,
+    AdamUpdate,
     BeginOptimization,
     CallbackDecision,
     EvaluateCalled,
     GradientCalled,
     GradientDescent,
+    MomentumUpdate,
     SimulatedAnnealing,
     StepTaken,
     TerminationReason,
+    VanillaUpdate,
 )
-from numopt.problems import Rosenbrock, SeparableLinearRegression, generate_noisy_linear
+from numopt.problems import (
+    LinearRegression,
+    LogisticRegression,
+    Rosenbrock,
+    SeparableLinearRegression,
+    generate_noisy_linear,
+)
 
 X, Y, _ = generate_noisy_linear(3, 40, 1.0, seed=0)
 
@@ -159,3 +168,61 @@ def test_float32_start_stays_float32_with_float64_objective(optimizer, objective
     x, result = optimizer.optimize(objective, np.array(x0, dtype=np.float32))
     assert x.dtype == np.float32
     assert np.isfinite(result.final_objective)
+
+
+# Optimizer factories, called with a seed; each run is capped at a few steps.
+OPTIMIZERS = {
+    "lbfgs": lambda seed: LBFGS(max_iterations=20),
+    "gd": lambda seed: GradientDescent(max_iterations=20),
+    "sgd": lambda seed: SGD(batch_size=8, max_iterations=20, seed=seed, update=VanillaUpdate()),
+    "momentum": lambda seed: SGD(
+        batch_size=8, max_iterations=20, seed=seed, update=MomentumUpdate()
+    ),
+    "adam": lambda seed: SGD(batch_size=8, max_iterations=20, seed=seed, update=AdamUpdate()),
+    "annealing": lambda seed: SimulatedAnnealing(max_iterations=50, seed=seed),
+}
+
+
+def make_problem(problem, dtype, seed, part_wise):
+    """(objective, dimension); data in ``dtype`` except for logistic-float64."""
+    if problem == "rosenbrock":
+        return Rosenbrock(), 2
+    X, y, _ = generate_noisy_linear(3, 40, 1.0, seed=seed)
+    if problem == "least-squares":
+        least_squares = SeparableLinearRegression if part_wise else LinearRegression
+        return least_squares(X.astype(dtype), y.astype(dtype)), 3
+    labels = (y > 0).astype(np.float64)
+    if problem == "logistic":
+        return LogisticRegression(X.astype(dtype), labels.astype(dtype)), 3
+    return LogisticRegression(X, labels), 3
+
+
+def grid():
+    for name, factory in OPTIMIZERS.items():
+        problems = ["least-squares", "logistic", "logistic-float64"]
+        if not factory(0).requires.part_gradient:
+            problems.append("rosenbrock")
+        for problem in problems:
+            for dtype in (np.float32, np.float64):
+                yield name, problem, dtype
+
+
+@pytest.mark.parametrize("name, problem, dtype", list(grid()))
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    start=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    column=st.booleans(),
+    data_seed=st.integers(0, 2**16),
+    seed=st.integers(0, 2**16),
+)
+def test_x0_is_kept_and_its_dtype_sets_the_run(name, problem, dtype, start, column, data_seed, seed):
+    optimizer = OPTIMIZERS[name](seed)
+    objective, dim = make_problem(problem, dtype, data_seed, optimizer.requires.part_gradient)
+    x0 = np.array(start[:dim], dtype=dtype).reshape((dim, 1) if column else (dim,))
+    before = x0.copy()
+    # Finiteness is not asserted: gradient descent at its default step diverges.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, _ = optimizer.optimize(objective, x0)
+    assert np.array_equal(x0, before)
+    assert x.dtype == dtype
+    assert x.shape == x0.shape

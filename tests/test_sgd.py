@@ -351,6 +351,10 @@ class TestSgdLoop:
             SGD(batch_size=0)
         with pytest.raises(Diagnostic, match="step_size"):
             SGD(step_size=-1.0)
+        with pytest.raises(Diagnostic, match="max_iterations"):
+            SGD(max_iterations=-1)
+        with pytest.raises(Diagnostic, match="tolerance"):
+            SGD(tolerance=-1.0)
 
 
 class TwoParts6:
