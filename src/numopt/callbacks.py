@@ -200,11 +200,12 @@ def parse_progress_line(line):
     ``gradient_norm`` is None when the line has no ``g=`` field.  Raises
     ValueError on anything that is not a progress line.
     """
-    fields = dict(part.split("=", 1) for part in line.split())
-    if "iter" not in fields or "f" not in fields:
-        raise ValueError(f"not a progress line: {line!r}")
-    norm = float(fields["g"]) if "g" in fields else None
-    return int(fields["iter"]), float(fields["f"]), norm
+    try:
+        fields = dict(part.split("=", 1) for part in line.split())
+        norm = float(fields["g"]) if "g" in fields else None
+        return int(fields["iter"]), float(fields["f"]), norm
+    except (KeyError, ValueError) as error:
+        raise ValueError(f"not a progress line: {line!r}") from error
 
 
 class TraceRecorder:

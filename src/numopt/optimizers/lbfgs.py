@@ -22,6 +22,7 @@ __all__ = ["LbfgsMemory", "two_loop_direction", "backtracking_line_search", "LBF
 # Pairs with y.s at or below this relative threshold carry no usable
 # curvature and would poison the inverse-Hessian model.
 CURVATURE_FLOOR = 1e-14
+MIN_STEP = 1e-20  # the line search tries no smaller step
 
 
 class LbfgsMemory:
@@ -102,7 +103,6 @@ def backtracking_line_search(
     armijo_constant=1e-4,
     backtrack_factor=0.5,
     max_trials=50,
-    min_step=1e-20,
 ):
     """Find a step along ``direction`` passing the sufficient-decrease test.
 
@@ -111,7 +111,7 @@ def backtracking_line_search(
     insufficient decrease.  Failures are reported in the result, not raised:
     LINE_SEARCH_FAILURE after ``max_trials`` rejections, and
     STEP_SIZE_UNDERFLOW when the next trial step would fall below
-    ``min_step``.  Each trial costs one objective evaluation through
+    ``MIN_STEP``.  Each trial costs one objective evaluation through
     ``adapter``; once a callback has returned TERMINATE, the adapter refuses
     the next trial, and its stop signal propagates to the caller.
     """
@@ -121,10 +121,10 @@ def backtracking_line_search(
         return LineSearchResult(0.0, value, TerminationReason.LINE_SEARCH_FAILURE)
     step = 1.0
     for _ in range(max_trials):
-        if step < min_step:
+        if step < MIN_STEP:
             return LineSearchResult(step, value, TerminationReason.STEP_SIZE_UNDERFLOW)
         trial_value = adapter.evaluate(x + step * direction)
-        if not np.isnan(trial_value) and trial_value <= value + armijo_constant * step * slope:
+        if trial_value <= value + armijo_constant * step * slope:
             return LineSearchResult(step, trial_value, None)
         step *= backtrack_factor
     return LineSearchResult(step, value, TerminationReason.LINE_SEARCH_FAILURE)

@@ -45,20 +45,38 @@ def _check_xy(predictors, responses, owner):
     return X, y
 
 
-def _flat_parameters(phi, d, owner):
+def _flat_parameters(objective, phi):
     phi = np.asarray(phi)
+    d = objective.X.shape[0]
     if phi.size != d:
         raise Diagnostic(
-            f"{owner} expects {d} parameters, got shape {phi.shape}"
+            f"{type(objective).__name__} expects {d} parameters, got shape {phi.shape}"
         )
     return phi.ravel()
 
 
-def _check_window(first, count, n, owner):
+def _window(objective, phi, first, count):
+    """(flat phi, X, y) cut to the checked column window [first, first+count)."""
+    n = objective.X.shape[1]
     if not (0 <= first and count >= 1 and first + count <= n):
         raise Diagnostic(
-            f"{owner}: window [{first}, {first + count}) outside [0, {n})"
+            f"{type(objective).__name__}: window [{first}, {first + count}) outside [0, {n})"
         )
+    window = slice(first, first + count)
+    return _flat_parameters(objective, phi), objective.X[:, window], objective.y[window]
+
+
+def _residual(flat, X, y):
+    return X.T @ flat - y
+
+
+def _least_squares_value(flat, X, y):
+    residual = _residual(flat, X, y)
+    return float(residual @ residual)
+
+
+def _least_squares_gradient(flat, X, y):
+    return 2.0 * (X @ _residual(flat, X, y))
 
 
 class LinearRegression:
@@ -70,17 +88,14 @@ class LinearRegression:
     """
 
     def __init__(self, predictors, responses):
-        self.X, self.y = _check_xy(predictors, responses, "LinearRegression")
+        self.X, self.y = _check_xy(predictors, responses, type(self).__name__)
 
     def evaluate(self, phi):
-        phi = _flat_parameters(phi, self.X.shape[0], "LinearRegression")
-        residual = self.X.T @ phi - self.y
-        return float(residual @ residual)
+        return _least_squares_value(_flat_parameters(self, phi), self.X, self.y)
 
     def gradient(self, phi):
-        flat = _flat_parameters(phi, self.X.shape[0], "LinearRegression")
-        residual = self.X.T @ flat - self.y
-        return (2.0 * (self.X @ residual)).reshape(np.shape(phi))
+        g = _least_squares_gradient(_flat_parameters(self, phi), self.X, self.y)
+        return g.reshape(np.shape(phi))
 
 
 class SeparableLinearRegression:
@@ -93,61 +108,35 @@ class SeparableLinearRegression:
     """
 
     def __init__(self, predictors, responses):
-        self.X, self.y = _check_xy(predictors, responses, "SeparableLinearRegression")
+        self.X, self.y = _check_xy(predictors, responses, type(self).__name__)
 
     @property
     def num_parts(self):
         return self.X.shape[1]
 
     def evaluate_parts(self, phi, first, count):
-        _check_window(first, count, self.num_parts, "SeparableLinearRegression")
-        phi = _flat_parameters(phi, self.X.shape[0], "SeparableLinearRegression")
-        window = slice(first, first + count)
-        residual = self.X[:, window].T @ phi - self.y[window]
-        return float(residual @ residual)
+        return _least_squares_value(*_window(self, phi, first, count))
 
     def gradient_parts(self, phi, first, count):
-        _check_window(first, count, self.num_parts, "SeparableLinearRegression")
-        flat = _flat_parameters(phi, self.X.shape[0], "SeparableLinearRegression")
-        window = slice(first, first + count)
-        residual = self.X[:, window].T @ flat - self.y[window]
-        return (2.0 * (self.X[:, window] @ residual)).reshape(np.shape(phi))
-
-
-def _softplus(z):
-    # log(1 + exp(z)) without overflow for large |z|.
-    out = np.empty_like(z)
-    positive = z > 0
-    out[positive] = z[positive] + np.log1p(np.exp(-z[positive]))
-    out[~positive] = np.log1p(np.exp(z[~positive]))
-    return out
-
-
-def _sigmoid(z):
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+        g = _least_squares_gradient(*_window(self, phi, first, count))
+        return g.reshape(np.shape(phi))
 
 
 class LogisticRegression:
     """Negative log-likelihood for {0,1} labels, no intercept.
 
     f(phi) = sum_i [softplus(x_i.T phi) - y_i * x_i.T phi], gradient
-    X (sigmoid(X.T phi) - y).  Computed with the sign-branched softplus so
-    values stay finite out to |x_i.T phi| around 700.  Also separable per
-    column.  ``ridge`` adds an optional penalty ridge * ||phi||^2 (part
-    windows carry a count/n share of it); off by default.
+    X (sigmoid(X.T phi) - y), softplus being ``np.logaddexp(0, z)``.  Also
+    separable per column.  ``ridge`` adds an optional penalty
+    ridge * ||phi||^2 (part windows carry a count/n share of it); off by default.
     """
 
     def __init__(self, predictors, responses, ridge=0.0):
-        self.X, self.y = _check_xy(predictors, responses, "LogisticRegression")
+        self.X, self.y = _check_xy(predictors, responses, type(self).__name__)
         labels = np.unique(self.y)
         if not np.all(np.isin(labels, (0.0, 1.0))):
             raise Diagnostic(
-                f"LogisticRegression labels must all be 0 or 1, got values {labels[:5]}"
+                f"{type(self).__name__} labels must all be 0 or 1, got values {labels[:5]}"
             )
         if ridge < 0:
             raise Diagnostic(f"ridge must be >= 0, got {ridge}")
@@ -157,40 +146,33 @@ class LogisticRegression:
     def num_parts(self):
         return self.X.shape[1]
 
-    def evaluate(self, phi):
-        flat = _flat_parameters(phi, self.X.shape[0], "LogisticRegression")
-        z = self.X.T @ flat
-        value = float(np.sum(_softplus(z) - self.y * z))
+    def _value(self, flat, X, y, share):
+        """Value over the columns X, y; share is their count/n of the ridge penalty."""
+        z = X.T @ flat
+        value = float(np.sum(np.logaddexp(0.0, z) - y * z))
         if self.ridge:
-            value += self.ridge * float(flat @ flat)
+            value += self.ridge * float(flat @ flat) * share
         return value
 
-    def gradient(self, phi):
-        flat = _flat_parameters(phi, self.X.shape[0], "LogisticRegression")
-        z = self.X.T @ flat
-        g = self.X @ (_sigmoid(z) - self.y)
+    def _gradient(self, flat, X, y, share):
+        z = X.T @ flat
+        g = X @ (np.exp(z - np.logaddexp(0.0, z)) - y)
         if self.ridge:
-            g = g + 2.0 * self.ridge * flat
+            g = g + 2.0 * self.ridge * flat * share
+        return g
+
+    def evaluate(self, phi):
+        return self._value(_flat_parameters(self, phi), self.X, self.y, 1.0)
+
+    def gradient(self, phi):
+        g = self._gradient(_flat_parameters(self, phi), self.X, self.y, 1.0)
         return g.reshape(np.shape(phi))
 
     def evaluate_parts(self, phi, first, count):
-        _check_window(first, count, self.num_parts, "LogisticRegression")
-        flat = _flat_parameters(phi, self.X.shape[0], "LogisticRegression")
-        window = slice(first, first + count)
-        z = self.X[:, window].T @ flat
-        value = float(np.sum(_softplus(z) - self.y[window] * z))
-        if self.ridge:
-            value += self.ridge * float(flat @ flat) * (count / self.num_parts)
-        return value
+        return self._value(*_window(self, phi, first, count), count / self.X.shape[1])
 
     def gradient_parts(self, phi, first, count):
-        _check_window(first, count, self.num_parts, "LogisticRegression")
-        flat = _flat_parameters(phi, self.X.shape[0], "LogisticRegression")
-        window = slice(first, first + count)
-        z = self.X[:, window].T @ flat
-        g = self.X[:, window] @ (_sigmoid(z) - self.y[window])
-        if self.ridge:
-            g = g + 2.0 * self.ridge * flat * (count / self.num_parts)
+        g = self._gradient(*_window(self, phi, first, count), count / self.X.shape[1])
         return g.reshape(np.shape(phi))
 
 

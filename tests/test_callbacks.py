@@ -175,10 +175,9 @@ class TestProgressPrinter:
             assert printer(step(1)) == CallbackDecision.CONTINUE
 
     def test_rejects_non_progress_line(self):
-        with pytest.raises(ValueError):
-            parse_progress_line("hello world")
-        with pytest.raises(ValueError, match="not a progress line"):
-            parse_progress_line("g=1.0")
+        for line in ("hello world", "g=1.0", "iter=x f=1", "iter=1 f=abc", "iter=1 f=2 g=zz"):
+            with pytest.raises(ValueError, match="not a progress line"):
+                parse_progress_line(line)
 
 
 class TestTraceRecorder:

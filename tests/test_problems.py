@@ -1,5 +1,8 @@
 """Objective formulas against hand values, finite differences, and shape rules."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -115,14 +118,16 @@ class TestSeparableLinearRegression:
         assert objective.evaluate_parts(np.zeros(1), 1, 1) == 4.0
 
     def test_full_window_equals_direct_evaluate_bitwise(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            X = rng.uniform(-1, 1, (6, 40))
-            y = rng.uniform(-1, 1, 40)
-            phi = rng.uniform(-1, 1, 6)
-            direct = LinearRegression(X, y).evaluate(phi)
-            separable = SeparableLinearRegression(X, y)
-            assert separable.evaluate_parts(phi, 0, 40) == direct
+        for dtype in (np.float32, np.float64):
+            rng = np.random.default_rng(9)
+            for _ in range(10):
+                X = rng.uniform(-1, 1, (6, 40)).astype(dtype)
+                y = rng.uniform(-1, 1, 40).astype(dtype)
+                phi = rng.uniform(-1, 1, 6).astype(dtype)
+                direct = LinearRegression(X, y)
+                separable = SeparableLinearRegression(X, y)
+                assert separable.evaluate_parts(phi, 0, 40) == direct.evaluate(phi)
+                assert np.array_equal(separable.gradient_parts(phi, 0, 40), direct.gradient(phi))
 
     def test_single_part_with_exact_fit_is_zero(self):
         objective = SeparableLinearRegression([[1.0, 2.0]], [0.0, 2.0])
@@ -186,6 +191,32 @@ class TestLogisticRegression:
             assert np.isfinite(value)
             assert value >= 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_scipy_reference_from_mild_to_extreme_margins(self, dtype):
+        special = pytest.importorskip("scipy.special")
+        # 1e-14 in float64, scaled to the dtype's epsilon.
+        tolerance = 1e-14 * np.finfo(dtype).eps / np.finfo(np.float64).eps
+        rng = np.random.default_rng(31)
+        for scale in (0.1, 1.0, 10.0, 300.0):
+            X = (scale * rng.uniform(-1, 1, (8, 50))).astype(dtype)
+            y = (rng.uniform(size=50) > 0.5).astype(dtype)
+            phi = rng.uniform(-3, 3, 8).astype(dtype)
+            objective = LogisticRegression(X, y)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value, gradient = objective.evaluate(phi), objective.gradient(phi)
+            # The reference takes the objective's own margins, so only the
+            # softplus and sigmoid are compared; each term is -log_expit of
+            # the signed margin, free of cancellation.
+            z = (X.T @ phi).astype(np.float64)
+            reference_value = -math.fsum(special.log_expit(np.where(y == 1, z, -z)))
+            reference_gradient = X.astype(np.float64) @ (special.expit(z) - y)
+            assert_allclose(value, reference_value, rtol=tolerance)
+            error = np.abs(gradient.astype(np.float64) - reference_gradient)
+            assert np.all(error <= tolerance * np.sum(np.abs(X), axis=1, dtype=np.float64))
+        # At scale 300 a fair share of the margins lie beyond 800.
+        assert np.sum(np.abs(z) >= 800) >= 10
+
     def test_value_never_negative(self):
         rng = np.random.default_rng(21)
         X = rng.uniform(-5, 5, (3, 15))
@@ -201,13 +232,15 @@ class TestLogisticRegression:
             LogisticRegression([[1.0, 2.0]], [0.5, 1.0])
 
     def test_full_window_equals_direct_evaluate_bitwise(self):
-        rng = np.random.default_rng(17)
-        X = rng.uniform(-1, 1, (3, 25))
-        y = (rng.uniform(size=25) > 0.5).astype(float)
-        objective = LogisticRegression(X, y)
-        phi = rng.uniform(-1, 1, 3)
-        assert objective.evaluate_parts(phi, 0, 25) == objective.evaluate(phi)
-        assert np.array_equal(objective.gradient_parts(phi, 0, 25), objective.gradient(phi))
+        for dtype in (np.float32, np.float64):
+            for ridge in (0.0, 0.3):
+                rng = np.random.default_rng(17)
+                X = rng.uniform(-1, 1, (3, 25)).astype(dtype)
+                y = (rng.uniform(size=25) > 0.5).astype(dtype)
+                objective = LogisticRegression(X, y, ridge=ridge)
+                phi = rng.uniform(-1, 1, 3).astype(dtype)
+                assert objective.evaluate_parts(phi, 0, 25) == objective.evaluate(phi)
+                assert np.array_equal(objective.gradient_parts(phi, 0, 25), objective.gradient(phi))
 
     def test_inference_serves_full_interface(self):
         rng = np.random.default_rng(3)
