@@ -18,8 +18,8 @@ that names the missing methods, and ``ObjectiveAdapter`` binds each call to
 the objective's own method or its inferred form.
 
 The adapter is also the stop gate: once a callback has returned TERMINATE,
-it refuses every further objective call, and the optimizer ends the run at
-its last completed step with ``CALLBACK_REQUESTED``.
+it refuses every further objective call, and ``with adapter:`` ends the
+optimizer's loop at its last completed step with ``CALLBACK_REQUESTED``.
 """
 
 from __future__ import annotations
@@ -178,8 +178,9 @@ class ObjectiveAdapter:
     once: to the objective's own method, to its inferred form, or to a
     ``Diagnostic`` naming what is missing.  Each objective call is counted
     and reported to the optional ``events`` sink (a ``CallbackList``); after
-    a termination request it is refused with ``_StopRequested``.  Values
-    become floats and gradients take the dtype of ``x``.
+    a termination request it is refused with ``_StopRequested``, the only
+    error that ``with adapter:`` swallows.  Values become floats and
+    gradients take the dtype of ``x``.
 
     Counting rules: a part-window call of ``count`` parts costs ``count``
     evaluations (or gradients); a fused call costs one of each.
@@ -208,6 +209,12 @@ class ObjectiveAdapter:
         self._evaluate_with_gradient = bind("evaluate_with_gradient", cls._own_fused, cls._paired)
         self._evaluate_parts = bind("part_evaluate", cls._own_evaluate_parts)
         self._gradient_parts = bind("part_gradient", cls._own_gradient_parts)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, error, traceback):
+        return kind is _StopRequested
 
     def evaluate(self, x):
         return self._evaluate(self, x)

@@ -1,10 +1,14 @@
 """Pre-built optimizers.  Each exposes optimize(objective, x0, callbacks=()) ->
-(parameters, OptimizationResult) and a ``requires`` capability constant."""
+(parameters, OptimizationResult) and a ``requires`` capability constant.
+New ones are built from ``prepare_run``, ``finish_run`` and ``progress_stop``."""
 
-from . import annealing, gradient_descent, lbfgs, sgd
+from . import _common, annealing, gradient_descent, lbfgs, sgd
+from ._common import *
 from .annealing import *
 from .gradient_descent import *
 from .lbfgs import *
 from .sgd import *
 
-__all__ = lbfgs.__all__ + gradient_descent.__all__ + sgd.__all__ + annealing.__all__
+__all__ = (
+    lbfgs.__all__ + gradient_descent.__all__ + sgd.__all__ + annealing.__all__ + _common.__all__
+)

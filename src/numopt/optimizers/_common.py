@@ -1,4 +1,4 @@
-"""Run setup, teardown and the stopping rule shared by the optimizers."""
+"""Run setup, teardown and the stopping rule: the public parts every optimizer is built from."""
 
 from __future__ import annotations
 
@@ -13,6 +13,8 @@ from ..core import (
     check_requirements,
 )
 
+__all__ = ["prepare_run", "finish_run", "progress_stop"]
+
 
 def prepare_run(objective, x0, callbacks, requires, consumer):
     """Validate parameters and capabilities, then open the run.
@@ -20,8 +22,7 @@ def prepare_run(objective, x0, callbacks, requires, consumer):
     The capability check happens before any objective call, so an unusable
     pairing fails fast with a Diagnostic instead of mid-run.  Returns the
     working parameter array, the adapter, the callback list (already sent
-    BeginOptimization), and the start time.  ``optimize`` turns the
-    adapter's ``_StopRequested`` into CALLBACK_REQUESTED.
+    BeginOptimization), and the start time.
     """
     x = as_parameters(x0)
     events = CallbackList(callbacks)
@@ -46,13 +47,14 @@ def progress_stop(options, value, new_value, iteration):
     return None
 
 
-def finish_run(adapter, events, started, final_objective, iterations, termination):
-    """Close the run: EndOptimization, then the assembled result."""
-    events.dispatch(EndOptimization())
+def finish_run(adapter, started, final_objective, iterations, termination):
+    """Close the run: EndOptimization, then the assembled result.  A None
+    ``termination`` means ``with adapter:`` ended the loop: CALLBACK_REQUESTED."""
+    adapter.events.dispatch(EndOptimization())
     return OptimizationResult(
         final_objective=float(final_objective),
         iterations=iterations,
-        termination=termination,
+        termination=termination or TerminationReason.CALLBACK_REQUESTED,
         elapsed_seconds=time.perf_counter() - started,
         evaluate_calls=adapter.evaluate_calls,
         gradient_calls=adapter.gradient_calls,

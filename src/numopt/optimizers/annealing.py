@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..callbacks import StepTaken
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _StopRequested
+from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
 from ._common import finish_run, prepare_run
 
 __all__ = ["SimulatedAnnealing"]
@@ -74,11 +74,10 @@ class SimulatedAnnealing:
         rng = np.random.default_rng(self.seed)
         # Both options are validated positive when set, so ``or`` picks the default.
         moves_per_temperature = self.moves_per_temperature or 20 * x.size
-        best_x, best_value, moves = x, np.nan, 0
-        try:
+        best_x, best_value, moves, reason = x, np.nan, 0, None
+        with adapter:
             value = best_value = adapter.evaluate(x)
             temperature = self.initial_temperature or 100.0 * abs(value) + 1.0
-            reason = None
             while reason is None:
                 for _ in range(moves_per_temperature):
                     if self.max_iterations and moves >= self.max_iterations:
@@ -106,6 +105,4 @@ class SimulatedAnnealing:
                     events.dispatch(StepTaken(iteration=moves, objective=value))
                 else:
                     temperature *= self.cooling_factor
-        except _StopRequested:
-            reason = TerminationReason.CALLBACK_REQUESTED
-        return best_x, finish_run(adapter, events, started, best_value, moves, reason)
+        return best_x, finish_run(adapter, started, best_value, moves, reason)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..callbacks import StepTaken
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _StopRequested
+from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
 from ._common import finish_run, prepare_run, progress_stop
 
 __all__ = ["GradientDescent"]
@@ -49,10 +49,9 @@ class GradientDescent:
         x, adapter, events, started = prepare_run(
             objective, x0, callbacks, self.requires, "gradient descent"
         )
-        value, iteration = np.nan, 0
-        try:
+        value, iteration, reason = np.nan, 0, None
+        with adapter:
             value = adapter.evaluate(x)
-            reason = None
             while reason is None:
                 gradient = adapter.gradient(x)
                 gradient_norm = float(np.max(np.abs(gradient)))
@@ -69,6 +68,4 @@ class GradientDescent:
                 )
                 reason = progress_stop(self, value, new_value, iteration)
                 value = new_value
-        except _StopRequested:
-            reason = TerminationReason.CALLBACK_REQUESTED
-        return x, finish_run(adapter, events, started, value, iteration, reason)
+        return x, finish_run(adapter, started, value, iteration, reason)

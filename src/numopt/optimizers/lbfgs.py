@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..callbacks import StepTaken
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _StopRequested
+from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
 from ._common import finish_run, prepare_run, progress_stop
 
 __all__ = ["LbfgsMemory", "two_loop_direction", "backtracking_line_search", "LBFGS"]
@@ -181,11 +181,10 @@ class LBFGS:
         x, adapter, events, started = prepare_run(
             objective, x0, callbacks, self.requires, "L-BFGS"
         )
-        value, iteration = np.nan, 0
-        try:
+        value, iteration, reason = np.nan, 0, None
+        with adapter:
             value, gradient = adapter.evaluate_with_gradient(x)
             memory = LbfgsMemory(self.memory_size)
-            reason = None
             if float(np.max(np.abs(gradient))) <= self.min_gradient_norm:
                 reason = TerminationReason.GRADIENT_NORM_TOLERANCE
             while reason is None:
@@ -227,6 +226,4 @@ class LBFGS:
                 else:
                     reason = progress_stop(self, value, found.value, iteration)
                 value, gradient = found.value, new_gradient
-        except _StopRequested:
-            reason = TerminationReason.CALLBACK_REQUESTED
-        return x, finish_run(adapter, events, started, value, iteration, reason)
+        return x, finish_run(adapter, started, value, iteration, reason)

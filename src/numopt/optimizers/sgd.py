@@ -15,7 +15,7 @@ from typing import Protocol
 import numpy as np
 
 from ..callbacks import BeginEpoch, EndEpoch, StepTaken
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _StopRequested
+from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
 from ._common import finish_run, prepare_run
 
 __all__ = ["UpdatePolicy", "VanillaUpdate", "MomentumUpdate", "AdamUpdate", "SGD"]
@@ -151,12 +151,10 @@ class SGD:
         starts = list(range(0, n, self.batch_size))
         rng = np.random.default_rng(self.seed)
         state = self.update.initialize(x)
-        steps = 0
-        epoch = 0
-        previous_mean = None
+        steps = epoch = 0
+        previous_mean = reason = None
         observed = np.nan
-        reason = None
-        try:
+        with adapter:
             while reason is None:
                 if self.max_iterations and steps >= self.max_iterations:
                     reason = TerminationReason.MAX_ITERATIONS
@@ -191,12 +189,9 @@ class SGD:
                     # iterates current when each window was visited.
                     mean = epoch_total / n
                     observed = mean
-                    events.dispatch(EndEpoch(epoch=epoch, mean_objective=mean))
-                    if events.terminate_requested:
-                        reason = TerminationReason.CALLBACK_REQUESTED
-                    elif previous_mean is not None and abs(previous_mean - mean) < self.tolerance:
+                    if events.dispatch(EndEpoch(epoch=epoch, mean_objective=mean)):
+                        break
+                    if previous_mean is not None and abs(previous_mean - mean) < self.tolerance:
                         reason = TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE
                     previous_mean = mean
-        except _StopRequested:
-            reason = TerminationReason.CALLBACK_REQUESTED
-        return x, finish_run(adapter, events, started, observed, steps, reason)
+        return x, finish_run(adapter, started, observed, steps, reason)

@@ -140,7 +140,7 @@ class LogisticRegression:
             )
         if ridge < 0:
             raise Diagnostic(f"ridge must be >= 0, got {ridge}")
-        self.ridge = ridge
+        self.ridge = float(ridge)
 
     @property
     def num_parts(self):
@@ -169,10 +169,10 @@ class LogisticRegression:
         return g.reshape(np.shape(phi))
 
     def evaluate_parts(self, phi, first, count):
-        return self._value(*_window(self, phi, first, count), count / self.X.shape[1])
+        return self._value(*_window(self, phi, first, count), float(count) / self.X.shape[1])
 
     def gradient_parts(self, phi, first, count):
-        g = self._gradient(*_window(self, phi, first, count), count / self.X.shape[1])
+        g = self._gradient(*_window(self, phi, first, count), float(count) / self.X.shape[1])
         return g.reshape(np.shape(phi))
 
 

@@ -7,7 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from numopt import (
+    CallbackDecision,
+    CallbackList,
     Diagnostic,
+    EvaluateCalled,
     ObjectiveAdapter,
     ObjectiveCapabilities,
     as_parameters,
@@ -243,6 +246,42 @@ class TestAdapterInference:
         g = adapter.gradient(np.zeros(1, dtype=np.float32))
         assert g.dtype == np.float32
         assert_allclose(g, [-10.0])
+
+
+def stop_after_first_evaluate(event):
+    if isinstance(event, EvaluateCalled):
+        return CallbackDecision.TERMINATE
+    return None
+
+
+class TestStopGate:
+    def test_with_block_ends_at_the_refused_call(self):
+        adapter = ObjectiveAdapter(
+            FullObjective(), events=CallbackList([stop_after_first_evaluate])
+        )
+        reached = []
+        with adapter as entered:
+            assert entered is adapter
+            assert adapter.evaluate(np.zeros(1)) == 5.0
+            reached.append("evaluate")
+            adapter.gradient(np.zeros(1))
+            reached.append("gradient")
+        assert reached == ["evaluate"]
+        assert (adapter.evaluate_calls, adapter.gradient_calls) == (1, 0)
+
+    def test_other_errors_leave_the_with_block(self):
+        adapter = ObjectiveAdapter(PartsOnlyObjective())
+        with pytest.raises(Diagnostic, match="gradient"):
+            with adapter:
+                adapter.gradient(np.zeros(1))
+
+        class Failing:
+            def evaluate(self, x):
+                raise ValueError("objective failed")
+
+        with pytest.raises(ValueError, match="objective failed"):
+            with ObjectiveAdapter(Failing()) as adapter:
+                adapter.evaluate(np.zeros(1))
 
 
 class VectorValued:

@@ -19,7 +19,6 @@ from numopt import (
     backtracking_line_search,
     two_loop_direction,
 )
-from numopt.core import _StopRequested
 from numopt.problems import LinearRegression, Rosenbrock, generate_noisy_linear
 
 
@@ -229,10 +228,11 @@ class TestBacktrackingLineSearch:
                 return CallbackDecision.TERMINATE
 
         adapter = ObjectiveAdapter(Counting(), events=CallbackList([stop_on_evaluate]))
-        with pytest.raises(_StopRequested):
+        with adapter:
             backtracking_line_search(
                 adapter, np.array([1.0]), 1.0, np.array([2.0]), np.array([-1.0])
             )
+            pytest.fail("the line search returned after its second trial was refused")
         assert len(trials) == 1
         assert adapter.evaluate_calls == 1
 

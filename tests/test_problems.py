@@ -273,6 +273,18 @@ class TestLogisticRegression:
         share = objective.gradient_parts(phi, 0, 4) - plain.gradient_parts(phi, 0, 4)
         assert_allclose(share, 2.0 * 0.7 * phi * (4 / 10), rtol=1e-12)
 
+    @pytest.mark.parametrize("ridge", [0.7, np.float64(0.7)], ids=["float", "numpy-float64"])
+    def test_ridge_keeps_float32_with_numpy_integer_windows(self, ridge):
+        rng = np.random.default_rng(29)
+        X = rng.uniform(-1, 1, (3, 40)).astype(np.float32)
+        y = (rng.uniform(size=40) > 0.5).astype(np.float32)
+        objective = LogisticRegression(X, y, ridge=ridge)
+        phi = rng.uniform(-1, 1, 3).astype(np.float32)
+        for first, count in ((np.int64(0), np.int64(40)), (0, np.int64(8))):
+            g = objective.gradient_parts(phi, first, count)
+            assert g.dtype == np.float32
+            assert np.array_equal(g, objective.gradient_parts(phi, int(first), int(count)))
+
     def test_ridge_validated(self):
         with pytest.raises(Diagnostic, match="ridge"):
             LogisticRegression([[1.0]], [1.0], ridge=-0.1)

@@ -2,8 +2,13 @@
 
 A callback's TERMINATE means no further objective calls, the reported call
 counts are exact, ``x0`` is never mutated, and a float32 start gives a
-float32 result, also when the objective computes in float64.
+float32 result, also when the objective computes in float64.  The compass
+search from ``demos/custom_optimizer.py``, built from public names only,
+runs in every grid beside the bundled optimizers.
 """
+
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +40,8 @@ from numopt.problems import (
 )
 
 X, Y, _ = generate_noisy_linear(3, 40, 1.0, seed=0)
+DEMO = Path(__file__).resolve().parent.parent / "demos" / "custom_optimizer.py"
+CompassSearch = runpy.run_path(str(DEMO))["CompassSearch"]
 
 
 class Counting:
@@ -97,6 +104,8 @@ def make_run(name, fused, offset, seed):
         optimizer = SGD(batch_size=16, max_iterations=30, tolerance=0.0, seed=seed)
         x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, 3)
         return CountingParts(SeparableLinearRegression(X, Y)), optimizer, x0
+    if name == "compass":
+        return CountingFull(Rosenbrock()), CompassSearch(max_iterations=30), rosenbrock_start
     optimizer = SimulatedAnnealing(max_iterations=30, seed=seed)
     return CountingFull(Rosenbrock()), optimizer, rosenbrock_start
 
@@ -118,7 +127,7 @@ class StopAt:
         return None
 
 
-@pytest.mark.parametrize("name", ["lbfgs", "gd", "sgd", "annealing"])
+@pytest.mark.parametrize("name", ["lbfgs", "gd", "sgd", "annealing", "compass"])
 @pytest.mark.parametrize("kind", [BeginOptimization, EvaluateCalled, GradientCalled, StepTaken])
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(
@@ -137,7 +146,7 @@ def test_terminate_means_no_further_objective_calls(name, kind, k, offset, seed,
         return  # the k-th event of this type never happened
     assert objective.calls == stopper.calls_at_stop
     assert result.termination == TerminationReason.CALLBACK_REQUESTED
-    if name in ("lbfgs", "gd") and not np.isnan(result.final_objective):
+    if name in ("lbfgs", "gd", "compass") and not np.isnan(result.final_objective):
         # The run ends at its last completed step, never half-way into one.
         assert_allclose(result.final_objective, objective.inner.evaluate(x), rtol=1e-12)
 
@@ -161,8 +170,9 @@ class Float64Quadratic:
         (GradientDescent(step_size=0.1), Float64Quadratic(), [1.0, -2.0]),
         (SGD(batch_size=8, max_iterations=50), SeparableLinearRegression(X, Y), [0.0] * 3),
         (SimulatedAnnealing(max_iterations=200), Float64Quadratic(), [1.0, -2.0]),
+        (CompassSearch(), Float64Quadratic(), [1.0, -2.0]),
     ],
-    ids=["lbfgs", "gd", "sgd", "annealing"],
+    ids=["lbfgs", "gd", "sgd", "annealing", "compass"],
 )
 def test_float32_start_stays_float32_with_float64_objective(optimizer, objective, x0):
     x, result = optimizer.optimize(objective, np.array(x0, dtype=np.float32))
@@ -180,6 +190,7 @@ OPTIMIZERS = {
     ),
     "adam": lambda seed: SGD(batch_size=8, max_iterations=20, seed=seed, update=AdamUpdate()),
     "annealing": lambda seed: SimulatedAnnealing(max_iterations=50, seed=seed),
+    "compass": lambda seed: CompassSearch(max_iterations=20),
 }
 
 

@@ -335,6 +335,24 @@ class TestSgdLoop:
         assert result.iterations == 5
         assert result.termination == TerminationReason.CALLBACK_REQUESTED
 
+    @pytest.mark.parametrize("max_iterations", [0, 2], ids=["uncapped", "cap-at-epoch-end"])
+    def test_callback_terminate_at_epoch_end(self, max_iterations):
+        # The run ends at that EndEpoch: no BeginEpoch follows, and a cap
+        # reached by the same epoch does not take over the reason.
+        kinds = []
+
+        def stop(event):
+            kinds.append(type(event).__name__)
+            if isinstance(event, EndEpoch):
+                return CallbackDecision.TERMINATE
+
+        _, result = SGD(batch_size=3, max_iterations=max_iterations, shuffle=False).optimize(
+            TwoParts6(), np.zeros(1), callbacks=[stop]
+        )
+        assert kinds[-2:] == ["EndEpoch", "EndOptimization"]
+        assert result.iterations == 2
+        assert result.termination == TerminationReason.CALLBACK_REQUESTED
+
     def test_requires_part_methods(self):
         class FullOnly:
             def evaluate(self, x):
