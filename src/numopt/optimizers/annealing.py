@@ -102,7 +102,8 @@ class SimulatedAnnealing:
                         if value < best_value:
                             best_x, best_value = x, value
                     moves += 1
-                    events.dispatch(StepTaken(iteration=moves, objective=value))
+                    if events:
+                        events.dispatch(StepTaken(iteration=moves, objective=value))
                 else:
                     temperature *= self.cooling_factor
         return best_x, finish_run(adapter, started, best_value, moves, reason)

@@ -61,11 +61,12 @@ class GradientDescent:
                 new_x = x - self.step_size * gradient
                 new_value = adapter.evaluate(new_x)
                 x, iteration = new_x, iteration + 1
-                events.dispatch(
-                    StepTaken(
-                        iteration=iteration, objective=new_value, gradient_norm=gradient_norm
+                if events:
+                    events.dispatch(
+                        StepTaken(
+                            iteration=iteration, objective=new_value, gradient_norm=gradient_norm
+                        )
                     )
-                )
                 reason = progress_stop(self, value, new_value, iteration)
                 value = new_value
         return x, finish_run(adapter, started, value, iteration, reason)

@@ -216,11 +216,12 @@ class LBFGS:
                     # history stalls in that situation, so restart it.
                     memory.clear()
                 gradient_norm = float(np.max(np.abs(new_gradient)))
-                events.dispatch(
-                    StepTaken(
-                        iteration=iteration, objective=found.value, gradient_norm=gradient_norm
+                if events:
+                    events.dispatch(
+                        StepTaken(
+                            iteration=iteration, objective=found.value, gradient_norm=gradient_norm
+                        )
                     )
-                )
                 if gradient_norm <= self.min_gradient_norm:
                     reason = TerminationReason.GRADIENT_NORM_TOLERANCE
                 else:

@@ -177,13 +177,14 @@ class SGD:
                     steps += 1
                     epoch_total += batch_value
                     observed = batch_value / count
-                    events.dispatch(
-                        StepTaken(
-                            iteration=steps,
-                            objective=observed,
-                            gradient_norm=float(np.max(np.abs(gradient))),
+                    if events:
+                        events.dispatch(
+                            StepTaken(
+                                iteration=steps,
+                                objective=observed,
+                                gradient_norm=float(np.max(np.abs(gradient))),
+                            )
                         )
-                    )
                 else:
                     # Epoch completed; the mean is over values observed at the
                     # iterates current when each window was visited.

@@ -66,17 +66,34 @@ def _window(objective, phi, first, count):
     return _flat_parameters(objective, phi), objective.X[:, window], objective.y[window]
 
 
-def _residual(flat, X, y):
-    return X.T @ flat - y
+def _residual(objective, phi, first, count):
+    """(X window, residual X_w.T phi - y_w) for the checked window [first, first+count).
+
+    A call at the point, window and data of the call before it takes that
+    call's residual and drops it, so a value and a gradient at one point
+    cost two products with X, not three.  Any other call computes its own
+    residual and keeps it for the next.  The key is by value: the window,
+    phi's dtype and bytes, and X and y by identity.
+    """
+    flat, X, y = _window(objective, phi, first, count)
+    key = (first, count, flat.dtype.str, flat.tobytes())
+    kept = objective._kept
+    if kept is not None and kept[0] is objective.X and kept[1] is objective.y and kept[2] == key:
+        objective._kept = None
+        return X, kept[3]
+    residual = X.T @ flat - y
+    objective._kept = (objective.X, objective.y, key, residual)
+    return X, residual
 
 
-def _least_squares_value(flat, X, y):
-    residual = _residual(flat, X, y)
+def _least_squares_value(objective, phi, first, count):
+    _, residual = _residual(objective, phi, first, count)
     return float(residual @ residual)
 
 
-def _least_squares_gradient(flat, X, y):
-    return 2.0 * (X @ _residual(flat, X, y))
+def _least_squares_gradient(objective, phi, first, count):
+    X, residual = _residual(objective, phi, first, count)
+    return (2.0 * (X @ residual)).reshape(np.shape(phi))
 
 
 class LinearRegression:
@@ -84,18 +101,21 @@ class LinearRegression:
 
     Deliberately provides only ``evaluate`` and ``gradient``; that pair is
     enough for every gradient-based optimizer here, and the annealer needs
-    just the first.
+    just the first.  The two still share work: a call at the same point as
+    the call before it reuses that call's residual X.T phi - y, keyed on
+    phi's dtype and bytes and on X and y by identity.  X and y are read as
+    constants: replace them, do not write into them.
     """
 
     def __init__(self, predictors, responses):
         self.X, self.y = _check_xy(predictors, responses, type(self).__name__)
+        self._kept = None
 
     def evaluate(self, phi):
-        return _least_squares_value(_flat_parameters(self, phi), self.X, self.y)
+        return _least_squares_value(self, phi, 0, self.X.shape[1])
 
     def gradient(self, phi):
-        g = _least_squares_gradient(_flat_parameters(self, phi), self.X, self.y)
-        return g.reshape(np.shape(phi))
+        return _least_squares_gradient(self, phi, 0, self.X.shape[1])
 
 
 class SeparableLinearRegression:
@@ -104,22 +124,25 @@ class SeparableLinearRegression:
     Part i is (x_i.T phi - y_i)^2 for column i.  Window calls slice columns
     [first, first+count); the full window [0, n) reproduces
     ``LinearRegression.evaluate`` exactly, so the inferred full objective is
-    bit-identical to the direct one.
+    bit-identical to the direct one.  As there, a call at the same point and
+    window as the call before it reuses that call's residual, keyed on the
+    window, phi's dtype and bytes, and X and y by identity.  X and y are read
+    as constants: replace them, do not write into them.
     """
 
     def __init__(self, predictors, responses):
         self.X, self.y = _check_xy(predictors, responses, type(self).__name__)
+        self._kept = None
 
     @property
     def num_parts(self):
         return self.X.shape[1]
 
     def evaluate_parts(self, phi, first, count):
-        return _least_squares_value(*_window(self, phi, first, count))
+        return _least_squares_value(self, phi, first, count)
 
     def gradient_parts(self, phi, first, count):
-        g = _least_squares_gradient(*_window(self, phi, first, count))
-        return g.reshape(np.shape(phi))
+        return _least_squares_gradient(self, phi, first, count)
 
 
 class LogisticRegression:

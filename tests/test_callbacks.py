@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import numopt.optimizers.annealing
+import numopt.optimizers.gradient_descent
+import numopt.optimizers.lbfgs
+import numopt.optimizers.sgd
 from numopt import (
+    LBFGS,
+    SGD,
     BeginOptimization,
     CallbackDecision,
     CallbackList,
@@ -15,6 +21,7 @@ from numopt import (
     GradientCalled,
     GradientDescent,
     ProgressPrinter,
+    SimulatedAnnealing,
     StepTaken,
     TerminationReason,
     TimeLimit,
@@ -22,6 +29,7 @@ from numopt import (
     dispatch,
     parse_progress_line,
 )
+from numopt.problems import Rosenbrock, SeparableLinearRegression, generate_noisy_linear
 
 
 class Quadratic:
@@ -280,3 +288,51 @@ class TestTerminationHygiene:
         )
         assert values[0] == 1.0  # f at x0
         assert norms[0] == 2.0  # max-abs gradient at x0
+
+
+# Each optimizer module with a run of several steps: (module, optimizer, objective, x0).
+STEPPING_RUNS = {
+    "gd": lambda: (
+        numopt.optimizers.gradient_descent,
+        GradientDescent(step_size=0.1, max_iterations=20),
+        Quadratic(),
+        np.array([3.0, -1.0]),
+    ),
+    "lbfgs": lambda: (
+        numopt.optimizers.lbfgs,
+        LBFGS(max_iterations=20),
+        Rosenbrock(),
+        np.array([-1.2, 1.0]),
+    ),
+    "sgd": lambda: (
+        numopt.optimizers.sgd,
+        SGD(batch_size=4, max_iterations=20),
+        SeparableLinearRegression(*generate_noisy_linear(3, 40, 1.0, seed=0)[:2]),
+        np.zeros(3),
+    ),
+    "annealing": lambda: (
+        numopt.optimizers.annealing,
+        SimulatedAnnealing(max_iterations=20),
+        Quadratic(),
+        np.array([3.0, -1.0]),
+    ),
+}
+
+
+class TestIdleObservation:
+    @pytest.mark.parametrize("name", sorted(STEPPING_RUNS))
+    @pytest.mark.parametrize("observed", [False, True], ids=["idle", "observed"])
+    def test_step_events_are_built_only_when_observed(self, monkeypatch, name, observed):
+        module, optimizer, objective, x0 = STEPPING_RUNS[name]()
+        built = []
+
+        class CountedStep(StepTaken):
+            def __init__(self, **fields):
+                built.append(fields["iteration"])
+                super().__init__(**fields)
+
+        monkeypatch.setattr(module, "StepTaken", CountedStep)
+        callbacks = [lambda event: None] if observed else []
+        _, result = optimizer.optimize(objective, x0, callbacks=callbacks)
+        assert result.iterations == 20
+        assert built == (list(range(1, 21)) if observed else [])

@@ -8,6 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from numopt import (
+    LBFGS,
+    SGD,
+    AdamUpdate,
     Diagnostic,
     GradientDescent,
     ObjectiveAdapter,
@@ -154,6 +157,169 @@ class TestSeparableLinearRegression:
 
     def test_num_parts_is_sample_count(self):
         assert SeparableLinearRegression(np.ones((2, 7)), np.ones(7)).num_parts == 7
+
+
+def counting_view(X):
+    """``X`` as a view whose class counts the matrix products it and its views enter.
+
+    Products return plain arrays from the same ``np.matmul`` on the same
+    memory, so results are bit-identical to the uncounted matrix.  Read the
+    count as ``type(view).products``.
+    """
+
+    class Counting(np.ndarray):
+        products = 0
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                Counting.products += 1
+            plain = [a.view(np.ndarray) if isinstance(a, Counting) else a for a in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    return X.view(Counting)
+
+
+class ResidualCase:
+    """One least-squares problem called through one window, with fresh twins to compare."""
+
+    def __init__(self, separable, dtype, column, window=(3, 17)):
+        rng = np.random.default_rng(21)
+        self.cls = SeparableLinearRegression if separable else LinearRegression
+        self.window = window if separable else ()
+        self.X = rng.uniform(-1, 1, (6, 40)).astype(dtype)
+        self.y = rng.uniform(-1, 1, 40).astype(dtype)
+        self.phi = rng.uniform(-1, 1, (6, 1) if column else 6).astype(dtype)
+        self.objective = self.cls(self.X, self.y)
+        self.objective.X = counting_view(self.objective.X)
+
+    @property
+    def products(self):
+        return type(self.objective.X).products
+
+    def value(self, phi, objective=None, window=None):
+        objective = self.objective if objective is None else objective
+        window = self.window if window is None else window
+        if window:
+            return objective.evaluate_parts(phi, *window)
+        return objective.evaluate(phi)
+
+    def gradient(self, phi, objective=None, window=None):
+        objective = self.objective if objective is None else objective
+        window = self.window if window is None else window
+        if window:
+            return objective.gradient_parts(phi, *window)
+        return objective.gradient(phi)
+
+    def fresh(self, X=None, y=None):
+        return self.cls(self.X if X is None else X, self.y if y is None else y)
+
+    def assert_fresh_gradient(self, g, phi, window=None, **data):
+        expected = self.gradient(phi, self.fresh(**data), window)
+        assert g.dtype == expected.dtype and g.shape == expected.shape
+        assert np.array_equal(g, expected)
+
+
+@pytest.fixture(
+    params=[
+        (separable, dtype, column)
+        for separable in (False, True)
+        for dtype in (np.float32, np.float64)
+        for column in (False, True)
+    ],
+    ids=lambda p: f"{'window' if p[0] else 'full'}-{p[1].__name__}-{'column' if p[2] else 'flat'}",
+)
+def case(request):
+    return ResidualCase(*request.param)
+
+
+class TestResidualReuse:
+    """A call at the last call's point and window reuses its residual, once."""
+
+    def test_gradient_after_value_takes_its_residual(self, case):
+        value = case.value(case.phi)
+        g = case.gradient(case.phi)
+        assert case.products == 2
+        assert value == case.value(case.phi, case.fresh())
+        case.assert_fresh_gradient(g, case.phi)
+
+    def test_value_after_gradient_takes_its_residual(self, case):
+        g = case.gradient(case.phi)
+        value = case.value(case.phi)
+        assert case.products == 2
+        assert value == case.value(case.phi, case.fresh())
+        case.assert_fresh_gradient(g, case.phi)
+
+    def test_second_gradient_at_the_same_point_recomputes(self, case):
+        case.value(case.phi)
+        first = case.gradient(case.phi)
+        second = case.gradient(case.phi)
+        assert case.products == 4
+        case.assert_fresh_gradient(first, case.phi)
+        case.assert_fresh_gradient(second, case.phi)
+
+    def test_parameters_written_in_place_are_seen(self, case):
+        case.value(case.phi)
+        case.phi[0] += 0.5
+        g = case.gradient(case.phi)
+        assert case.products == 3
+        case.assert_fresh_gradient(g, case.phi)
+
+    def test_another_point_is_recomputed(self, case):
+        case.value(case.phi)
+        other = case.phi * 2
+        g = case.gradient(other)
+        assert case.products == 3
+        case.assert_fresh_gradient(g, other)
+
+    def test_the_same_bytes_in_the_other_byte_order_are_recomputed(self, case):
+        case.value(case.phi)
+        swapped = case.phi.view(case.phi.dtype.newbyteorder())
+        g = case.gradient(swapped)
+        assert case.products == 3
+        case.assert_fresh_gradient(g, swapped)
+
+    @pytest.mark.parametrize("replaced", ["X", "y"])
+    def test_replaced_data_is_seen(self, case, replaced):
+        case.value(case.phi)
+        data = {replaced: getattr(case, replaced) * 2}
+        setattr(case.objective, replaced, data[replaced])
+        g = case.gradient(case.phi)
+        case.assert_fresh_gradient(g, case.phi, **data)
+
+    @pytest.mark.parametrize("other", [(4, 17), (3, 16)], ids=["first", "count"])
+    def test_another_window_is_recomputed(self, other):
+        separable = ResidualCase(True, np.float64, False)
+        separable.value(separable.phi)
+        g = separable.gradient(separable.phi, window=other)
+        assert separable.products == 3
+        separable.assert_fresh_gradient(g, separable.phi, window=other)
+
+
+class TestOneProductPerCall:
+    """Each optimizer's value and gradient at one point share one residual."""
+
+    def counted(self, cls):
+        objective = cls(*generate_noisy_linear(20, 2000, 1.0, seed=3)[:2])
+        objective.X = counting_view(objective.X)
+        return objective, type(objective.X)
+
+    @pytest.mark.parametrize(
+        "optimizer",
+        [LBFGS(), GradientDescent(step_size=1e-4, max_iterations=50)],
+        ids=["lbfgs", "gd"],
+    )
+    def test_full_runs_make_one_product_per_call(self, optimizer):
+        objective, counting = self.counted(LinearRegression)
+        _, result = optimizer.optimize(objective, np.zeros(20))
+        assert result.iterations > 1
+        assert counting.products == result.evaluate_calls + result.gradient_calls
+
+    def test_sgd_makes_two_products_per_step(self):
+        objective, counting = self.counted(SeparableLinearRegression)
+        optimizer = SGD(batch_size=32, max_iterations=100, update=AdamUpdate(), seed=1)
+        _, result = optimizer.optimize(objective, np.zeros(20))
+        assert result.iterations == 100
+        assert counting.products == 2 * result.iterations
 
 
 class TestLogisticRegression:
