@@ -1,0 +1,95 @@
+"""Summary of paired benchmark runs (tools/bench_pairs.py), on canned records."""
+
+import importlib.util
+import subprocess
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the summary started a subprocess")
+
+    monkeypatch.setattr(subprocess, "run", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(workload, seed, side, metrics, trace=0, attempted=10, failed=0):
+    return {
+        "workload": workload,
+        "seed": seed,
+        "trace": trace,
+        "side": side,
+        "ran": "first",
+        "env": {},
+        "result": {
+            "correct": failed == 0,
+            "attempted": attempted,
+            "failed": failed,
+            "metrics": {name: {"value": value, "unit": "x"} for name, value in metrics.items()},
+        },
+    }
+
+
+BETTER = {"solve_rel.p50": "lower", "accept_ratio": "higher", "calls": "lower"}
+
+
+def canned_runs():
+    parent = {1: (4.0, 0.5, 7.0), 2: (5.0, 0.6, 7.0), 3: (6.0, 0.7, 7.0), 4: (8.0, 0.8, 7.0)}
+    change = {1: (3.0, 0.6, 7.0), 2: (5.5, 0.6, 7.0), 3: (2.0, 0.5, 7.0), 4: (4.0, 0.9, 7.0)}
+    runs = []
+    for seed in parent:
+        for side, values in (("parent", parent[seed]), ("change", change[seed])):
+            metrics = dict(zip(("solve_rel.p50", "accept_ratio", "calls"), values))
+            runs.append(run("w", seed, side, metrics, failed=int(side == "change" and seed == 2)))
+    # A run without its partner is not a pair.
+    runs.append(run("w", 5, "parent", {"solve_rel.p50": 100.0, "accept_ratio": 0.0, "calls": 1.0}))
+    runs.append(run("w", 9, "parent", {"solve_rel.p50": 0.0}, trace=1, attempted=3))
+    runs.append(run("w", 9, "change", {"solve_rel.p50": 1.0}, trace=1, attempted=3))
+    return runs
+
+
+def test_medians_and_quartiles_interpolate_linearly(bench_pairs):
+    metrics = bench_pairs.summarize(canned_runs(), BETTER)["trace0"]["w"]["metrics"]
+    metric = metrics["solve_rel.p50"]
+    assert metric["parent"] == {"median": 5.5, "q1": 4.75, "q3": 6.5, "n": 4}
+    assert metric["change"] == {"median": 3.5, "q1": 2.75, "q3": 4.375, "n": 4}
+    assert metric["pairs"] == 4
+    assert metric["median_change_rel"] == pytest.approx((3.5 - 5.5) / 5.5)
+
+
+def test_better_pairs_follow_each_metrics_direction_and_ties_count_for_neither(bench_pairs):
+    metrics = bench_pairs.summarize(canned_runs(), BETTER)["trace0"]["w"]["metrics"]
+    assert metrics["solve_rel.p50"]["change_better_pairs"] == 3  # lower is better
+    assert metrics["accept_ratio"]["change_better_pairs"] == 2  # higher; one tie
+    assert metrics["calls"]["change_better_pairs"] == 0
+    assert metrics["calls"]["median_change_rel"] == 0.0
+
+
+def test_counts_are_summed_over_pairs_and_traces_kept_apart(bench_pairs):
+    summary = bench_pairs.summarize(canned_runs(), BETTER)
+    assert summary["trace0"]["w"]["attempted"] == {"parent": 40, "change": 40}
+    assert summary["trace0"]["w"]["failed"] == {"parent": 0, "change": 1}
+    traced = summary["trace1"]["w"]
+    assert traced["attempted"] == {"parent": 3, "change": 3}
+    assert traced["metrics"]["solve_rel.p50"]["median_change_rel"] is None  # parent median 0
+
+
+def test_directions_and_seeds_are_read_as_written(bench_pairs):
+    benchmark = {
+        "end_to_end": [{"name": "solve_rel.p50", "better": "lower"}],
+        "per_layer": [{"name": "lbfgs.first_trial_accept_ratio", "better": "higher"}],
+    }
+    assert bench_pairs.metric_directions(benchmark) == {
+        "solve_rel.p50": "lower",
+        "lbfgs.first_trial_accept_ratio": "higher",
+    }
+    assert bench_pairs.parse_seeds("8201-8203,8210") == [8201, 8202, 8203, 8210]

@@ -1,0 +1,203 @@
+"""Paired benchmark runs of a parent commit and the working tree.
+
+    python3 tools/bench_pairs.py --parent HEAD --seeds 8201-8210 --trace-seeds 8221 \
+        --trace-workloads lbfgs-linear,lbfgs-rosenbrock --output BENCH_8.json
+
+Run from the root of the repository.  Both sides run from fresh copies in a
+temporary directory: the parent is ``git archive <ref>`` and the change is
+every file of the working tree that git tracks or would track, uncommitted
+edits included.  The command, the workloads and the run length are
+``BENCHMARK.json``'s.  The command runs on each workload and seed, one
+process at a time, once per side, alternating which side runs first from
+seed to seed so that a drift of the host's speed falls on both sides alike.
+The output file holds every run (the JSON line the command prints last and
+its ``env`` record) and a summary: per metric, each side's median and
+quartiles over the seeds and how many pairs the change read better, in the
+direction ``BENCHMARK.json`` declares.  ``--trace-seeds`` adds traced
+pairs, summarised apart under ``trace1``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DESCRIPTION = (
+    "Paired perfbench runs of the parent commit and of the working tree, one process at a "
+    "time, alternating which side runs first from pair to pair. Each side ran from a fresh "
+    "copy (git archive of the parent; the working tree's tracked and untracked, not ignored, "
+    "files for the change), so every env.git_sha is null. Each run entry holds the JSON line "
+    "the benchmark's command prints last and its env record. Summary: per metric the median and "
+    "quartiles over pairs of each side, and how many pairs the change read better."
+)
+
+
+def quantile(values, fraction):
+    """Linearly interpolated quantile of ``values`` (NumPy's default method)."""
+    ordered = sorted(values)
+    position = fraction * (len(ordered) - 1)
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
+
+
+def spread(values):
+    return {
+        "median": quantile(values, 0.5),
+        "q1": quantile(values, 0.25),
+        "q3": quantile(values, 0.75),
+        "n": len(values),
+    }
+
+
+def summarize(runs, better):
+    """Summary of ``runs`` per trace mode and workload.
+
+    ``runs`` are run records with ``workload``, ``seed``, ``trace``, ``side``
+    (``"parent"`` or ``"change"``) and ``result``; ``better`` maps a metric
+    name to ``"lower"`` or ``"higher"``.  A pair is the two sides' runs of one
+    workload, trace mode and seed; a metric missing from ``better`` counts
+    lower as better.  Ties count for neither side.
+    """
+    paired = {}
+    for run in runs:
+        key = (f"trace{run['trace']}", run["workload"])
+        paired.setdefault(key, {}).setdefault(run["seed"], {})[run["side"]] = run["result"]
+    summary = {}
+    for (trace, workload), seeds in paired.items():
+        pairs = [sides for _, sides in sorted(seeds.items()) if len(sides) == 2]
+        entry = {
+            count: {side: sum(p[side][count] for p in pairs) for side in ("parent", "change")}
+            for count in ("failed", "attempted")
+        }
+        entry["metrics"] = {}
+        for metric in pairs[0]["parent"]["metrics"] if pairs else ():
+            parent = [p["parent"]["metrics"][metric]["value"] for p in pairs]
+            change = [p["change"]["metrics"][metric]["value"] for p in pairs]
+            sign = -1.0 if better.get(metric, "lower") == "higher" else 1.0
+            parent_median = quantile(parent, 0.5)
+            entry["metrics"][metric] = {
+                "parent": spread(parent),
+                "change": spread(change),
+                "change_better_pairs": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+                "pairs": len(pairs),
+                "median_change_rel": (
+                    (quantile(change, 0.5) - parent_median) / parent_median
+                    if parent_median
+                    else None
+                ),
+            }
+        summary.setdefault(trace, {})[workload] = entry
+    return summary
+
+
+def metric_directions(benchmark):
+    """Metric name -> ``"lower"`` or ``"higher"`` from a BENCHMARK.json object."""
+    return {
+        metric["name"]: metric["better"]
+        for group in ("end_to_end", "per_layer")
+        for metric in benchmark.get(group, ())
+    }
+
+
+def parse_seeds(text):
+    """``"8201-8205,8210"`` -> [8201, 8202, 8203, 8204, 8205, 8210]."""
+    seeds = []
+    for part in filter(None, text.split(",")):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def copy_parent(ref, destination):
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", ref], cwd=ROOT, check=True, capture_output=True
+    )
+    destination.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(destination)], input=archive.stdout, check=True)
+
+
+def copy_working_tree(destination):
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT,
+        check=True,
+        capture_output=True,
+    )
+    for name in filter(None, listed.stdout.decode().split("\0")):
+        source = ROOT / name
+        if source.is_file():
+            target = destination / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+
+
+def run_once(root, benchmark, workload, seed, trace):
+    """One run of the benchmark's command in ``root``: (result, env)."""
+    completed = subprocess.run(
+        [*benchmark["command"], "--workload", workload, "--seed", str(seed),
+         "--seconds", str(benchmark["run_seconds"]), "--trace", str(trace)],
+        cwd=root,
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    lines = completed.stdout.splitlines()
+    env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+    return json.loads(lines[-1]), env
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", default="HEAD", help="git ref of the parent side")
+    parser.add_argument("--seeds", required=True, help="untraced seeds, e.g. 8201-8210")
+    parser.add_argument("--trace-seeds", default="", help="traced seeds, e.g. 8221")
+    parser.add_argument("--trace-workloads", default="", help="comma-separated; default: all")
+    parser.add_argument("--output", required=True, type=Path)
+    args = parser.parse_args(argv)
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [workload["name"] for workload in benchmark["workloads"]]
+    trace_workloads = args.trace_workloads.split(",") if args.trace_workloads else workloads
+    schedule = [(w, s, 0) for w in workloads for s in parse_seeds(args.seeds)]
+    schedule += [(w, s, 1) for w in trace_workloads for s in parse_seeds(args.trace_seeds)]
+    parent_sha = subprocess.run(
+        ["git", "rev-parse", args.parent], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        roots = {"parent": Path(scratch) / "parent", "change": Path(scratch) / "change"}
+        copy_parent(parent_sha, roots["parent"])
+        copy_working_tree(roots["change"])
+        for index, (workload, seed, trace) in enumerate(schedule):
+            order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+            for ran, side in zip(("first", "second"), order):
+                result, env = run_once(roots[side], benchmark, workload, seed, trace)
+                runs.append({"workload": workload, "seed": seed, "trace": trace, "side": side,
+                             "ran": ran, "env": env, "result": result})
+                print(f"{workload} seed={seed} trace={trace} {side}: "
+                      f"solve_rel.p50={result['metrics'].get('solve_rel.p50', {}).get('value')}",
+                      flush=True)
+
+    host = "{nproc} {machine} CPUs, BLAS {blas} on {blas_threads} thread(s)"
+    record = {
+        "description": DESCRIPTION,
+        "parent_sha": parent_sha,
+        "host": host.format(**runs[0]["env"]),
+        "seeds": {"trace0": args.seeds, "trace1": args.trace_seeds},
+        "command": " ".join(benchmark["command"])
+        + f" --workload W --seed S --seconds {benchmark['run_seconds']} --trace T",
+        "summary": summarize(runs, metric_directions(benchmark)),
+        "runs": runs,
+    }
+    args.output.write_text(json.dumps(record, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
