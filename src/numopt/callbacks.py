@@ -88,31 +88,18 @@ class EndEpoch:
 def dispatch(callbacks, event):
     """Send ``event`` to every callback and combine their decisions.
 
-    All callbacks see the event even after one requests termination, so
-    loggers do not go blind when a stopper fires.  A callback that raises is
-    reported as a warning and treated as CONTINUE; observation must not kill
-    the run.  Returns TERMINATE when any callback asked for it.
+    The rules are ``CallbackList.dispatch``'s.  Returns TERMINATE when any
+    callback asked for it, else CONTINUE.
     """
-    decision = CallbackDecision.CONTINUE
-    for callback in callbacks:
-        try:
-            answer = callback(event)
-        except Exception as error:  # noqa: BLE001 - isolate misbehaving observers
-            warnings.warn(
-                f"callback {callback!r} raised {type(error).__name__}: {error}; continuing",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        if answer == CallbackDecision.TERMINATE:
-            decision = CallbackDecision.TERMINATE
-    return decision
+    if CallbackList(callbacks).dispatch(event):
+        return CallbackDecision.TERMINATE
+    return CallbackDecision.CONTINUE
 
 
 class CallbackList:
     """The callbacks of one run plus a sticky termination flag.
 
-    Once any dispatch returns TERMINATE, ``terminate_requested`` stays True
+    Once any dispatch sees TERMINATE, ``terminate_requested`` stays True
     and the run's ``ObjectiveAdapter`` refuses every further objective call.
     Empty lists are free: ``bool(cbs)`` is False and dispatch is skipped.
     """
@@ -125,8 +112,24 @@ class CallbackList:
         return bool(self.callbacks)
 
     def dispatch(self, event):
-        if self.callbacks:
-            if dispatch(self.callbacks, event) == CallbackDecision.TERMINATE:
+        """Send ``event`` to every callback; returns ``terminate_requested``.
+
+        All callbacks see the event even after one requests termination, so
+        loggers do not go blind when a stopper fires.  A callback that raises
+        is reported as a warning and treated as CONTINUE; observation must
+        not kill the run.
+        """
+        for callback in self.callbacks:
+            try:
+                answer = callback(event)
+            except Exception as error:  # noqa: BLE001 - isolate misbehaving observers
+                warnings.warn(
+                    f"callback {callback!r} raised {type(error).__name__}: {error}; continuing",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                continue
+            if answer == CallbackDecision.TERMINATE:
                 self.terminate_requested = True
         return self.terminate_requested
 

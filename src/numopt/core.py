@@ -298,7 +298,7 @@ class ObjectiveAdapter:
                 f"{g.shape} for parameters of shape {x.shape}"
             )
         if self.events:
-            self.events.dispatch(GradientCalled(norm=float(np.max(np.abs(g)))))
+            self.events.dispatch(GradientCalled(norm=float(np.abs(g).max())))
         return g
 
 
@@ -315,7 +315,7 @@ def finite_difference_gradient(objective, x, step=None):
     )
     x = np.asarray(x)
     if step is None:
-        step = 1e-6 * (1.0 + float(np.max(np.abs(x))))
+        step = 1e-6 * (1.0 + float(np.abs(x).max()))
     if step <= 0:
         raise Diagnostic(f"finite difference step must be > 0, got {step}")
     g = np.empty_like(x, dtype=np.float64)

@@ -19,23 +19,44 @@ from ._common import finish_run, prepare_run
 
 __all__ = ["SimulatedAnnealing"]
 
+# Moves whose uniforms one generator call draws.  One call per move for each
+# of three draws cost ~7 us of a ~27 us move on a 5-dimensional objective.
+_CHUNK = 256
+
+
+def _move_uniforms(rng):
+    """Endless stream of U[0, 1) triples, one per move, drawn ``_CHUNK`` at a time.
+
+    ``Generator.random`` fills its output from the bit stream in order, so
+    the triples are the same whatever the chunk size.
+    """
+    while True:
+        yield from rng.random((_CHUNK, 3)).tolist()
+
 
 @dataclass
 class SimulatedAnnealing:
     """Single-coordinate-move annealer.
 
     Each move picks one uniformly random coordinate j and perturbs it by
-    U(-w, w) with w = move_scale * (1 + |x_j|), so moves scale with the
-    coordinate's magnitude.  Moves with delta <= 0 are always accepted (ties
-    included); NaN trial values are always rejected.  After
-    ``moves_per_temperature`` moves the temperature is multiplied by
-    ``cooling_factor``; once it falls below ``min_temperature`` only
-    improving moves are accepted.  ``iterations`` counts proposed moves, and
-    the best-ever iterate is returned, not the final one.
+    U[-w, w) with w = move_scale * (1 + |x_j|), so moves scale with the
+    coordinate's magnitude.  Move i reads doubles 3i, 3i+1 and 3i+2 of one
+    U[0, 1) stream from ``numpy.random.default_rng(seed)``: j = floor(u0 *
+    size), the offset w * (2 u1 - 1), and u2 as the Metropolis gate, read
+    only when the move worsens the value.  So a run capped at N moves makes
+    the first N moves of any longer run with the same seed and settings.
+    Moves with delta <= 0 are always accepted (ties included); NaN trial
+    values are always rejected.  After ``moves_per_temperature`` moves the
+    temperature is multiplied by ``cooling_factor``; once it falls below
+    ``min_temperature`` only improving moves are accepted.  ``iterations``
+    counts proposed moves, and the best-ever iterate is returned, not the
+    final one.
 
     Defaults chosen at run time: ``initial_temperature`` None means
     100*|f(x0)| + 1, ``moves_per_temperature`` None means 20 per dimension.
-    Runs are deterministic given ``seed``.
+    Runs are deterministic given ``seed``.  Versions that drew the
+    coordinate, the offset and the gate with three separate generator calls
+    per move made other moves for the same seed.
     """
 
     initial_temperature: float | None = None
@@ -71,7 +92,7 @@ class SimulatedAnnealing:
         x, adapter, events, started = prepare_run(
             objective, x0, callbacks, self.requires, "simulated annealing"
         )
-        rng = np.random.default_rng(self.seed)
+        uniforms = _move_uniforms(np.random.default_rng(self.seed))
         # Both options are validated positive when set, so ``or`` picks the default.
         moves_per_temperature = self.moves_per_temperature or 20 * x.size
         best_x, best_value, moves, reason = x, np.nan, 0, None
@@ -83,17 +104,19 @@ class SimulatedAnnealing:
                     if self.max_iterations and moves >= self.max_iterations:
                         reason = TerminationReason.MAX_ITERATIONS
                         break
-                    j = int(rng.integers(x.size))
+                    u_coordinate, u_offset, u_gate = next(uniforms)
+                    # u < 1 and x.size < 2**53, so the product rounds below x.size.
+                    j = int(u_coordinate * x.size)
                     half_width = self.move_scale * (1.0 + abs(float(x.flat[j])))
                     proposal = x.copy()
-                    proposal.flat[j] += rng.uniform(-half_width, half_width)
+                    proposal.flat[j] += half_width * (2.0 * u_offset - 1.0)
                     trial = adapter.evaluate(proposal)
                     delta = trial - value
                     accept = not math.isnan(trial) and (
                         delta <= 0
                         or (
                             temperature >= self.min_temperature
-                            and rng.random() < math.exp(-delta / temperature)
+                            and u_gate < math.exp(-delta / temperature)
                         )
                     )
                     if accept:

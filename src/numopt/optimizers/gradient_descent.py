@@ -54,7 +54,7 @@ class GradientDescent:
             value = adapter.evaluate(x)
             while reason is None:
                 gradient = adapter.gradient(x)
-                gradient_norm = float(np.max(np.abs(gradient)))
+                gradient_norm = float(np.abs(gradient).max())
                 if gradient_norm <= self.min_gradient_norm:
                     reason = TerminationReason.GRADIENT_NORM_TOLERANCE
                     break

@@ -25,7 +25,8 @@ from ._common import finish_run, prepare_run, progress_stop
 __all__ = ["LbfgsMemory", "two_loop_direction", "backtracking_line_search", "LBFGS"]
 
 # Pairs with y.s at or below this relative threshold carry no usable
-# curvature and would poison the inverse-Hessian model.
+# curvature and would poison the inverse-Hessian model.  A memory of a
+# less precise dtype uses that dtype's eps where it is larger.
 CURVATURE_FLOOR = 1e-14
 MIN_STEP = 1e-20  # the line search tries no smaller step
 
@@ -79,7 +80,8 @@ class LbfgsMemory:
             )
         curvature = float(np.dot(s_flat, y_flat))
         y_norm2 = float(np.dot(y_flat, y_flat))
-        if curvature <= CURVATURE_FLOOR * math.sqrt(float(np.dot(s_flat, s_flat)) * y_norm2):
+        # Written so that a NaN curvature is refused too.
+        if not curvature > self._floor * math.sqrt(float(np.dot(s_flat, s_flat)) * y_norm2):
             return False
         m, pairs, inverse_r = self.memory_size, self._pairs, self._inverse_r
         for destination, source in self._shifts:
@@ -104,6 +106,7 @@ class LbfgsMemory:
         # D is the diagonal of a third layer, so one shift moves all three.
         small = np.zeros((3, m, m), dtype)
         self._pairs, self._rows = pairs, pairs.reshape(2 * m, dim)  # [S; Y]
+        self._floor = max(CURVATURE_FLOOR, float(np.finfo(dtype).eps))
         self._inverse_r, self._yty, self._d = small
         self._curvatures = self._d.diagonal()  # read-only view of D's diagonal
         # Made once, because slicing them per call costs 0.4-0.7 us of a
@@ -207,8 +210,8 @@ def backtracking_line_search(
     the next trial, and its stop signal propagates to the caller.
     """
     slope = float(np.vdot(gradient, direction))
-    if slope >= 0:
-        # Not a descent direction; nothing downhill to find.
+    if not slope < 0:
+        # Not a descent direction (or NaN); nothing downhill to find.
         return LineSearchResult(0.0, value, TerminationReason.LINE_SEARCH_FAILURE)
     step = 1.0
     for _ in range(max_trials):
@@ -276,7 +279,7 @@ class LBFGS:
         with adapter:
             value, gradient = adapter.evaluate_with_gradient(x)
             memory = LbfgsMemory(self.memory_size)
-            if float(np.max(np.abs(gradient))) <= self.min_gradient_norm:
+            if float(np.abs(gradient).max()) <= self.min_gradient_norm:
                 reason = TerminationReason.GRADIENT_NORM_TOLERANCE
             while reason is None:
                 direction = two_loop_direction(memory, gradient)
@@ -306,7 +309,7 @@ class LBFGS:
                     # (negative curvature along the step).  Steering by the old
                     # history stalls in that situation, so restart it.
                     memory.clear()
-                gradient_norm = float(np.max(np.abs(new_gradient)))
+                gradient_norm = float(np.abs(new_gradient).max())
                 if events:
                     events.dispatch(
                         StepTaken(

@@ -182,7 +182,7 @@ class SGD:
                             StepTaken(
                                 iteration=steps,
                                 objective=observed,
-                                gradient_norm=float(np.max(np.abs(gradient))),
+                                gradient_norm=float(np.abs(gradient).max()),
                             )
                         )
                 else:

@@ -172,7 +172,8 @@ class LogisticRegression:
     def _value(self, flat, X, y, share):
         """Value over the columns X, y; share is their count/n of the ridge penalty."""
         z = X.T @ flat
-        value = float(np.sum(np.logaddexp(0.0, z) - y * z))
+        # ndarray.sum is np.sum's add.reduce without its ~1.5 us dispatch wrapper.
+        value = float((np.logaddexp(0.0, z) - y * z).sum())
         if self.ridge:
             value += self.ridge * float(flat @ flat) * share
         return value

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from numopt import Diagnostic, SimulatedAnnealing, StepTaken, TerminationReason
+import numopt.optimizers.annealing
+from numopt import Diagnostic, SimulatedAnnealing, StepTaken, TerminationReason, TraceRecorder
 
 
 class Recording:
@@ -135,6 +136,79 @@ class TestBudgetsAndDeterminism:
             Recording(bowl), np.zeros(2)
         )
         assert not np.array_equal(x1, x2)
+
+
+def nowhere_but_start(x0):
+    """Objective that is 0 at ``x0`` and NaN elsewhere, so no move is accepted."""
+    start = np.array(x0, copy=True)
+    return Recording(lambda x: 0.0 if np.array_equal(x, start) else float("nan"))
+
+
+def bumpy(x):
+    return float(np.sum(np.cos(3.0 * x) + 0.1 * x * x))
+
+
+class TestMoveStream:
+    def run(self, max_iterations, moves_per_temperature=None, seed=4):
+        recording, recorder = Recording(bumpy), TraceRecorder()
+        best, result = SimulatedAnnealing(
+            initial_temperature=2.0,
+            moves_per_temperature=moves_per_temperature,
+            max_iterations=max_iterations,
+            seed=seed,
+        ).optimize(recording, np.array([0.5, -1.0, 2.0]), callbacks=[recorder])
+        return recording.points, recorder.trace, result
+
+    @pytest.mark.parametrize("moves_per_temperature", [None, 7])
+    def test_capped_run_is_the_prefix_of_a_longer_run(self, moves_per_temperature):
+        # 300 moves end past the first block of drawn uniforms, 1000 far past it.
+        short_points, short_trace, short = self.run(300, moves_per_temperature)
+        long_points, long_trace, _ = self.run(1000, moves_per_temperature)
+        assert short.iterations == len(short_trace) == 300
+        assert short_trace == long_trace[:300]
+        assert len(short_points) == 301
+        for mine, theirs in zip(short_points, long_points):
+            assert np.array_equal(mine, theirs)
+        start_value = bumpy(short_points[0])
+        assert short.final_objective == min([start_value] + [f for _, f in long_trace[:300]])
+
+    @pytest.mark.parametrize("chunk", [1, 5])
+    def test_moves_do_not_depend_on_how_many_are_drawn_at_once(self, monkeypatch, chunk):
+        points, trace, _ = self.run(600)
+        monkeypatch.setattr(numopt.optimizers.annealing, "_CHUNK", chunk)
+        other_points, other_trace, _ = self.run(600)
+        assert trace == other_trace
+        assert all(map(np.array_equal, points, other_points))
+
+    def test_move_reads_three_uniforms_of_the_seeded_stream(self):
+        # Every move is rejected, so each proposal perturbs x0 itself.
+        x0 = np.array([0.5, -1.0, 2.0, 0.0])
+        recording = nowhere_but_start(x0)
+        SimulatedAnnealing(move_scale=0.1, max_iterations=40, seed=11).optimize(recording, x0)
+        uniforms = np.random.default_rng(11).random((40, 3)).tolist()
+        for proposal, (u_coordinate, u_offset, _) in zip(recording.points[1:], uniforms):
+            j = int(u_coordinate * x0.size)
+            expected = x0.copy()
+            expected[j] += 0.1 * (1.0 + abs(float(x0[j]))) * (2.0 * u_offset - 1.0)
+            assert np.array_equal(proposal, expected)
+
+    def test_offsets_lie_in_the_half_open_window_and_reach_every_coordinate(self):
+        # From the origin each offset is the proposal itself, with no rounding.
+        size, scale = 7, 0.3
+        x0 = np.zeros(size)
+        recording = nowhere_but_start(x0)
+        SimulatedAnnealing(move_scale=scale, max_iterations=2000, seed=2).optimize(
+            recording, x0
+        )
+        proposals = np.array(recording.points[1:])
+        moved = proposals != 0.0
+        assert np.all(moved.sum(axis=1) == 1)
+        offsets = proposals[moved]
+        assert np.all((-scale <= offsets) & (offsets < scale))
+        # Both ends of the window are reached, so the offsets span all of it.
+        assert offsets.min() < -0.99 * scale and offsets.max() > 0.99 * scale
+        coordinates = np.argmax(moved, axis=1)
+        assert set(coordinates.tolist()) == set(range(size))
 
 
 class TestQuality:

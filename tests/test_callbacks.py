@@ -1,5 +1,7 @@
 """Dispatch combination rules and the built-in callbacks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -78,6 +80,51 @@ class TestDispatch:
 
         with pytest.warns(RuntimeWarning, match="boom"):
             assert dispatch([broken], step(1)) == CallbackDecision.CONTINUE
+
+    @pytest.mark.parametrize(
+        "decisions",
+        [
+            [],
+            [None],
+            [CallbackDecision.CONTINUE, None],
+            [CallbackDecision.TERMINATE, None],
+            [RuntimeError, None],
+            [None, CallbackDecision.TERMINATE, RuntimeError, CallbackDecision.CONTINUE],
+            [RuntimeError, CallbackDecision.TERMINATE, RuntimeError],
+        ],
+    )
+    def test_function_and_list_dispatch_agree(self, decisions):
+        delivered = []
+
+        def make(position, decision):
+            def callback(event):
+                delivered.append((position, event))
+                if decision is RuntimeError:
+                    raise RuntimeError(f"boom {position}")
+                return decision
+
+            return callback
+
+        callbacks = [make(k, decision) for k, decision in enumerate(decisions)]
+
+        def run(send):
+            delivered.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                terminate = send(callbacks, step(1))
+            warned = [(warning.category, str(warning.message)) for warning in caught]
+            return terminate, warned, list(delivered)
+
+        by_function = run(lambda cbs, event: dispatch(cbs, event) == CallbackDecision.TERMINATE)
+        by_list = run(lambda cbs, event: CallbackList(cbs).dispatch(event))
+        # Identical decisions, warnings, and deliveries, including the
+        # callbacks after one that asked to terminate.
+        assert by_function == by_list
+        terminate, warned, delivered = by_list
+        assert terminate == (CallbackDecision.TERMINATE in decisions)
+        assert [position for position, _ in delivered] == list(range(len(decisions)))
+        assert len(warned) == decisions.count(RuntimeError)
+        assert all(category is RuntimeWarning for category, _ in warned)
 
     def test_callback_list_flag_is_sticky(self):
         events = CallbackList([lambda event: CallbackDecision.TERMINATE])

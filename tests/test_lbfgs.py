@@ -76,6 +76,32 @@ class TestLbfgsMemory:
         y = np.array([0.5e-14, 1.0])  # y.s = 0.5e-14 <= 1e-14 * |s||y|
         assert not memory.push(s, y)
 
+    def test_nan_curvature_pair_rejected(self):
+        memory = LbfgsMemory(3)
+        assert memory.push(np.array([1.0, 0.0]), np.array([1.0, 0.5]))
+        assert not memory.push(np.array([1.0, 1.0]), np.array([np.nan, 1.0]))
+        assert len(memory) == 1
+
+    def test_curvature_floor_is_the_dtype_eps_where_larger(self):
+        # y.s / (|s||y|) = 2e-14: above the 1e-14 floor for float64, far
+        # below float32's eps (1.2e-7).
+        s, y = np.array([1.0, 0.0]), np.array([2e-14, 1.0])
+        assert LbfgsMemory(3).push(s, y)
+        assert not LbfgsMemory(3).push(s.astype(np.float32), y.astype(np.float32))
+
+    def test_float32_pairs_below_eps_leave_directions_finite(self):
+        # Pairs whose y is all but orthogonal to s (cosine ~1e-8) overflow
+        # R^-1 in float32 when stored.  Over-filling the memory included.
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            memory = LbfgsMemory(10)
+            for _ in range(12):
+                s = rng.standard_normal(2)
+                y = np.array([-s[1], s[0]]) * rng.uniform(0.5, 2.0) + 1e-8 * s
+                memory.push(s.astype(np.float32), y.astype(np.float32))
+            g = rng.standard_normal(2).astype(np.float32)
+            assert np.all(np.isfinite(two_loop_direction(memory, g)))
+
     def test_rho_is_reciprocal_curvature(self):
         memory = LbfgsMemory(2)
         memory.push(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
@@ -322,6 +348,13 @@ class TestBacktrackingLineSearch:
         assert found.failure == TerminationReason.LINE_SEARCH_FAILURE
         assert adapter.evaluate_calls == 0
 
+    def test_nan_slope_fails_without_evaluating(self):
+        adapter = ObjectiveAdapter(Quadratic())
+        x = np.array([1.0, 0.0])
+        found = backtracking_line_search(adapter, x, 1.0, 2.0 * x, np.array([np.nan, 0.0]))
+        assert found.failure == TerminationReason.LINE_SEARCH_FAILURE
+        assert adapter.evaluate_calls == 0
+
     def test_stop_hook_aborts_between_trials(self):
         # A TERMINATE on the first trial's EvaluateCalled makes the adapter
         # refuse the second trial, although the first one was rejected.
@@ -419,6 +452,18 @@ class TestLbfgsOptimize:
         assert result.iterations == 0
         assert x[0] == 1.0
         assert result.final_objective == 1.0
+
+    def test_nan_gradient_ends_the_run_without_spending_trials(self):
+        # The first step lands where the gradient is NaN; the NaN pair is
+        # refused and the NaN slope ends the next line search unevaluated.
+        class NanGradientBowl(Quadratic):
+            def gradient(self, x):
+                return np.full_like(x, np.nan) if abs(x[0]) <= 0.3 else 2.0 * x
+
+        x, result = LBFGS().optimize(NanGradientBowl(), np.array([1.0, 1.0]))
+        assert result.termination == TerminationReason.LINE_SEARCH_FAILURE
+        assert result.evaluate_calls == 2
+        assert np.all(np.isfinite(x))
 
     def test_float32_run_stays_float32_and_converges(self):
         x, result = LBFGS().optimize(

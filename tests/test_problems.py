@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from numopt import (
@@ -407,6 +409,38 @@ class TestLogisticRegression:
                 phi = rng.uniform(-1, 1, 3).astype(dtype)
                 assert objective.evaluate_parts(phi, 0, 25) == objective.evaluate(phi)
                 assert np.array_equal(objective.gradient_parts(phi, 0, 25), objective.gradient(phi))
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        d=st.integers(1, 6),
+        n=st.integers(1, 60),
+        ridge=st.sampled_from([0.0, 0.3, 1e-3]),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+        data=st.data(),
+    )
+    def test_value_is_the_np_sum_formula_bitwise(self, seed, dtype, d, n, ridge, scale, data):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1, 1, (d, n)).astype(dtype)
+        y = (rng.uniform(size=n) > 0.5).astype(dtype)
+        phi = (scale * rng.standard_normal(d)).astype(dtype)
+        objective = LogisticRegression(X, y, ridge=ridge)
+        first = data.draw(st.integers(0, n - 1), label="first")
+        count = data.draw(st.integers(1, n - first), label="count")
+
+        def formula(X, y, share):
+            z = X.T @ phi
+            value = float(np.sum(np.logaddexp(0.0, z) - y * z))
+            if ridge:
+                value += ridge * float(phi @ phi) * share
+            return value
+
+        window = slice(first, first + count)
+        assert objective.evaluate(phi) == formula(X, y, 1.0)
+        assert objective.evaluate_parts(phi, first, count) == formula(
+            X[:, window], y[window], count / n
+        )
 
     def test_inference_serves_full_interface(self):
         rng = np.random.default_rng(3)
