@@ -24,6 +24,7 @@ optimizer's loop at its last completed step with ``CALLBACK_REQUESTED``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -94,21 +95,26 @@ class ObjectiveCapabilities:
 
         A part-wise method without a positive integer ``num_parts`` is a
         contract violation: the part count is what makes windows meaningful.
+        Any integer type is accepted; a float or a string is not truncated
+        or parsed but refused.
         """
+        name = type(objective).__name__
         part_evaluate = callable(getattr(objective, "evaluate_parts", None))
         part_gradient = callable(getattr(objective, "gradient_parts", None))
         num_parts = None
         if part_evaluate or part_gradient:
             raw = getattr(objective, "num_parts", None)
             if raw is None:
+                raise Diagnostic(f"{name} provides part-wise methods but no num_parts")
+            try:
+                num_parts = operator.index(raw)
+            except TypeError:
                 raise Diagnostic(
-                    f"{type(objective).__name__} provides part-wise methods but no num_parts"
-                )
-            num_parts = int(raw)
+                    f"{name}.num_parts must be an integer, got {raw!r} "
+                    f"of type {type(raw).__name__}"
+                ) from None
             if num_parts < 1:
-                raise Diagnostic(
-                    f"{type(objective).__name__}.num_parts must be >= 1, got {num_parts}"
-                )
+                raise Diagnostic(f"{name}.num_parts must be >= 1, got {num_parts}")
         return cls(
             evaluate=callable(getattr(objective, "evaluate", None)),
             gradient=callable(getattr(objective, "gradient", None)),

@@ -76,8 +76,17 @@ class _AdamState:
 class AdamUpdate:
     """Adam: bias-corrected first/second moments, per-coordinate scaling.
 
-    increment = -step_size * m_hat / (sqrt(v_hat) + epsilon), which bounds
-    every coordinate's step magnitude by about step_size.
+    Kingma & Ba (ICLR 2015), Algorithm 1, with the first-moment bias
+    correction folded into the step size.  At step t, in place on m and v:
+
+        m <- beta1 * m + (1 - beta1) * g
+        v <- beta2 * v + (1 - beta2) * g * g
+        increment = (-step_size / (1 - beta1**t)) * m
+                    / (sqrt(v / (1 - beta2**t)) + epsilon)
+
+    This is -step_size * m_hat / (sqrt(v_hat) + epsilon), epsilon still
+    added to sqrt(v_hat), which bounds every coordinate's step magnitude by
+    about step_size.
     """
 
     beta1: float = 0.9
@@ -97,13 +106,14 @@ class AdamUpdate:
 
     def step(self, state, gradient, step_size):
         state.t += 1
-        state.m *= self.beta1
-        state.m += (1.0 - self.beta1) * gradient
-        state.v *= self.beta2
-        state.v += (1.0 - self.beta2) * (gradient * gradient)
-        m_hat = state.m / (1.0 - self.beta1**state.t)
-        v_hat = state.v / (1.0 - self.beta2**state.t)
-        return -(step_size * m_hat / (np.sqrt(v_hat) + self.epsilon))
+        m, v = state.m, state.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * gradient
+        v *= self.beta2
+        v += (1.0 - self.beta2) * gradient * gradient
+        denominator = np.sqrt(v / (1.0 - self.beta2**state.t))
+        denominator += self.epsilon
+        return m * (-step_size / (1.0 - self.beta1**state.t)) / denominator
 
 
 @dataclass

@@ -13,6 +13,7 @@ from numopt import (
     EvaluateCalled,
     ObjectiveAdapter,
     ObjectiveCapabilities,
+    SGD,
     as_parameters,
     check_requirements,
     finite_difference_gradient,
@@ -66,6 +67,16 @@ class FusedObjective:
         return float(r @ r), (2.0 * (X_TINY @ r)).reshape(phi.shape)
 
 
+def with_num_parts(value):
+    class Parts:
+        num_parts = value
+
+        def evaluate_parts(self, phi, first, count):
+            return 0.0
+
+    return Parts()
+
+
 class TestCapabilities:
     def test_detects_what_exists(self):
         caps = ObjectiveCapabilities.of(FullObjective())
@@ -89,14 +100,25 @@ class TestCapabilities:
             ObjectiveCapabilities.of(Broken())
 
     def test_nonpositive_num_parts_is_diagnostic(self):
-        class Broken:
-            num_parts = 0
-
-            def evaluate_parts(self, phi, first, count):
-                return 0.0
-
         with pytest.raises(Diagnostic, match="num_parts"):
-            ObjectiveCapabilities.of(Broken())
+            ObjectiveCapabilities.of(with_num_parts(0))
+
+    @pytest.mark.parametrize("value", [2.9, "3", 3.0], ids=repr)
+    def test_non_integer_num_parts_is_diagnostic(self, value):
+        # 2.9 used to become 2, so SGD never visited part 2.
+        with pytest.raises(Diagnostic, match="num_parts must be an integer"):
+            ObjectiveCapabilities.of(with_num_parts(value))
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)], ids=repr)
+    def test_integer_num_parts_of_any_type_is_read(self, value):
+        num_parts = ObjectiveCapabilities.of(with_num_parts(value)).num_parts
+        assert num_parts == 3 and type(num_parts) is int
+
+    def test_sgd_refuses_a_float_num_parts(self):
+        objective = with_num_parts(2.9)
+        objective.gradient_parts = lambda phi, first, count: np.zeros_like(phi)
+        with pytest.raises(Diagnostic, match="num_parts"):
+            SGD(batch_size=1, max_iterations=3).optimize(objective, np.zeros(1))
 
     def test_non_callable_attributes_do_not_count(self):
         class Impostor:

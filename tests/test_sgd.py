@@ -104,6 +104,37 @@ class TestAdamUpdate:
             increment = policy.step(state, rng.normal(size=4), 0.05)
             assert np.max(np.abs(increment)) <= 0.05 * (1 + 1e-12)
 
+    @pytest.mark.parametrize("beta1, beta2", [(0.9, 0.999), (0.5, 0.9), (0.0, 0.0)])
+    def test_matches_the_textbook_formula(self, beta1, beta2):
+        # Kingma & Ba, Algorithm 1, with both bias corrections on the moments.
+        rng = np.random.default_rng(12)
+        policy = AdamUpdate(beta1=beta1, beta2=beta2)
+        state = policy.initialize(np.zeros(5))
+        m = np.zeros(5)
+        v = np.zeros(5)
+        for t in range(1, 201):
+            g = rng.normal(size=5) * 10.0 ** rng.integers(-4, 3, size=5)
+            step_size = rng.uniform(1e-3, 1.0)
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g**2
+            m_hat = m / (1 - beta1**t)
+            v_hat = v / (1 - beta2**t)
+            expected = -step_size * m_hat / (np.sqrt(v_hat) + policy.epsilon)
+            assert_allclose(policy.step(state, g, step_size), expected, rtol=1e-12)
+        assert state.t == 200
+
+    def test_float32_run_stays_float32(self):
+        rng = np.random.default_rng(13)
+        policy = AdamUpdate()
+        state = policy.initialize(np.zeros(5, dtype=np.float32))
+        reference = policy.initialize(np.zeros(5))
+        for _ in range(200):
+            g = rng.normal(size=5)
+            increment = policy.step(state, g.astype(np.float32), 0.01)
+            expected = policy.step(reference, g, 0.01)
+            assert increment.dtype == state.m.dtype == state.v.dtype == np.float32
+            assert_allclose(increment, expected, rtol=1e-4, atol=1e-7)
+
     def test_config_validated(self):
         with pytest.raises(Diagnostic, match="beta1"):
             AdamUpdate(beta1=1.0)
