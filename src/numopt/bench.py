@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Diagnostic
+from .core import Diagnostic, TerminationReason
 from .optimizers import (
     LBFGS,
     SGD,
@@ -54,7 +54,7 @@ OPTIMIZERS = tuple(_FACTORIES)
 # Default size sweep: small enough to finish in seconds, large enough that
 # the d and n axes both move.
 DEFAULT_GRID = ((10, 100), (10, 1000), (10, 10000), (100, 10000))
-CSV_HEADER = "problem,optimizer,d,n,runs,mean_seconds,final_objective_mean"
+CSV_HEADER = "problem,optimizer,d,n,runs,mean_seconds,final_objective_mean,terminations"
 
 
 @dataclass
@@ -104,6 +104,16 @@ class BenchRecord:
     @property
     def final_objective_mean(self):
         return sum(self.final_objectives) / len(self.final_objectives)
+
+    @property
+    def termination_counts(self):
+        """The runs' ``reason=count`` pairs, in ``TerminationReason`` order,
+        reasons no run ended on left out, joined by ``;``."""
+        return ";".join(
+            f"{reason.value}={self.terminations.count(reason)}"
+            for reason in TerminationReason
+            if reason in self.terminations
+        )
 
 
 def _build_objective(spec, optimizer, X, y):
@@ -175,8 +185,9 @@ def emit_report(records, format="csv"):
     """Render records as text: flat CSV or a markdown grid.
 
     CSV: one row per record under a fixed header, numbers at full
-    round-trip precision.  Markdown: one row per (problem, optimizer), one
-    column per (d, n) size, cells showing mean seconds.
+    round-trip precision, and last the runs' termination counts
+    (``BenchRecord.termination_counts``).  Markdown: one row per (problem,
+    optimizer), one column per (d, n) size, cells showing mean seconds.
     """
     if not records:
         raise Diagnostic("emit_report needs at least one record")
@@ -186,7 +197,8 @@ def emit_report(records, format="csv"):
             spec = record.spec
             lines.append(
                 f"{spec.problem},{spec.optimizer},{spec.d},{spec.n},{spec.runs},"
-                f"{record.mean_seconds!r},{record.final_objective_mean!r}"
+                f"{record.mean_seconds!r},{record.final_objective_mean!r},"
+                f"{record.termination_counts}"
             )
         return "\n".join(lines) + "\n"
     if format == "markdown":

@@ -51,6 +51,12 @@ class LbfgsMemory:
     [S; Y] with the new y.  The shift needs no refactorisation, because the
     trailing block of an upper-triangular inverse is the inverse of the
     trailing block.
+
+    Every product here is ``ndarray.dot``, not ``@`` or ``np.dot``.  They
+    run the same BLAS routine, so the bits agree, but at these sizes the
+    call is the cost: with 10 pairs in 2 dimensions, ``@`` takes about
+    1.7 us and ``.dot`` 0.95 us (one BLAS thread, shared 2-CPU x86_64 VM),
+    and a push and a direction make ten such calls between them.
     """
 
     def __init__(self, memory_size=10):
@@ -78,21 +84,21 @@ class LbfgsMemory:
                 f"this L-BFGS memory holds pairs of shape ({self._pairs.shape[2]},); "
                 f"got s of shape {s.shape} and y of shape {y.shape}"
             )
-        curvature = float(np.dot(s_flat, y_flat))
-        y_norm2 = float(np.dot(y_flat, y_flat))
+        curvature = float(s_flat.dot(y_flat))
+        y_norm2 = float(y_flat.dot(y_flat))
         # Written so that a NaN curvature is refused too.
-        if not curvature > self._floor * math.sqrt(float(np.dot(s_flat, s_flat)) * y_norm2):
+        if not curvature > self._floor * math.sqrt(float(s_flat.dot(s_flat)) * y_norm2):
             return False
         m, pairs, inverse_r = self.memory_size, self._pairs, self._inverse_r
         for destination, source in self._shifts:
             destination[...] = source
         pairs[0, -1] = s_flat
         pairs[1, -1] = y_flat
-        column = self._rows @ pairs[1, -1]  # [S y; Y y], the new pair included
+        column = self._rows.dot(pairs[1, -1])  # [S y; Y y], the new pair included
         # R gains the column [b; c], b = S_old y and c = s.y, so R^-1 gains
         # [-R^-1 b / c; 1/c]; its last row stays (0, ..., 0, 1/c).
         r_block, r_column = self._r_extension
-        r_column[...] = r_block @ column[: m - 1] * (-1.0 / curvature)
+        r_column[...] = r_block.dot(column[: m - 1]) * (-1.0 / curvature)
         inverse_r[-1, -1] = 1.0 / curvature
         self._yty[-1] = self._yty[:, -1] = column[m:]
         self._d[-1, -1] = curvature
@@ -161,13 +167,15 @@ class LbfgsMemory:
             return -gradient
         m, gamma, inverse_r = self.memory_size, self._gamma, self._inverse_r
         flat = gradient.reshape(-1)
-        products = self._rows @ flat  # [a; b]
-        r_a = inverse_r @ products[:m]  # -p2
-        inner = self._curvatures * r_a + gamma * (self._yty @ r_a - products[m:])
-        np.matmul(inner, inverse_r, out=self._weights_s)  # p1
+        products = self._rows.dot(flat)  # [a; b]
+        r_a = inverse_r.dot(products[:m])  # -p2
+        inner = self._curvatures * r_a + gamma * (self._yty.dot(r_a) - products[m:])
+        # Assigned, not written with out=: a product's out must have its exact
+        # dtype, and a float64 gradient makes a float32 memory's product float64.
+        self._weights_s[...] = inner.dot(inverse_r)  # p1
         np.multiply(r_a, -gamma, out=self._weights_y)  # gamma p2
         direction = -gamma * flat
-        direction -= self._weights @ self._rows
+        direction -= self._weights.dot(self._rows)
         return direction.reshape(gradient.shape)
 
 
@@ -182,9 +190,17 @@ def two_loop_direction(memory, gradient):
 
 
 class LineSearchResult(NamedTuple):
+    """A line search's outcome.
+
+    On success ``failure`` is None, ``value`` is f at the accepted trial and
+    ``point`` is the array that trial was evaluated at, x + step * d.  On
+    failure ``value`` is the starting value and ``point`` is None.
+    """
+
     step: float
     value: float
     failure: TerminationReason | None
+    point: np.ndarray | None = None
 
 
 def backtracking_line_search(
@@ -208,6 +224,10 @@ def backtracking_line_search(
     ``MIN_STEP``.  Each trial costs one objective evaluation through
     ``adapter``; once a callback has returned TERMINATE, the adapter refuses
     the next trial, and its stop signal propagates to the caller.
+
+    The accepted trial's point comes back as ``point``, so the caller can
+    take its gradient without forming x + step * d again.  The unit step
+    tries x + d, which is bitwise x + 1.0 * d without the multiplication.
     """
     slope = float(np.vdot(gradient, direction))
     if not slope < 0:
@@ -217,9 +237,10 @@ def backtracking_line_search(
     for _ in range(max_trials):
         if step < MIN_STEP:
             return LineSearchResult(step, value, TerminationReason.STEP_SIZE_UNDERFLOW)
-        trial_value = adapter.evaluate(x + step * direction)
+        point = x + direction if step == 1.0 else x + step * direction
+        trial_value = adapter.evaluate(point)
         if trial_value <= value + armijo_constant * step * slope:
-            return LineSearchResult(step, trial_value, None)
+            return LineSearchResult(step, trial_value, None, point)
         step *= backtrack_factor
     return LineSearchResult(step, value, TerminationReason.LINE_SEARCH_FAILURE)
 
@@ -300,10 +321,9 @@ class LBFGS:
                 if found.failure is not None:
                     reason = found.failure
                     break
-                s = found.step * direction
-                new_x = x + s
-                new_gradient = adapter.gradient(new_x)
-                x, iteration = new_x, iteration + 1
+                s = direction if found.step == 1.0 else found.step * direction
+                new_gradient = adapter.gradient(found.point)
+                x, iteration = found.point, iteration + 1
                 if not memory.push(s, new_gradient - gradient):
                     # A rejected pair means the local quadratic model broke down
                     # (negative curvature along the step).  Steering by the old

@@ -113,6 +113,25 @@ class TestEmitReport:
         assert fields[:5] == ["linear", "lbfgs", "2", "20", "1"]
         assert float(fields[5]) == 0.25
         assert float(fields[6]) == 1.5
+        assert fields[7:] == ["max_iterations=1"]
+
+    def test_csv_termination_counts_follow_the_enum_order_and_skip_zeros(self):
+        reasons = [
+            TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE,
+            TerminationReason.STEP_SIZE_UNDERFLOW,
+            TerminationReason.GRADIENT_NORM_TOLERANCE,
+            TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE,
+        ]
+        record = BenchRecord(small_spec(runs=4), [0.25] * 4, [1.5] * 4, reasons)
+        field = emit_report([record], "csv").strip().split("\n")[1].split(",")[7]
+        assert field == (
+            "gradient_norm_tolerance=1;objective_improvement_tolerance=2;step_size_underflow=1"
+        )
+        counts = {
+            TerminationReason(name): int(count)
+            for name, count in (pair.split("=") for pair in field.split(";"))
+        }
+        assert counts == {reason: reasons.count(reason) for reason in set(reasons)}
 
     def test_markdown_grid_layout(self):
         records = self.make_records()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from numopt import (
     LBFGS,
@@ -19,7 +19,12 @@ from numopt import (
     backtracking_line_search,
     two_loop_direction,
 )
-from numopt.problems import LinearRegression, Rosenbrock, generate_noisy_linear
+from numopt.problems import (
+    LinearRegression,
+    LogisticRegression,
+    Rosenbrock,
+    generate_noisy_linear,
+)
 
 
 class Quadratic:
@@ -270,6 +275,31 @@ class TestTwoLoopDirection:
             if len(memory) and np.max(np.abs(g)) > 0:
                 assert float(two_loop_direction(memory, g) @ g) < 0.0
 
+    @pytest.mark.parametrize(
+        "memory_dtype, gradient_dtype", [(np.float32, np.float64), (np.float64, np.float32)]
+    )
+    @pytest.mark.parametrize("shape", [(4,), (4, 1)])
+    def test_mixed_dtype_direction_has_the_gradient_dtype(
+        self, memory_dtype, gradient_dtype, shape
+    ):
+        # The memory's products come out in the wider of the two dtypes;
+        # the direction must still take the gradient's, and agree with the
+        # direction of the same gradient in the memory's own dtype.
+        rng = np.random.default_rng(17)
+        root = rng.uniform(-1, 1, (4, 4))
+        hessian = root @ root.T + 4 * np.eye(4)
+        memory = LbfgsMemory(3)
+        for _ in range(5):
+            s = rng.uniform(-1, 1, 4)
+            assert memory.push(s.astype(memory_dtype), (hessian @ s).astype(memory_dtype))
+        g = rng.uniform(-1, 1, 4).astype(np.float32).reshape(shape)
+        mixed = memory.direction(g.astype(gradient_dtype))
+        same = memory.direction(g.astype(memory_dtype))
+        assert mixed.dtype == gradient_dtype
+        assert mixed.shape == shape
+        eps = float(np.finfo(np.float32).eps)
+        assert_allclose(mixed, same, rtol=100 * eps, atol=100 * eps * np.max(np.abs(same)))
+
 
 class NanRegion:
     """Quadratic with a NaN half-plane, for exercising trial rejection."""
@@ -295,10 +325,12 @@ class TestBacktrackingLineSearch:
     def test_unit_step_accepted_when_it_satisfies_armijo(self):
         adapter = ObjectiveAdapter(Quadratic())
         x = np.array([1.0, 0.0])
-        found = backtracking_line_search(adapter, x, 1.0, 2.0 * x, np.array([-1.0, 0.0]))
+        direction = np.array([-1.0, 0.0])
+        found = backtracking_line_search(adapter, x, 1.0, 2.0 * x, direction)
         assert found.failure is None
         assert found.step == 1.0
         assert found.value == 0.0
+        assert found.point.tobytes() == (x + direction).tobytes()
         assert adapter.evaluate_calls == 1
 
     def test_overshoot_backtracks_to_the_first_sufficient_step(self):
@@ -307,10 +339,12 @@ class TestBacktrackingLineSearch:
         # 1 - 4e-4 (reject), alpha=0.25 lands at f=0 (accept).
         adapter = ObjectiveAdapter(Quadratic())
         x = np.array([1.0, 0.0])
-        found = backtracking_line_search(adapter, x, 1.0, 2.0 * x, np.array([-4.0, 0.0]))
+        direction = np.array([-4.0, 0.0])
+        found = backtracking_line_search(adapter, x, 1.0, 2.0 * x, direction)
         assert found.failure is None
         assert found.step == 0.25
         assert found.value == 0.0
+        assert found.point.tobytes() == (x + 0.25 * direction).tobytes()
         assert adapter.evaluate_calls == 3
 
     def test_nan_trials_rejected_and_search_continues(self):
@@ -329,6 +363,7 @@ class TestBacktrackingLineSearch:
         )
         assert found.failure == TerminationReason.LINE_SEARCH_FAILURE
         assert found.value == 1.0
+        assert found.point is None
         assert adapter.evaluate_calls == 50
 
     def test_underflow_before_exhausting_generous_trial_budget(self):
@@ -339,6 +374,7 @@ class TestBacktrackingLineSearch:
             adapter, x, 1.0, np.array([2.0]), np.array([-1.0]), max_trials=200
         )
         assert found.failure == TerminationReason.STEP_SIZE_UNDERFLOW
+        assert found.point is None
         assert adapter.evaluate_calls == 67
 
     def test_non_descent_direction_fails_without_evaluating(self):
@@ -346,6 +382,7 @@ class TestBacktrackingLineSearch:
         x = np.array([1.0, 0.0])
         found = backtracking_line_search(adapter, x, 1.0, 2.0 * x, np.array([1.0, 0.0]))
         assert found.failure == TerminationReason.LINE_SEARCH_FAILURE
+        assert found.point is None
         assert adapter.evaluate_calls == 0
 
     def test_nan_slope_fails_without_evaluating(self):
@@ -377,6 +414,43 @@ class TestBacktrackingLineSearch:
             pytest.fail("the line search returned after its second trial was refused")
         assert len(trials) == 1
         assert adapter.evaluate_calls == 1
+
+
+class RecordingRosenbrock(Rosenbrock):
+    """Rosenbrock that keeps every argument it was called with, and a copy."""
+
+    def __init__(self):
+        self.calls = []  # ("evaluate" or "gradient", argument, copy of argument)
+
+    def evaluate(self, x):
+        self.calls.append(("evaluate", x, x.copy()))
+        return super().evaluate(x)
+
+    def gradient(self, x):
+        self.calls.append(("gradient", x, x.copy()))
+        return super().gradient(x)
+
+
+class TestAcceptedPoint:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_gradient_is_taken_at_the_array_just_accepted(self, dtype, seed):
+        # Every gradient follows the evaluation whose value was accepted (at
+        # x0, the inferred fused call's), and receives that very array,
+        # unchanged since it was evaluated; the run returns the last such.
+        objective = RecordingRosenbrock()
+        x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, 2).astype(dtype)
+        x, result = LBFGS().optimize(objective, x0)
+        kinds = [kind for kind, _, _ in objective.calls]
+        assert kinds.count("gradient") == result.gradient_calls == result.iterations + 1
+        for index, (kind, argument, copy) in enumerate(objective.calls):
+            if kind != "gradient":
+                continue
+            previous_kind, accepted, accepted_copy = objective.calls[index - 1]
+            assert previous_kind == "evaluate"
+            assert argument is accepted
+            assert argument.tobytes() == accepted_copy.tobytes() == copy.tobytes()
+        assert x is [argument for kind, argument, _ in objective.calls if kind == "gradient"][-1]
 
 
 class TestLbfgsOptimize:
@@ -606,3 +680,123 @@ class TestGradientScaleProperties:
                 TerminationReason.LINE_SEARCH_FAILURE,
                 TerminationReason.STEP_SIZE_UNDERFLOW,
             )
+
+
+def golden_problem(name, dtype):
+    """(objective, x0) of a golden case, built from seeded data in ``dtype``."""
+    if name.startswith("rosenbrock-"):
+        starts = np.random.default_rng(1101).uniform(-2.0, 2.0, size=(10, 2))
+        return Rosenbrock(), starts[int(name.split("-")[1])].astype(dtype)
+    X, y, _ = generate_noisy_linear(5, 200, 1.0, seed=1102)
+    if name == "linear":
+        objective = LinearRegression(X.astype(dtype), y.astype(dtype))
+    else:
+        labels = (y > 0).astype(dtype)
+        objective = LogisticRegression(X.astype(dtype), labels, ridge=0.1)
+    return objective, np.zeros((5, 1), dtype)
+
+
+# LBFGS() on each case: iterations, evaluate calls, gradient calls,
+# termination and the returned x, its elements as float.hex.  A change that
+# moves any bit of an L-BFGS run (a reordered product, a fused update) fails
+# here; such a change must say so and renew the table on purpose.
+GOLDEN_RUNS = [
+    ("rosenbrock-0", np.float32, 31, 34, 32, "GRADIENT_NORM_TOLERANCE", [
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    ]),
+    ("rosenbrock-1", np.float32, 17, 27, 18, "GRADIENT_NORM_TOLERANCE", [
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    ]),
+    ("rosenbrock-2", np.float32, 26, 38, 27, "GRADIENT_NORM_TOLERANCE", [
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    ]),
+    ("rosenbrock-3", np.float32, 20, 24, 21, "GRADIENT_NORM_TOLERANCE", [
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    ]),
+    ("rosenbrock-4", np.float32, 27, 39, 28, "GRADIENT_NORM_TOLERANCE", [
+        "0x1.0000020000000p+0", "0x1.0000040000000p+0",
+    ]),
+    ("rosenbrock-5", np.float32, 20, 24, 21, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
+        "0x1.0000000000000p+0", "0x1.fffffe0000000p-1",
+    ]),
+    ("rosenbrock-6", np.float32, 27, 33, 28, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
+        "0x1.fffffe0000000p-1", "0x1.fffffe0000000p-1",
+    ]),
+    ("rosenbrock-7", np.float32, 30, 41, 31, "GRADIENT_NORM_TOLERANCE", [
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    ]),
+    ("rosenbrock-8", np.float32, 28, 36, 29, "GRADIENT_NORM_TOLERANCE", [
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    ]),
+    ("rosenbrock-9", np.float32, 24, 26, 25, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
+        "0x1.0000020000000p+0", "0x1.0000060000000p+0",
+    ]),
+    ("linear", np.float32, 5, 22, 6, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
+        "0x1.45b3100000000p-1", "0x1.a749380000000p-3", "0x1.c1f1d80000000p-1",
+        "0x1.cc62000000000p-3", "0x1.09ea5c0000000p-4",
+    ]),
+    ("logistic", np.float32, 11, 28, 12, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
+        "0x1.10d6e60000000p+0", "0x1.96b39a0000000p-3", "0x1.819b420000000p+0",
+        "0x1.42f4b00000000p-2", "0x1.8702dc0000000p-2",
+    ]),
+    ("rosenbrock-0", np.float64, 31, 34, 32, "GRADIENT_NORM_TOLERANCE", [
+        "0x1.ffffffb77318dp-1", "0x1.ffffff63df012p-1",
+    ]),
+    ("rosenbrock-1", np.float64, 17, 28, 18, "GRADIENT_NORM_TOLERANCE", [
+        "0x1.0000006dbdae6p+0", "0x1.000000d34a9d5p+0",
+    ]),
+    ("rosenbrock-2", np.float64, 26, 39, 27, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
+        "0x1.0000004f794e9p+0", "0x1.0000015b6f5ebp+0",
+    ]),
+    ("rosenbrock-3", np.float64, 20, 25, 21, "GRADIENT_NORM_TOLERANCE", [
+        "0x1.00000000f66bcp+0", "0x1.00000001b1e49p+0",
+    ]),
+    ("rosenbrock-4", np.float64, 27, 39, 28, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
+        "0x1.000000be21792p+0", "0x1.00000120026b2p+0",
+    ]),
+    ("rosenbrock-5", np.float64, 20, 24, 21, "GRADIENT_NORM_TOLERANCE", [
+        "0x1.ffffff6219f8ap-1", "0x1.fffffec3d9f93p-1",
+    ]),
+    ("rosenbrock-6", np.float64, 26, 32, 27, "GRADIENT_NORM_TOLERANCE", [
+        "0x1.ffffffff453e5p-1", "0x1.fffffffde0abcp-1",
+    ]),
+    ("rosenbrock-7", np.float64, 28, 38, 29, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
+        "0x1.fffffbf5d68abp-1", "0x1.fffff7a730790p-1",
+    ]),
+    ("rosenbrock-8", np.float64, 29, 37, 30, "GRADIENT_NORM_TOLERANCE", [
+        "0x1.ffffffe682ad2p-1", "0x1.ffffffca02a4bp-1",
+    ]),
+    ("rosenbrock-9", np.float64, 24, 26, 25, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
+        "0x1.000002a34367cp+0", "0x1.0000052b758c4p+0",
+    ]),
+    ("linear", np.float64, 7, 8, 8, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
+        "0x1.45a1c1d7fd94ap-1", "0x1.a7919d09686fbp-3", "0x1.c1f913ed5b814p-1",
+        "0x1.cc7e60197505ep-3", "0x1.098d42bb0151bp-4",
+    ]),
+    ("logistic", np.float64, 7, 8, 8, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
+        "0x1.10d645d8a637dp+0", "0x1.96af2468006b3p-3", "0x1.819be965bc549p+0",
+        "0x1.42f20e8e61cb7p-2", "0x1.86fff38168c65p-2",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, dtype, iterations, evaluate_calls, gradient_calls, termination, x_hex",
+    GOLDEN_RUNS,
+    ids=[f"{row[0]}-{row[1].__name__}" for row in GOLDEN_RUNS],
+)
+def test_golden_lbfgs_numerics(
+    name, dtype, iterations, evaluate_calls, gradient_calls, termination, x_hex
+):
+    objective, x0 = golden_problem(name, dtype)
+    x, result = LBFGS().optimize(objective, x0)
+    assert (result.iterations, result.evaluate_calls, result.gradient_calls) == (
+        iterations,
+        evaluate_calls,
+        gradient_calls,
+    )
+    assert result.termination == TerminationReason[termination]
+    assert x.dtype == dtype
+    assert x.shape == x0.shape
+    expected = np.array([float.fromhex(h) for h in x_hex], dtype=dtype).reshape(x0.shape)
+    assert_array_equal(x, expected)
