@@ -32,7 +32,6 @@ __all__ = [
     "StepTaken",
     "BeginEpoch",
     "EndEpoch",
-    "dispatch",
     "CallbackList",
     "EarlyStopping",
     "ProgressPrinter",
@@ -85,17 +84,6 @@ class EndEpoch:
     mean_objective: float
 
 
-def dispatch(callbacks, event):
-    """Send ``event`` to every callback and combine their decisions.
-
-    The rules are ``CallbackList.dispatch``'s.  Returns TERMINATE when any
-    callback asked for it, else CONTINUE.
-    """
-    if CallbackList(callbacks).dispatch(event):
-        return CallbackDecision.TERMINATE
-    return CallbackDecision.CONTINUE
-
-
 class CallbackList:
     """The callbacks of one run plus a sticky termination flag.
 
@@ -139,7 +127,8 @@ class EarlyStopping:
 
     Watches StepTaken (and EndEpoch, using the epoch mean) and keeps the best
     objective seen; a step improving by less than ``min_delta`` counts
-    against the patience budget.
+    against the patience budget.  BeginOptimization starts both afresh, so
+    one stopper can serve several runs.
     """
 
     def __init__(self, patience=10, min_delta=0.0):
@@ -151,6 +140,9 @@ class EarlyStopping:
         self.stale_steps = 0
 
     def __call__(self, event):
+        if isinstance(event, BeginOptimization):
+            self.best, self.stale_steps = None, 0
+            return CallbackDecision.CONTINUE
         if isinstance(event, StepTaken):
             value = event.objective
         elif isinstance(event, EndEpoch):

@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .callbacks import EvaluateCalled, GradientCalled
+from .callbacks import CallbackList, EvaluateCalled, GradientCalled
 
 __all__ = [
     "Diagnostic",
@@ -183,10 +183,10 @@ class ObjectiveAdapter:
     Optimizers only ever talk to the adapter.  ``__init__`` binds each call
     once: to the objective's own method, to its inferred form, or to a
     ``Diagnostic`` naming what is missing.  Each objective call is counted
-    and reported to the optional ``events`` sink (a ``CallbackList``); after
-    a termination request it is refused with ``_StopRequested``, the only
-    error that ``with adapter:`` swallows.  Values become floats and
-    gradients take the dtype of ``x``.
+    and reported to ``events``, the run's ``CallbackList`` (an empty one when
+    None is given); after a termination request it is refused with
+    ``_StopRequested``, the only error that ``with adapter:`` swallows.
+    Values become floats and gradients take the dtype of ``x``.
 
     Counting rules: a part-window call of ``count`` parts costs ``count``
     evaluations (or gradients); a fused call costs one of each.
@@ -195,7 +195,7 @@ class ObjectiveAdapter:
     def __init__(self, objective, events=None):
         self.objective = objective
         self.capabilities = caps = ObjectiveCapabilities.of(objective)
-        self.events = events
+        self.events = CallbackList() if events is None else events
         self.evaluate_calls = 0
         self.gradient_calls = 0
         available = _with_inference(caps)
@@ -280,7 +280,7 @@ class ObjectiveAdapter:
 
     def _admit(self, evaluations, gradients):
         """Refuse the call after a termination request, else count it."""
-        if self.events is not None and self.events.terminate_requested:
+        if self.events.terminate_requested:
             raise _StopRequested
         self.evaluate_calls += evaluations
         self.gradient_calls += gradients
@@ -349,9 +349,14 @@ class TerminationReason(Enum):
 class OptimizationResult:
     """Outcome of one optimize() run.
 
-    ``final_objective`` is the value at the returned parameters (best-ever
-    iterate for simulated annealing, last accepted iterate otherwise).
-    ``iterations`` counts completed steps: accepted line-search steps for
+    ``final_objective`` depends on the optimizer.  For L-BFGS and gradient
+    descent it is f at the returned parameters, the last accepted iterate;
+    for simulated annealing, f at the returned best-ever iterate.  SGD
+    reports a mean per part instead: the last completed epoch's mean, or the
+    last window's value per part when the run stopped mid-epoch, each window
+    valued at the iterate before its step.  For an objective that sums its
+    parts that is on the scale of f / num_parts and lags the returned
+    parameters; evaluate them for f itself.  ``iterations`` counts completed steps: accepted line-search steps for
     L-BFGS, parameter updates for the descent methods, proposed moves for
     annealing.  Call counters come from the adapter, so window calls count
     once per part and fused calls count one evaluation plus one gradient.

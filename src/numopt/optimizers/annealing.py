@@ -54,9 +54,7 @@ class SimulatedAnnealing:
 
     Defaults chosen at run time: ``initial_temperature`` None means
     100*|f(x0)| + 1, ``moves_per_temperature`` None means 20 per dimension.
-    Runs are deterministic given ``seed``.  Versions that drew the
-    coordinate, the offset and the gate with three separate generator calls
-    per move made other moves for the same seed.
+    Runs are deterministic given ``seed``.
     """
 
     initial_temperature: float | None = None

@@ -32,14 +32,13 @@ MIN_STEP = 1e-20  # the line search tries no smaller step
 
 
 class LbfgsMemory:
-    """Bounded history of (s, y, 1/(y.s)) curvature pairs, oldest dropped first.
+    """Bounded history of (s, y) curvature pairs, oldest dropped first.
 
     ``push`` copies ``s`` and ``y`` into the memory, so later writes to the
-    caller's arrays change nothing here.  Iteration yields ``(s, y, rho)``
-    oldest first, and ``newest`` the newest triple: ``s`` and ``y`` as flat
-    copies, ``rho`` = 1/(y.s) as a float.  The first ``push`` after
-    construction or ``clear`` fixes the pairs' size and dtype; a pair of
-    another size raises ``Diagnostic``, and one of another dtype is cast.
+    caller's arrays change nothing here, and ``direction`` is the pairs'
+    only reader.  The first ``push`` after construction or ``clear`` fixes
+    the pairs' size and dtype; a pair of another size raises ``Diagnostic``,
+    and one of another dtype is cast.
 
     Storage is the compact form's.  With m = ``memory_size`` and k pairs
     stored, the pairs are the last k rows of S and of Y, oldest first, and
@@ -73,17 +72,15 @@ class LbfgsMemory:
         definite; the rest of the history is untouched.
         """
         s_flat, y_flat = s.reshape(-1), y.reshape(-1)
-        if self._pairs is None:
-            if s_flat.size != y_flat.size:
-                raise Diagnostic(
-                    f"an L-BFGS pair needs s and y of one size, got shapes {s.shape} and {y.shape}"
-                )
-            self._allocate(s_flat.size, np.result_type(s_flat, y_flat, 1.0))
-        elif s_flat.size != self._pairs.shape[2] or y_flat.size != self._pairs.shape[2]:
+        # The width is the first pair's size, then the memory's.
+        width = s_flat.size if self._pairs is None else self._pairs.shape[2]
+        if s_flat.size != width or y_flat.size != width:
             raise Diagnostic(
-                f"this L-BFGS memory holds pairs of shape ({self._pairs.shape[2]},); "
+                f"this L-BFGS memory takes pairs of shape ({width},); "
                 f"got s of shape {s.shape} and y of shape {y.shape}"
             )
+        if self._pairs is None:
+            self._allocate(width, np.result_type(s_flat, y_flat, 1.0))
         curvature = float(s_flat.dot(y_flat))
         y_norm2 = float(y_flat.dot(y_flat))
         # Written so that a NaN curvature is refused too.
@@ -131,20 +128,6 @@ class LbfgsMemory:
     def __len__(self):
         return self._count
 
-    def _triple(self, row):
-        s, y = self._pairs[:, row]
-        return s.copy(), y.copy(), 1.0 / float(self._curvatures[row])
-
-    def __iter__(self):
-        m = self.memory_size
-        return iter([self._triple(row) for row in range(m - self._count, m)])
-
-    @property
-    def newest(self):
-        if not self._count:
-            raise IndexError("an empty LbfgsMemory has no newest pair")
-        return self._triple(-1)
-
     def direction(self, gradient):
         """Search direction -H.g, in compact form.
 
@@ -179,14 +162,8 @@ class LbfgsMemory:
         return direction.reshape(gradient.shape)
 
 
-def two_loop_direction(memory, gradient):
-    """Search direction -H.g from ``memory``'s pairs: ``memory.direction``.
-
-    H is the inverse Hessian the classic two-loop recursion applies, hence
-    the name, computed in the compact form of Byrd, Nocedal & Schnabel
-    (1994); see ``LbfgsMemory.direction``.
-    """
-    return memory.direction(gradient)
+# The name perfbench's tracer patches to time the direction.
+two_loop_direction = LbfgsMemory.direction
 
 
 class LineSearchResult(NamedTuple):

@@ -28,7 +28,6 @@ from numopt import (
     TerminationReason,
     TimeLimit,
     TraceRecorder,
-    dispatch,
     parse_progress_line,
 )
 from numopt.problems import Rosenbrock, SeparableLinearRegression, generate_noisy_linear
@@ -48,7 +47,7 @@ def step(k, f=1.0, g=None):
 
 class TestDispatch:
     def test_empty_list_continues(self):
-        assert dispatch([], step(1)) == CallbackDecision.CONTINUE
+        assert CallbackList([]).dispatch(step(1)) is False
 
     def test_any_terminate_wins_and_all_are_invoked(self):
         calls = []
@@ -60,26 +59,25 @@ class TestDispatch:
 
             return callback
 
-        decision = dispatch(
+        terminate = CallbackList(
             [
                 make("a", CallbackDecision.CONTINUE),
                 make("b", CallbackDecision.TERMINATE),
                 make("c", CallbackDecision.CONTINUE),
-            ],
-            step(1),
-        )
-        assert decision == CallbackDecision.TERMINATE
+            ]
+        ).dispatch(step(1))
+        assert terminate is True
         assert calls == ["a", "b", "c"]
 
     def test_none_means_continue(self):
-        assert dispatch([lambda event: None], step(1)) == CallbackDecision.CONTINUE
+        assert CallbackList([lambda event: None]).dispatch(step(1)) is False
 
     def test_failing_callback_is_warned_and_ignored(self):
         def broken(event):
             raise RuntimeError("boom")
 
         with pytest.warns(RuntimeWarning, match="boom"):
-            assert dispatch([broken], step(1)) == CallbackDecision.CONTINUE
+            assert CallbackList([broken]).dispatch(step(1)) is False
 
     @pytest.mark.parametrize(
         "decisions",
@@ -93,7 +91,7 @@ class TestDispatch:
             [RuntimeError, CallbackDecision.TERMINATE, RuntimeError],
         ],
     )
-    def test_function_and_list_dispatch_agree(self, decisions):
+    def test_list_dispatch_decides_delivers_and_warns(self, decisions):
         delivered = []
 
         def make(position, decision):
@@ -105,26 +103,16 @@ class TestDispatch:
 
             return callback
 
-        callbacks = [make(k, decision) for k, decision in enumerate(decisions)]
-
-        def run(send):
-            delivered.clear()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                terminate = send(callbacks, step(1))
-            warned = [(warning.category, str(warning.message)) for warning in caught]
-            return terminate, warned, list(delivered)
-
-        by_function = run(lambda cbs, event: dispatch(cbs, event) == CallbackDecision.TERMINATE)
-        by_list = run(lambda cbs, event: CallbackList(cbs).dispatch(event))
-        # Identical decisions, warnings, and deliveries, including the
-        # callbacks after one that asked to terminate.
-        assert by_function == by_list
-        terminate, warned, delivered = by_list
+        callbacks = CallbackList(make(k, decision) for k, decision in enumerate(decisions))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            terminate = callbacks.dispatch(step(1))
+        # Every callback sees the event, including those after one that
+        # asked to terminate, and each one that raised is one warning.
         assert terminate == (CallbackDecision.TERMINATE in decisions)
         assert [position for position, _ in delivered] == list(range(len(decisions)))
-        assert len(warned) == decisions.count(RuntimeError)
-        assert all(category is RuntimeWarning for category, _ in warned)
+        assert len(caught) == decisions.count(RuntimeError)
+        assert all(warning.category is RuntimeWarning for warning in caught)
 
     def test_callback_list_flag_is_sticky(self):
         events = CallbackList([lambda event: CallbackDecision.TERMINATE])
@@ -172,6 +160,18 @@ class TestEarlyStopping:
     def test_patience_validated(self):
         with pytest.raises(ValueError, match="patience"):
             EarlyStopping(patience=0)
+
+    def test_reused_stopper_starts_each_run_afresh(self):
+        # Without the reset on BeginOptimization, the second run inherits
+        # the first run's best value and stops after a few steps.
+        x0 = [-1.2, 1.0]
+        stopper = EarlyStopping(patience=3)
+        LBFGS().optimize(Rosenbrock(), x0, callbacks=[stopper])
+        x_reused, reused = LBFGS().optimize(Rosenbrock(), x0, callbacks=[stopper])
+        x_fresh, fresh = LBFGS().optimize(Rosenbrock(), x0, callbacks=[EarlyStopping(patience=3)])
+        assert reused.termination == fresh.termination
+        assert reused.iterations == fresh.iterations
+        assert x_reused.tobytes() == x_fresh.tobytes()
 
 
 class LineSink:

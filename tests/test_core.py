@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import numopt
+import numopt.optimizers
 from numopt import (
     CallbackDecision,
     CallbackList,
@@ -411,3 +413,69 @@ class TestFiniteDifferences:
     def test_rejects_bad_step(self):
         with pytest.raises(Diagnostic, match="step"):
             finite_difference_gradient(FullObjective(), np.zeros(1), step=0.0)
+
+
+class TestPublicSurface:
+    """The exported names, spelled out, so that any addition or removal shows in a diff."""
+
+    def test_package_names(self):
+        assert sorted(numopt.__all__) == [
+            "AdamUpdate",
+            "BeginEpoch",
+            "BeginOptimization",
+            "CallbackDecision",
+            "CallbackList",
+            "Diagnostic",
+            "EarlyStopping",
+            "EndEpoch",
+            "EndOptimization",
+            "EvaluateCalled",
+            "GradientCalled",
+            "GradientDescent",
+            "LBFGS",
+            "LbfgsMemory",
+            "MomentumUpdate",
+            "ObjectiveAdapter",
+            "ObjectiveCapabilities",
+            "OptimizationResult",
+            "ProgressPrinter",
+            "SGD",
+            "SimulatedAnnealing",
+            "StepTaken",
+            "TerminationReason",
+            "TimeLimit",
+            "TraceRecorder",
+            "UpdatePolicy",
+            "VanillaUpdate",
+            "__version__",
+            "as_parameters",
+            "backtracking_line_search",
+            "check_requirements",
+            "finish_run",
+            "finite_difference_gradient",
+            "parse_progress_line",
+            "prepare_run",
+            "progress_stop",
+            "two_loop_direction",
+        ]
+
+    def test_optimizer_names(self):
+        assert sorted(numopt.optimizers.__all__) == [
+            "AdamUpdate",
+            "GradientDescent",
+            "LBFGS",
+            "LbfgsMemory",
+            "MomentumUpdate",
+            "SGD",
+            "SimulatedAnnealing",
+            "UpdatePolicy",
+            "VanillaUpdate",
+            "backtracking_line_search",
+            "finish_run",
+            "prepare_run",
+            "progress_stop",
+            "two_loop_direction",
+        ]
+
+    def test_two_loop_direction_is_the_memory_direction(self):
+        assert numopt.two_loop_direction is numopt.LbfgsMemory.direction

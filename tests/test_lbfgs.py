@@ -40,7 +40,7 @@ def dense_bfgs_direction(pairs, gradient):
 
     H starts as gamma*I with gamma from the newest pair, then applies
     H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T
-    oldest to newest.  The two-loop recursion must produce -H g.
+    oldest to newest.  The memory's direction must be -H g.
     """
     dim = gradient.size
     s_new, y_new = pairs[-1]
@@ -56,14 +56,23 @@ def dense_bfgs_direction(pairs, gradient):
 
 class TestLbfgsMemory:
     def test_capacity_evicts_oldest(self):
+        # Each pair comes from its own SPD matrix, so the direction depends
+        # on which pairs are kept: only the last three may shape it.
+        rng = np.random.default_rng(5)
         memory = LbfgsMemory(3)
-        for k in range(1, 6):
-            kept = memory.push(np.array([float(k), 0.0]), np.array([float(k), 0.0]))
-            assert kept
+        pairs = []
+        for _ in range(5):
+            root = rng.uniform(-1, 1, (4, 4))
+            s = rng.uniform(-1, 1, 4)
+            y = (root @ root.T + 4.0 * np.eye(4)) @ s
+            assert memory.push(s, y)
+            pairs.append((s, y))
         assert len(memory) == 3
-        stored = [s[0] for s, _, _ in memory]
-        assert stored == [3.0, 4.0, 5.0]
-        assert memory.newest[0][0] == 5.0
+        g = rng.uniform(-1, 1, 4)
+        direction = two_loop_direction(memory, g)
+        assert_allclose(direction, dense_bfgs_direction(pairs[-3:], g), rtol=1e-12, atol=1e-14)
+        for older in (pairs[-4:], pairs):
+            assert not np.allclose(direction, dense_bfgs_direction(older, g), rtol=1e-6)
 
     def test_zero_curvature_pair_rejected(self):
         memory = LbfgsMemory(3)
@@ -108,18 +117,21 @@ class TestLbfgsMemory:
             assert np.all(np.isfinite(two_loop_direction(memory, g)))
 
     def test_rho_is_reciprocal_curvature(self):
+        # One pair with y = 2 s: gamma = rho = 1/2 and H = I/2 on the whole
+        # space, so every direction is exactly -g/2.
         memory = LbfgsMemory(2)
         memory.push(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
-        _, _, rho = memory.newest
-        assert rho == 0.5
+        rng = np.random.default_rng(12)
+        for g in [np.array([2.0, 0.0]), np.array([3.0, -1.0]), *rng.uniform(-1, 1, (5, 2))]:
+            assert_array_equal(two_loop_direction(memory, g), -0.5 * g)
 
     def test_capacity_validated(self):
         with pytest.raises(Diagnostic, match="memory_size"):
             LbfgsMemory(0)
 
     def test_memory_owns_its_pairs(self):
-        # push copies s and y, and iteration and newest hand out copies, so
-        # writes to either side's arrays leave the other untouched.
+        # push copies s and y, so writes to the pushed arrays leave the
+        # memory's directions untouched.
         rng = np.random.default_rng(11)
         memory = LbfgsMemory(3)
         pushed = []
@@ -130,16 +142,10 @@ class TestLbfgsMemory:
             pushed.append((s, y))
         g = rng.uniform(-1, 1, 4)
         before = two_loop_direction(memory, g)
-        kept = [(s.copy(), y.copy()) for s, y in pushed[-3:]]
         for s, y in pushed:
             s *= -3.0
             y[0] = 1e6
-        for s, y, _ in memory:
-            s[:] = np.nan
-        memory.newest[1][:] = np.nan
         assert np.array_equal(two_loop_direction(memory, g), before)
-        for (s, y, _), (s_kept, y_kept) in zip(memory, kept):
-            assert np.array_equal(s, s_kept) and np.array_equal(y, y_kept)
 
     @pytest.mark.parametrize(
         "s, y, shapes",
