@@ -204,7 +204,12 @@ def parse_progress_line(line):
 
 
 class TraceRecorder:
-    """Collect (iteration, objective) pairs from StepTaken events."""
+    """Collect (iteration, objective) pairs from StepTaken events.
+
+    Each run starts a new ``trace`` list at BeginOptimization, so a reused
+    recorder holds the latest run's pairs and a list read after a run keeps
+    that run's pairs.
+    """
 
     def __init__(self):
         self.trace = []
@@ -212,6 +217,8 @@ class TraceRecorder:
     def __call__(self, event):
         if isinstance(event, StepTaken):
             self.trace.append((event.iteration, event.objective))
+        elif isinstance(event, BeginOptimization):
+            self.trace = []
         return CallbackDecision.CONTINUE
 
 

@@ -67,9 +67,16 @@ class MomentumUpdate:
 
 @dataclass
 class _AdamState:
+    """Moments, step count and the run's constants as 0-d arrays of x's dtype."""
+
     m: np.ndarray
     v: np.ndarray
     t: int
+    beta1: np.ndarray
+    one_minus_beta1: np.ndarray
+    beta2: np.ndarray
+    one_minus_beta2: np.ndarray
+    epsilon: np.ndarray
 
 
 @dataclass
@@ -87,6 +94,12 @@ class AdamUpdate:
     This is -step_size * m_hat / (sqrt(v_hat) + epsilon), epsilon still
     added to sqrt(v_hat), which bounds every coordinate's step magnitude by
     about step_size.
+
+    ``initialize`` binds beta1, 1 - beta1, beta2, 1 - beta2 and epsilon once
+    per run as 0-d arrays of x's dtype.  NumPy converts such an array exactly
+    as it converts a Python float operand, so the bits are the same, but it
+    skips the weak-scalar promotion that a float pays on every call.  The
+    two bias corrections change every step and stay Python floats.
     """
 
     beta1: float = 0.9
@@ -102,17 +115,29 @@ class AdamUpdate:
             raise Diagnostic(f"epsilon must be > 0, got {self.epsilon}")
 
     def initialize(self, x):
-        return _AdamState(m=np.zeros_like(x), v=np.zeros_like(x), t=0)
+        def constant(value):
+            return np.array(value, dtype=x.dtype)
+
+        return _AdamState(
+            m=np.zeros_like(x),
+            v=np.zeros_like(x),
+            t=0,
+            beta1=constant(self.beta1),
+            one_minus_beta1=constant(1.0 - self.beta1),
+            beta2=constant(self.beta2),
+            one_minus_beta2=constant(1.0 - self.beta2),
+            epsilon=constant(self.epsilon),
+        )
 
     def step(self, state, gradient, step_size):
         state.t += 1
         m, v = state.m, state.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * gradient
-        v *= self.beta2
-        v += (1.0 - self.beta2) * gradient * gradient
+        m *= state.beta1
+        m += state.one_minus_beta1 * gradient
+        v *= state.beta2
+        v += state.one_minus_beta2 * gradient * gradient
         denominator = np.sqrt(v / (1.0 - self.beta2**state.t))
-        denominator += self.epsilon
+        denominator += state.epsilon
         return m * (-step_size / (1.0 - self.beta1**state.t)) / denominator
 
 
@@ -159,6 +184,10 @@ class SGD:
         x, adapter, events, started = prepare_run(objective, x0, callbacks, self.requires, "SGD")
         n = adapter.num_parts
         starts = list(range(0, n, self.batch_size))
+        # Each window's size as a 0-d array of x's dtype: dividing by it gives
+        # the bits that dividing by the int gives, without NumPy's per-call
+        # promotion of a Python scalar.
+        sizes = [np.array(min(self.batch_size, n - first), dtype=x.dtype) for first in starts]
         rng = np.random.default_rng(self.seed)
         state = self.update.initialize(x)
         steps = epoch = 0
@@ -182,7 +211,7 @@ class SGD:
                     first = starts[window]
                     count = min(self.batch_size, n - first)
                     batch_value = adapter.evaluate_parts(x, first, count)
-                    gradient = adapter.gradient_parts(x, first, count) / count
+                    gradient = adapter.gradient_parts(x, first, count) / sizes[window]
                     x = x + self.update.step(state, gradient, self.step_size)
                     steps += 1
                     epoch_total += batch_value

@@ -57,45 +57,55 @@ def _flat_parameters(objective, phi):
     return phi.ravel()
 
 
-def _window(objective, phi, first, count):
-    """(flat phi, X, y) cut to the checked column window [first, first+count)."""
+def _columns(objective, first, count):
+    """(X, y) cut to the checked column window [first, first+count)."""
     n = objective.X.shape[1]
     if not (0 <= first and count >= 1 and first + count <= n):
         raise Diagnostic(
             f"{type(objective).__name__}: window [{first}, {first + count}) outside [0, {n})"
         )
     window = slice(first, first + count)
-    return _flat_parameters(objective, phi), objective.X[:, window], objective.y[window]
+    return objective.X[:, window], objective.y[window]
+
+
+def _window(objective, phi, first, count):
+    """(flat phi, X, y) cut to the checked column window [first, first+count)."""
+    X, y = _columns(objective, first, count)
+    return _flat_parameters(objective, phi), X, y
 
 
 def _residual(objective, phi, first, count):
-    """(X window, residual X_w.T phi - y_w) for the checked window [first, first+count).
+    """(X window, residual X_w.T phi - y_w, phi's shape) for the window [first, first+count).
 
     A call at the point, window and data of the call before it takes that
-    call's residual and drops it, so a value and a gradient at one point
-    cost two products with X, not three.  Any other call computes its own
-    residual and keeps it for the next.  The key is by value: the window,
-    phi's dtype and bytes, and X and y by identity.
+    call's X window and residual and drops them, so a value and a gradient
+    at one point cost two products with X, not three.  Any other call checks
+    and cuts its window, computes its own residual and keeps both for the
+    next.  The key is by value: the window, phi's dtype and bytes, and X and
+    y by identity; a hit is therefore a window that was checked before.
     """
-    flat, X, y = _window(objective, phi, first, count)
+    phi = np.asarray(phi)
+    flat = _flat_parameters(objective, phi)
     key = (first, count, flat.dtype.str, flat.tobytes())
     kept = objective._kept
     if kept is not None and kept[0] is objective.X and kept[1] is objective.y and kept[2] == key:
         objective._kept = None
-        return X, kept[3]
+        return kept[3], kept[4], phi.shape
+    X, y = _columns(objective, first, count)
     residual = X.T @ flat - y
-    objective._kept = (objective.X, objective.y, key, residual)
-    return X, residual
+    objective._kept = (objective.X, objective.y, key, X, residual)
+    return X, residual, phi.shape
 
 
 def _least_squares_value(objective, phi, first, count):
-    _, residual = _residual(objective, phi, first, count)
-    return float(residual @ residual)
+    _, residual, _ = _residual(objective, phi, first, count)
+    # A 1-D product, not one with X: ndarray.dot skips matmul's ufunc dispatch.
+    return float(residual.dot(residual))
 
 
 def _least_squares_gradient(objective, phi, first, count):
-    X, residual = _residual(objective, phi, first, count)
-    return (2.0 * (X @ residual)).reshape(np.shape(phi))
+    X, residual, shape = _residual(objective, phi, first, count)
+    return (2.0 * (X @ residual)).reshape(shape)
 
 
 class LinearRegression:
@@ -158,10 +168,10 @@ class LogisticRegression:
 
     def __init__(self, predictors, responses, ridge=0.0):
         self.X, self.y = _check_xy(predictors, responses, type(self).__name__)
-        labels = np.unique(self.y)
-        if not np.all(np.isin(labels, (0.0, 1.0))):
+        if not ((self.y == 0) | (self.y == 1)).all():
             raise Diagnostic(
-                f"{type(self).__name__} labels must all be 0 or 1, got values {labels[:5]}"
+                f"{type(self).__name__} labels must all be 0 or 1, "
+                f"got values {np.unique(self.y)[:5]}"
             )
         if ridge < 0:
             raise Diagnostic(f"ridge must be >= 0, got {ridge}")
@@ -244,7 +254,12 @@ def generate_noisy_linear(d, n, noise_scale=10.0, seed=0):
     if noise_scale < 0:
         raise Diagnostic(f"noise_scale must be >= 0, got {noise_scale}")
     rng = np.random.default_rng(seed)
-    X = rng.uniform(-1.0, 1.0, size=(d, n))
+    # rng.uniform(-1, 1) returns -1 + 2u for the draws u that rng.random
+    # returns; mapping them in place gives the same bits, and rng.random's
+    # fill loop is faster than uniform's per-draw call.
+    X = rng.random((d, n))
+    X *= 2.0
+    X -= 1.0
     phi_true = rng.uniform(-1.0, 1.0, size=(d, 1))
     y = X.T @ phi_true.ravel() + noise_scale * rng.standard_normal(n)
     return X, y, phi_true

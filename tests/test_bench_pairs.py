@@ -93,3 +93,70 @@ def test_directions_and_seeds_are_read_as_written(bench_pairs):
         "lbfgs.first_trial_accept_ratio": "higher",
     }
     assert bench_pairs.parse_seeds("8201-8203,8210") == [8201, 8202, 8203, 8210]
+
+
+def ten_pairs(parent, change, metric="solve_rel.p50", workload="w"):
+    runs = []
+    for seed, values in enumerate(zip(parent, change)):
+        for side, value in zip(("parent", "change"), values):
+            runs.append(run(workload, seed, side, {metric: value}))
+    return runs
+
+
+# Ten parent runs with median 14.5 and quartiles 12.25 and 16.75 (spread 4.5).
+PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+
+
+@pytest.mark.parametrize(
+    "change, claimable",
+    [
+        ([p - 5.0 for p in PARENT[:9]] + [PARENT[9] + 1.0], True),  # 9/10, medians 5 apart
+        ([p - 4.0 for p in PARENT], False),  # 10/10, medians 4 apart: inside the spread
+        ([p - 6.0 for p in PARENT[:8]] + [p + 1.0 for p in PARENT[8:]], False),  # 8/10
+        ([p + 5.0 for p in PARENT], False),  # worse
+    ],
+    ids=["nine-of-ten", "within-spread", "eight-of-ten", "worse"],
+)
+def test_claimable_needs_nine_tenths_of_pairs_and_medians_beyond_the_parents_spread(
+    bench_pairs, change, claimable
+):
+    metric = bench_pairs.summarize(ten_pairs(PARENT, change), BETTER)["trace0"]["w"]["metrics"]
+    assert metric["solve_rel.p50"]["claimable"] is claimable
+
+
+def test_claimable_follows_a_higher_is_better_metric(bench_pairs):
+    summary = bench_pairs.summarize(
+        ten_pairs(PARENT, [p + 5.0 for p in PARENT], "accept_ratio"), BETTER
+    )
+    assert summary["trace0"]["w"]["metrics"]["accept_ratio"]["claimable"] is True
+
+
+@pytest.mark.parametrize(
+    "metric, factor, beyond",
+    [
+        ("solve_rel.p50", 1.2, False),
+        ("solve_rel.p50", 1.3, True),
+        ("solve_rel.p50", 0.5, False),  # better by any amount is never beyond
+        ("accept_ratio", 0.8, False),
+        ("accept_ratio", 0.7, True),  # higher is better: lower reads worse
+    ],
+)
+def test_beyond_bound_compares_medians_with_the_relative_bound(bench_pairs, metric, factor, beyond):
+    runs = ten_pairs(PARENT, [p * factor for p in PARENT], metric)
+    summary = bench_pairs.summarize(runs, BETTER, {metric: 0.25})
+    assert summary["trace0"]["w"]["metrics"][metric]["beyond_bound"] is beyond
+
+
+def test_beyond_bound_only_for_bounded_metrics_and_any_worsening_of_a_zero_median(bench_pairs):
+    runs = ten_pairs([0.0] * 10, [1.0] * 10, "calls", workload="v")
+    runs += ten_pairs([0.0] * 10, [0.0] * 9 + [1.0], "solve_rel.p50")
+    summary = bench_pairs.summarize(runs, BETTER, {"solve_rel.p50": 0.25})["trace0"]
+    assert "beyond_bound" not in summary["v"]["metrics"]["calls"]
+    assert summary["w"]["metrics"]["solve_rel.p50"]["beyond_bound"] is False  # median still 0
+    runs = ten_pairs([0.0] * 10, [1.0] * 10, "solve_rel.p50")
+    summary = bench_pairs.summarize(runs, BETTER, {"solve_rel.p50": 0.25})["trace0"]
+    assert summary["w"]["metrics"]["solve_rel.p50"]["beyond_bound"] is True
+    assert bench_pairs.metric_bounds(
+        {"end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25}],
+         "per_layer": [{"name": "problems.calls", "better": "lower"}]}
+    ) == {"setup_s": 0.25}

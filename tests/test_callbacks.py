@@ -254,6 +254,20 @@ class TestTraceRecorder:
         )
         assert_allclose(recorder.trace[0][1], (1.0 - 2 * 0.1) ** 2, rtol=1e-12)
 
+    def test_reused_recorder_starts_each_run_afresh(self):
+        # Without the new list on BeginOptimization, the second run's pairs
+        # are appended to the first run's and its iterations restart at 1.
+        shared = TraceRecorder()
+        LBFGS().optimize(Rosenbrock(), [-1.2, 1.0], callbacks=[shared])
+        first = shared.trace
+        first_entries = list(first)
+        LBFGS().optimize(Rosenbrock(), [0.5, -0.5], callbacks=[shared])
+        fresh = TraceRecorder()
+        LBFGS().optimize(Rosenbrock(), [0.5, -0.5], callbacks=[fresh])
+        assert shared.trace == fresh.trace
+        assert first == first_entries
+        assert first[0][0] == shared.trace[0][0] == 1
+
 
 class TestTimeLimit:
     def test_tiny_limit_terminates_run(self):

@@ -297,6 +297,48 @@ class TestResidualReuse:
         separable.assert_fresh_gradient(g, separable.phi, window=other)
 
 
+    @pytest.mark.parametrize("window", [(3, 38), (-1, 17), (3, 0), (40, 1)])
+    def test_a_window_outside_the_data_raises_after_a_value_at_the_point(self, window):
+        separable = ResidualCase(True, np.float64, False)
+        separable.value(separable.phi)
+        with pytest.raises(Diagnostic, match="outside"):
+            separable.gradient(separable.phi, window=window)
+
+    def test_the_kept_window_is_checked_again_on_narrower_data(self):
+        separable = ResidualCase(True, np.float64, False)
+        separable.value(separable.phi)
+        separable.objective.X = separable.X[:, :10]
+        separable.objective.y = separable.y[:10]
+        with pytest.raises(Diagnostic, match="outside"):
+            separable.gradient(separable.phi)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        separable=st.booleans(),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        column=st.booleans(),
+        as_list=st.booleans(),
+        value_first=st.booleans(),
+        data=st.data(),
+    )
+    def test_a_hit_returns_a_fresh_objectives_bytes(
+        self, separable, dtype, column, as_list, value_first, data
+    ):
+        first = data.draw(st.integers(0, 39), label="first")
+        count = data.draw(st.integers(1, 40 - first), label="count")
+        case = ResidualCase(separable, dtype, column, window=(first, count))
+        phi = case.phi.tolist() if as_list else case.phi
+        if value_first:
+            value, g = case.value(phi), case.gradient(phi)
+        else:
+            g, value = case.gradient(phi), case.value(phi)
+        assert case.products == 2
+        assert value == case.value(phi, case.fresh())
+        expected = case.gradient(phi, case.fresh())
+        assert g.dtype == expected.dtype and g.shape == expected.shape == np.shape(phi)
+        assert g.tobytes() == expected.tobytes()
+
+
 class TestOneProductPerCall:
     """Each optimizer's value and gradient at one point share one residual."""
 
@@ -409,6 +451,16 @@ class TestLogisticRegression:
                 phi = rng.uniform(-1, 1, 3).astype(dtype)
                 assert objective.evaluate_parts(phi, 0, 25) == objective.evaluate(phi)
                 assert np.array_equal(objective.gradient_parts(phi, 0, 25), objective.gradient(phi))
+
+    @pytest.mark.parametrize(
+        "bad, values", [(0.5, "[0.  0.5 1. ]"), (2.0, "[0. 1. 2.]"), (np.nan, "[ 0.  1. nan]")]
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_labels_outside_zero_and_one_raise_with_their_distinct_values(self, bad, values, dtype):
+        y = np.array([1.0, bad, 0.0, 1.0, bad], dtype=dtype)
+        with pytest.raises(Diagnostic) as raised:
+            LogisticRegression(np.ones((2, 5)), y)
+        assert str(raised.value) == f"LogisticRegression labels must all be 0 or 1, got values {values}"
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(
@@ -558,6 +610,17 @@ class TestGenerateNoisyLinear:
         X, _, phi_true = generate_noisy_linear(6, 200, 1.0, seed=3)
         assert np.all(np.abs(X) < 1.0)
         assert np.all(np.abs(phi_true) < 1.0)
+
+    @pytest.mark.parametrize("d, n", [(1, 1), (1, 40), (6, 1), (5, 200), (30, 17)])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_draws_are_the_uniform_reference_bitwise(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, size=(d, n))
+        phi_true = rng.uniform(-1.0, 1.0, size=(d, 1))
+        y = X.T @ phi_true.ravel() + 2.5 * rng.standard_normal(n)
+        for got, expected in zip(generate_noisy_linear(d, n, 2.5, seed), (X, y, phi_true)):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
     def test_bad_sizes_are_diagnostic(self):
         with pytest.raises(Diagnostic, match="d and n"):

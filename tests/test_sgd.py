@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from numopt import (
@@ -135,6 +137,36 @@ class TestAdamUpdate:
             assert increment.dtype == state.m.dtype == state.v.dtype == np.float32
             assert_allclose(increment, expected, rtol=1e-4, atol=1e-7)
 
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        shape=st.sampled_from([(5,), (5, 1)]),
+        betas=st.sampled_from([(0.9, 0.999), (0.5, 0.9), (0.0, 0.0), (0.1, 0.3)]),
+        epsilon=st.sampled_from([1e-8, 1e-3, 0.7]),
+    )
+    def test_step_is_the_python_scalar_formula_bitwise(self, seed, dtype, shape, betas, epsilon):
+        # The formula with beta1, beta2 and epsilon as Python floats, which
+        # NumPy converts to the arrays' dtype on every call.
+        beta1, beta2 = betas
+        rng = np.random.default_rng(seed)
+        policy = AdamUpdate(beta1=beta1, beta2=beta2, epsilon=epsilon)
+        state = policy.initialize(np.zeros(shape, dtype=dtype))
+        m = np.zeros(shape, dtype=dtype)
+        v = np.zeros(shape, dtype=dtype)
+        for t in range(1, 51):
+            g = (rng.normal(size=shape) * 10.0 ** rng.integers(-4, 3, size=shape)).astype(dtype)
+            step_size = rng.uniform(1e-3, 1.0)
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g * g
+            denominator = np.sqrt(v / (1.0 - beta2**t)) + epsilon
+            expected = m * (-step_size / (1.0 - beta1**t)) / denominator
+            increment = policy.step(state, g, step_size)
+            assert increment.dtype == state.m.dtype == state.v.dtype == dtype
+            assert increment.shape == shape
+            assert increment.tobytes() == expected.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
     def test_config_validated(self):
         with pytest.raises(Diagnostic, match="beta1"):
             AdamUpdate(beta1=1.0)
@@ -213,6 +245,21 @@ class TestSgdLoop:
             recorder, np.zeros((3, 1))
         )
         assert recorder.windows == [(0, 32), (32, 32), (64, 32), (96, 4)]
+
+    def test_float32_run_divides_each_window_by_its_size_in_float32(self):
+        # n=100 in windows of 32 leaves a short window of 4; two epochs
+        # visit it twice.  The reference divides by the Python int.
+        objective = SeparableLinearRegression(self.X.astype(np.float32), self.y.astype(np.float32))
+        x0 = np.zeros((3, 1), dtype=np.float32)
+        x, result = SGD(
+            step_size=0.01, batch_size=32, max_iterations=8, shuffle=False
+        ).optimize(objective, x0)
+        expected = x0
+        for first, count in [(0, 32), (32, 32), (64, 32), (96, 4)] * 2:
+            expected = expected + -(0.01 * (objective.gradient_parts(expected, first, count) / count))
+        assert result.iterations == 8
+        assert x.dtype == expected.dtype == np.float32
+        assert x.tobytes() == expected.tobytes()
 
     def test_shuffled_visit_order_is_seeded_permutation(self):
         recorder = RecordingParts(self.objective)

@@ -13,8 +13,12 @@ seed to seed so that a drift of the host's speed falls on both sides alike.
 The output file holds every run (the JSON line the command prints last and
 its ``env`` record) and a summary: per metric, each side's median and
 quartiles over the seeds and how many pairs the change read better, in the
-direction ``BENCHMARK.json`` declares.  ``--trace-seeds`` adds traced
-pairs, summarised apart under ``trace1``.
+direction ``BENCHMARK.json`` declares.  A metric is ``claimable`` when the
+change read better in at least nine tenths of the pairs and its median is
+better than the parent's by more than the parent's quartile spread; an
+end-to-end metric is ``beyond_bound`` when the change's median is worse than
+the parent's by more than the metric's relative ``bound``.  ``--trace-seeds``
+adds traced pairs, summarised apart under ``trace1``.
 """
 
 from __future__ import annotations
@@ -55,15 +59,18 @@ def spread(values):
     }
 
 
-def summarize(runs, better):
+def summarize(runs, better, bounds=None):
     """Summary of ``runs`` per trace mode and workload.
 
     ``runs`` are run records with ``workload``, ``seed``, ``trace``, ``side``
     (``"parent"`` or ``"change"``) and ``result``; ``better`` maps a metric
-    name to ``"lower"`` or ``"higher"``.  A pair is the two sides' runs of one
+    name to ``"lower"`` or ``"higher"``, and ``bounds`` an end-to-end metric
+    name to its relative bound.  A pair is the two sides' runs of one
     workload, trace mode and seed; a metric missing from ``better`` counts
-    lower as better.  Ties count for neither side.
+    lower as better.  Ties count for neither side.  Only metrics in
+    ``bounds`` get ``beyond_bound``.
     """
+    bounds = bounds or {}
     paired = {}
     for run in runs:
         key = (f"trace{run['trace']}", run["workload"])
@@ -80,18 +87,25 @@ def summarize(runs, better):
             parent = [p["parent"]["metrics"][metric]["value"] for p in pairs]
             change = [p["change"]["metrics"][metric]["value"] for p in pairs]
             sign = -1.0 if better.get(metric, "lower") == "higher" else 1.0
-            parent_median = quantile(parent, 0.5)
-            entry["metrics"][metric] = {
-                "parent": spread(parent),
-                "change": spread(change),
-                "change_better_pairs": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+            parent_spread, change_spread = spread(parent), spread(change)
+            parent_median, change_median = parent_spread["median"], change_spread["median"]
+            better_pairs = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+            # Signed so that a positive number means the change reads worse.
+            worsening = sign * (change_median - parent_median)
+            summary_of_metric = {
+                "parent": parent_spread,
+                "change": change_spread,
+                "change_better_pairs": better_pairs,
                 "pairs": len(pairs),
                 "median_change_rel": (
-                    (quantile(change, 0.5) - parent_median) / parent_median
-                    if parent_median
-                    else None
+                    (change_median - parent_median) / parent_median if parent_median else None
                 ),
+                "claimable": 10 * better_pairs >= 9 * len(pairs)
+                and -worsening > parent_spread["q3"] - parent_spread["q1"],
             }
+            if metric in bounds:
+                summary_of_metric["beyond_bound"] = worsening > bounds[metric] * abs(parent_median)
+            entry["metrics"][metric] = summary_of_metric
         summary.setdefault(trace, {})[workload] = entry
     return summary
 
@@ -103,6 +117,11 @@ def metric_directions(benchmark):
         for group in ("end_to_end", "per_layer")
         for metric in benchmark.get(group, ())
     }
+
+
+def metric_bounds(benchmark):
+    """End-to-end metric name -> its relative ``bound`` from a BENCHMARK.json object."""
+    return {metric["name"]: metric["bound"] for metric in benchmark.get("end_to_end", ())}
 
 
 def parse_seeds(text):
@@ -193,7 +212,7 @@ def main(argv=None):
         "seeds": {"trace0": args.seeds, "trace1": args.trace_seeds},
         "command": " ".join(benchmark["command"])
         + f" --workload W --seed S --seconds {benchmark['run_seconds']} --trace T",
-        "summary": summarize(runs, metric_directions(benchmark)),
+        "summary": summarize(runs, metric_directions(benchmark), metric_bounds(benchmark)),
         "runs": runs,
     }
     args.output.write_text(json.dumps(record, indent=1) + "\n")
