@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Diagnostic, TerminationReason
+from .core import Diagnostic, ObjectiveAdapter, TerminationReason
 from .optimizers import (
     LBFGS,
     SGD,
@@ -78,13 +78,13 @@ class BenchSpec:
             raise Diagnostic(
                 f"--optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}"
             )
-        if self.runs < 1:
+        if not self.runs >= 1:
             raise Diagnostic(f"--runs must be >= 1, got {self.runs}")
-        if self.d < 1 or self.n < 1:
+        if not (self.d >= 1 and self.n >= 1):
             raise Diagnostic(f"--d and --n must be >= 1, got d={self.d}, n={self.n}")
-        if self.max_iterations < 0:
+        if not self.max_iterations >= 0:
             raise Diagnostic(f"--max-iterations must be >= 0, got {self.max_iterations}")
-        if self.noise_scale < 0:
+        if not self.noise_scale >= 0:
             raise Diagnostic(f"--noise must be >= 0, got {self.noise_scale}")
 
 
@@ -117,14 +117,13 @@ class BenchRecord:
 
 
 def _build_objective(spec, optimizer, X, y):
-    """Objective for one run, plus the full-objective view used for reporting."""
+    """The objective for one run: logistic, or least squares part-wise when
+    the optimizer needs parts."""
     if spec.problem == "logistic":
-        objective = LogisticRegression(X, y)
-        return objective, objective.evaluate
+        return LogisticRegression(X, y)
     if optimizer.requires.part_gradient:
-        return SeparableLinearRegression(X, y), LinearRegression(X, y).evaluate
-    objective = LinearRegression(X, y)
-    return objective, objective.evaluate
+        return SeparableLinearRegression(X, y)
+    return LinearRegression(X, y)
 
 
 def _run_data(spec, run_index, loaded):
@@ -164,14 +163,16 @@ def run_bench(spec, clock=time.perf_counter):
     for run_index in range(spec.runs):
         X, y = _run_data(spec, run_index, loaded)
         optimizer = _FACTORIES[spec.optimizer](spec.max_iterations, spec.seed + run_index)
-        objective, full_value = _build_objective(spec, optimizer, X, y)
+        objective = _build_objective(spec, optimizer, X, y)
         x0 = np.random.default_rng([spec.seed + run_index, 1]).uniform(
             -1.0, 1.0, size=(spec.d, 1)
         )
         started = clock()
         x, result = optimizer.optimize(objective, x0)
         run_seconds.append(clock() - started)
-        final_objectives.append(float(full_value(x)))
+        # The full value: the objective's own evaluate, or the window [0, n),
+        # which is bit for bit LinearRegression.evaluate.
+        final_objectives.append(ObjectiveAdapter(objective).evaluate(x))
         terminations.append(result.termination)
     return BenchRecord(
         spec=spec,

@@ -132,7 +132,7 @@ class EarlyStopping:
     """
 
     def __init__(self, patience=10, min_delta=0.0):
-        if patience < 1:
+        if not patience >= 1:
             raise ValueError(f"patience must be >= 1, got {patience}")
         self.patience = patience
         self.min_delta = min_delta
@@ -169,7 +169,7 @@ class ProgressPrinter:
     """
 
     def __init__(self, stream=None, period=1):
-        if period < 1:
+        if not period >= 1:
             raise ValueError(f"period must be >= 1, got {period}")
         self.stream = stream
         self.period = period
@@ -230,7 +230,7 @@ class TimeLimit:
     """
 
     def __init__(self, limit_seconds):
-        if limit_seconds <= 0:
+        if not limit_seconds > 0:
             raise ValueError(f"limit_seconds must be > 0, got {limit_seconds}")
         self.limit_seconds = limit_seconds
         self.started = None

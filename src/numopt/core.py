@@ -322,7 +322,7 @@ def finite_difference_gradient(objective, x, step=None):
     x = np.asarray(x)
     if step is None:
         step = 1e-6 * (1.0 + float(np.abs(x).max()))
-    if step <= 0:
+    if not step > 0:
         raise Diagnostic(f"finite difference step must be > 0, got {step}")
     g = np.empty_like(x, dtype=np.float64)
     for index in np.ndindex(x.shape):

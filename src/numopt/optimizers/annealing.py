@@ -68,21 +68,21 @@ class SimulatedAnnealing:
     requires = ObjectiveCapabilities(evaluate=True)
 
     def __post_init__(self):
-        if self.initial_temperature is not None and self.initial_temperature <= 0:
+        if self.initial_temperature is not None and not self.initial_temperature > 0:
             raise Diagnostic(
                 f"initial_temperature must be > 0, got {self.initial_temperature}"
             )
         if not 0.0 < self.cooling_factor < 1.0:
             raise Diagnostic(f"cooling_factor must be in (0, 1), got {self.cooling_factor}")
-        if self.moves_per_temperature is not None and self.moves_per_temperature < 1:
+        if self.moves_per_temperature is not None and not self.moves_per_temperature >= 1:
             raise Diagnostic(
                 f"moves_per_temperature must be >= 1, got {self.moves_per_temperature}"
             )
-        if self.move_scale <= 0:
+        if not self.move_scale > 0:
             raise Diagnostic(f"move_scale must be > 0, got {self.move_scale}")
-        if self.min_temperature <= 0:
+        if not self.min_temperature > 0:
             raise Diagnostic(f"min_temperature must be > 0, got {self.min_temperature}")
-        if self.max_iterations < 0:
+        if not self.max_iterations >= 0:
             raise Diagnostic(f"max_iterations must be >= 0, got {self.max_iterations}")
 
     def optimize(self, objective, x0, callbacks=()):

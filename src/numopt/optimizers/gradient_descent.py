@@ -37,11 +37,11 @@ class GradientDescent:
     requires = ObjectiveCapabilities(evaluate=True, gradient=True)
 
     def __post_init__(self):
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise Diagnostic(f"step_size must be > 0, got {self.step_size}")
-        if self.max_iterations < 0:
+        if not self.max_iterations >= 0:
             raise Diagnostic(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if self.min_gradient_norm < 0 or self.min_objective_improvement < 0:
+        if not (self.min_gradient_norm >= 0 and self.min_objective_improvement >= 0):
             raise Diagnostic("tolerances must be >= 0")
 
     def optimize(self, objective, x0, callbacks=()):

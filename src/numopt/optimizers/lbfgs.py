@@ -59,7 +59,7 @@ class LbfgsMemory:
     """
 
     def __init__(self, memory_size=10):
-        if memory_size < 1:
+        if not memory_size >= 1:
             raise Diagnostic(f"memory_size must be >= 1, got {memory_size}")
         self.memory_size = memory_size
         self._count = 0
@@ -247,9 +247,9 @@ class LBFGS:
     requires = ObjectiveCapabilities(evaluate=True, gradient=True)
 
     def __post_init__(self):
-        if self.memory_size < 1:
+        if not self.memory_size >= 1:
             raise Diagnostic(f"memory_size must be >= 1, got {self.memory_size}")
-        if self.max_iterations < 0:
+        if not self.max_iterations >= 0:
             raise Diagnostic(f"max_iterations must be >= 0, got {self.max_iterations}")
         if not 0.0 < self.armijo_constant < 1.0:
             raise Diagnostic(f"armijo_constant must be in (0, 1), got {self.armijo_constant}")
@@ -257,11 +257,11 @@ class LBFGS:
             raise Diagnostic(
                 f"backtrack_factor must be in (0, 1), got {self.backtrack_factor}"
             )
-        if self.max_line_search_trials < 1:
+        if not self.max_line_search_trials >= 1:
             raise Diagnostic(
                 f"max_line_search_trials must be >= 1, got {self.max_line_search_trials}"
             )
-        if self.min_gradient_norm < 0 or self.min_objective_improvement < 0:
+        if not (self.min_gradient_norm >= 0 and self.min_objective_improvement >= 0):
             raise Diagnostic("tolerances must be >= 0")
 
     def optimize(self, objective, x0, callbacks=()):

@@ -111,7 +111,7 @@ class AdamUpdate:
             raise Diagnostic(f"beta1 must be in [0, 1), got {self.beta1}")
         if not 0.0 <= self.beta2 < 1.0:
             raise Diagnostic(f"beta2 must be in [0, 1), got {self.beta2}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise Diagnostic(f"epsilon must be > 0, got {self.epsilon}")
 
     def initialize(self, x):
@@ -166,13 +166,13 @@ class SGD:
     requires = ObjectiveCapabilities(part_evaluate=True, part_gradient=True)
 
     def __post_init__(self):
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise Diagnostic(f"step_size must be > 0, got {self.step_size}")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise Diagnostic(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_iterations < 0:
+        if not self.max_iterations >= 0:
             raise Diagnostic(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:
             raise Diagnostic(f"tolerance must be >= 0, got {self.tolerance}")
 
     def optimize(self, objective, x0, callbacks=()):

@@ -1,9 +1,11 @@
 """Benchmark harness: timing brackets, reports, and CLI exit codes."""
 
+import math
+
 import numpy as np
 import pytest
 
-from numopt import TerminationReason
+from numopt import SGD, TerminationReason
 from numopt.bench import (
     BenchRecord,
     BenchSpec,
@@ -14,6 +16,7 @@ from numopt.bench import (
     run_bench,
 )
 from numopt.core import Diagnostic
+from numopt.problems import LinearRegression, SeparableLinearRegression, generate_noisy_linear
 
 
 def small_spec(**overrides):
@@ -93,6 +96,20 @@ class TestRunBench:
             run_bench(small_spec(max_iterations=-1))
         with pytest.raises(Diagnostic, match="--noise"):
             run_bench(small_spec(noise_scale=-1.0))
+        for option, flag in (("runs", "--runs"), ("d", "--d and --n"), ("n", "--d and --n"),
+                             ("max_iterations", "--max-iterations"), ("noise_scale", "--noise")):
+            with pytest.raises(Diagnostic, match=flag):
+                run_bench(small_spec(**{option: math.nan}))
+
+    def test_sgd_row_reports_the_full_least_squares_value_bitwise(self):
+        spec = small_spec(optimizer="sgd", runs=1, max_iterations=20, seed=5)
+        record = run_bench(spec)
+        X, y, _ = generate_noisy_linear(spec.d, spec.n, spec.noise_scale, spec.seed)
+        x0 = np.random.default_rng([spec.seed, 1]).uniform(-1.0, 1.0, size=(spec.d, 1))
+        x, _ = SGD(max_iterations=spec.max_iterations, seed=spec.seed).optimize(
+            SeparableLinearRegression(X, y), x0
+        )
+        assert record.final_objective_mean == LinearRegression(X, y).evaluate(x)
 
 
 class TestEmitReport:
@@ -197,9 +214,12 @@ class TestMain:
             main(["--optimizer", "newton"])
         assert stop.value.code == 1
 
-    def test_invalid_runs_is_a_usage_error(self, capsys):
+    @pytest.mark.parametrize(
+        "option", [["--runs", "0"], ["--noise", "nan"]], ids=["runs", "noise"]
+    )
+    def test_invalid_value_is_a_usage_error(self, option, capsys):
         with pytest.raises(SystemExit) as stop:
-            main(["--d", "2", "--n", "20", "--runs", "0"])
+            main(["--d", "2", "--n", "20", *option])
         assert stop.value.code == 1
 
     def test_missing_dataset_is_a_runtime_error(self, capsys):

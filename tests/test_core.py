@@ -410,9 +410,10 @@ class TestFiniteDifferences:
         finite_difference_gradient(adapter, np.ones((3, 1)))
         assert adapter.evaluate_calls == 6
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(Diagnostic, match="step"):
-            finite_difference_gradient(FullObjective(), np.zeros(1), step=0.0)
+    @pytest.mark.parametrize("step", [0.0, float("nan")])
+    def test_rejects_bad_step(self, step):
+        with pytest.raises(Diagnostic, match="step must be > 0"):
+            finite_difference_gradient(FullObjective(), np.zeros(1), step=step)
 
 
 class TestPublicSurface:

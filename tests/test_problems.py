@@ -41,6 +41,37 @@ def relative_gradient_gap(objective, phi):
     return float(np.max(np.abs(numeric - analytic) / (1.0 + np.abs(analytic))))
 
 
+CONTRACT_METHODS = ("evaluate", "gradient", "evaluate_with_gradient", "evaluate_parts",
+                    "gradient_parts", "num_parts")
+
+
+# Capability is by presence, so a data objective has exactly the contract
+# methods it lists, none leaked from the base the three share.
+@pytest.mark.parametrize(
+    "cls, provided",
+    [
+        (LinearRegression, {"evaluate", "gradient"}),
+        (SeparableLinearRegression, {"evaluate_parts", "gradient_parts", "num_parts"}),
+        (LogisticRegression,
+         {"evaluate", "gradient", "evaluate_parts", "gradient_parts", "num_parts"}),
+    ],
+)
+def test_provides_exactly_its_contract_methods(cls, provided):
+    objective = cls([[1.0]], [1.0])
+    assert {name for name in CONTRACT_METHODS if hasattr(objective, name)} == provided
+    assert all(callable(getattr(objective, name)) for name in provided - {"num_parts"})
+
+
+@pytest.mark.parametrize("cls", [LinearRegression, SeparableLinearRegression, LogisticRegression])
+def test_inconsistent_data_is_diagnostic(cls):
+    with pytest.raises(Diagnostic, match=f"{cls.__name__}: 5 predictor columns but 4"):
+        cls(np.ones((2, 5)), np.ones(4))
+    with pytest.raises(Diagnostic, match=f"{cls.__name__} predictors must be non-empty"):
+        cls(np.ones((2, 0)), [])
+    with pytest.raises(Diagnostic, match=f"{cls.__name__} predictors must be a d x n"):
+        cls(np.ones(5), np.ones(5))
+
+
 class TestLinearRegression:
     def test_hand_value(self):
         objective = LinearRegression([[1.0, 2.0]], [1.0, 2.0])
@@ -96,24 +127,10 @@ class TestLinearRegression:
         with pytest.raises(Diagnostic, match="parameters"):
             objective.evaluate(np.zeros(3))
 
-    def test_inconsistent_data_is_diagnostic(self):
-        with pytest.raises(Diagnostic, match="columns"):
-            LinearRegression(np.ones((2, 5)), np.ones(4))
-        with pytest.raises(Diagnostic, match="non-empty"):
-            LinearRegression(np.ones((2, 0)), [])
-        with pytest.raises(Diagnostic, match="d x n"):
-            LinearRegression(np.ones(5), np.ones(5))
-
     def test_integer_data_becomes_float64(self):
         objective = LinearRegression([[1, 2]], [1, 2])
         assert objective.X.dtype == objective.y.dtype == np.float64
         assert objective.evaluate(np.zeros(1)) == 5.0
-
-    def test_provides_exactly_evaluate_and_gradient(self):
-        objective = LinearRegression([[1.0]], [1.0])
-        assert callable(objective.evaluate) and callable(objective.gradient)
-        for absent in ("evaluate_with_gradient", "evaluate_parts", "gradient_parts", "num_parts"):
-            assert not hasattr(objective, absent)
 
 
 class TestSeparableLinearRegression:
@@ -448,9 +465,12 @@ class TestLogisticRegression:
                 X = rng.uniform(-1, 1, (3, 25)).astype(dtype)
                 y = (rng.uniform(size=25) > 0.5).astype(dtype)
                 objective = LogisticRegression(X, y, ridge=ridge)
-                phi = rng.uniform(-1, 1, 3).astype(dtype)
-                assert objective.evaluate_parts(phi, 0, 25) == objective.evaluate(phi)
-                assert np.array_equal(objective.gradient_parts(phi, 0, 25), objective.gradient(phi))
+                for shape in ((3,), (3, 1)):
+                    phi = rng.uniform(-1, 1, shape).astype(dtype)
+                    assert objective.evaluate_parts(phi, 0, 25) == objective.evaluate(phi)
+                    full = objective.gradient(phi)
+                    assert full.shape == shape
+                    assert np.array_equal(objective.gradient_parts(phi, 0, 25), full)
 
     @pytest.mark.parametrize(
         "bad, values", [(0.5, "[0.  0.5 1. ]"), (2.0, "[0. 1. 2.]"), (np.nan, "[ 0.  1. nan]")]
@@ -537,9 +557,10 @@ class TestLogisticRegression:
             assert g.dtype == np.float32
             assert np.array_equal(g, objective.gradient_parts(phi, int(first), int(count)))
 
-    def test_ridge_validated(self):
-        with pytest.raises(Diagnostic, match="ridge"):
-            LogisticRegression([[1.0]], [1.0], ridge=-0.1)
+    @pytest.mark.parametrize("ridge", [-0.1, math.nan])
+    def test_ridge_validated(self, ridge):
+        with pytest.raises(Diagnostic, match="ridge must be >= 0"):
+            LogisticRegression([[1.0]], [1.0], ridge=ridge)
 
 
 class TestRosenbrock:
@@ -623,10 +644,12 @@ class TestGenerateNoisyLinear:
             assert got.tobytes() == expected.tobytes()
 
     def test_bad_sizes_are_diagnostic(self):
-        with pytest.raises(Diagnostic, match="d and n"):
-            generate_noisy_linear(0, 10, 1.0, 0)
-        with pytest.raises(Diagnostic, match="noise_scale"):
-            generate_noisy_linear(2, 10, -1.0, 0)
+        for d, n in ((0, 10), (math.nan, 10), (2, math.nan)):
+            with pytest.raises(Diagnostic, match="d and n"):
+                generate_noisy_linear(d, n, 1.0, 0)
+        for noise_scale in (-1.0, math.nan):
+            with pytest.raises(Diagnostic, match="noise_scale"):
+                generate_noisy_linear(2, 10, noise_scale, 0)
 
 
 class TestLoadCsv:

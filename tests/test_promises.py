@@ -22,15 +22,20 @@ from numopt import (
     AdamUpdate,
     BeginOptimization,
     CallbackDecision,
+    Diagnostic,
+    EarlyStopping,
     EvaluateCalled,
     GradientCalled,
     GradientDescent,
     MomentumUpdate,
+    ProgressPrinter,
     SimulatedAnnealing,
     StepTaken,
     TerminationReason,
+    TimeLimit,
     VanillaUpdate,
 )
+from numopt.optimizers.lbfgs import LbfgsMemory
 from numopt.problems import (
     LinearRegression,
     LogisticRegression,
@@ -237,3 +242,50 @@ def test_x0_is_kept_and_its_dtype_sets_the_run(name, problem, dtype, start, colu
     assert np.array_equal(x0, before)
     assert x.dtype == dtype
     assert x.shape == x0.shape
+
+
+# Each option check is written as a negated admitted range, so NaN, which
+# compares false with everything, is refused with the check's own message.
+@pytest.mark.parametrize(
+    "cls, option, error, message",
+    [
+        (GradientDescent, "step_size", Diagnostic, "step_size must be > 0, got nan"),
+        (GradientDescent, "max_iterations", Diagnostic, "max_iterations must be >= 0, got nan"),
+        (GradientDescent, "min_gradient_norm", Diagnostic, "tolerances must be >= 0"),
+        (GradientDescent, "min_objective_improvement", Diagnostic, "tolerances must be >= 0"),
+        (LBFGS, "memory_size", Diagnostic, "memory_size must be >= 1, got nan"),
+        (LBFGS, "max_iterations", Diagnostic, "max_iterations must be >= 0, got nan"),
+        (LBFGS, "max_line_search_trials", Diagnostic,
+         "max_line_search_trials must be >= 1, got nan"),
+        (LBFGS, "min_gradient_norm", Diagnostic, "tolerances must be >= 0"),
+        (LBFGS, "min_objective_improvement", Diagnostic, "tolerances must be >= 0"),
+        (LBFGS, "armijo_constant", Diagnostic, "armijo_constant must be in (0, 1), got nan"),
+        (LBFGS, "backtrack_factor", Diagnostic, "backtrack_factor must be in (0, 1), got nan"),
+        (LbfgsMemory, "memory_size", Diagnostic, "memory_size must be >= 1, got nan"),
+        (SGD, "step_size", Diagnostic, "step_size must be > 0, got nan"),
+        (SGD, "batch_size", Diagnostic, "batch_size must be >= 1, got nan"),
+        (SGD, "max_iterations", Diagnostic, "max_iterations must be >= 0, got nan"),
+        (SGD, "tolerance", Diagnostic, "tolerance must be >= 0, got nan"),
+        (MomentumUpdate, "momentum", Diagnostic, "momentum must be in [0, 1), got nan"),
+        (AdamUpdate, "beta1", Diagnostic, "beta1 must be in [0, 1), got nan"),
+        (AdamUpdate, "beta2", Diagnostic, "beta2 must be in [0, 1), got nan"),
+        (AdamUpdate, "epsilon", Diagnostic, "epsilon must be > 0, got nan"),
+        (SimulatedAnnealing, "initial_temperature", Diagnostic,
+         "initial_temperature must be > 0, got nan"),
+        (SimulatedAnnealing, "cooling_factor", Diagnostic,
+         "cooling_factor must be in (0, 1), got nan"),
+        (SimulatedAnnealing, "moves_per_temperature", Diagnostic,
+         "moves_per_temperature must be >= 1, got nan"),
+        (SimulatedAnnealing, "move_scale", Diagnostic, "move_scale must be > 0, got nan"),
+        (SimulatedAnnealing, "min_temperature", Diagnostic,
+         "min_temperature must be > 0, got nan"),
+        (SimulatedAnnealing, "max_iterations", Diagnostic, "max_iterations must be >= 0, got nan"),
+        (EarlyStopping, "patience", ValueError, "patience must be >= 1, got nan"),
+        (ProgressPrinter, "period", ValueError, "period must be >= 1, got nan"),
+        (TimeLimit, "limit_seconds", ValueError, "limit_seconds must be > 0, got nan"),
+    ],
+)
+def test_every_option_refuses_nan_with_its_message(cls, option, error, message):
+    with pytest.raises(error) as raised:
+        cls(**{option: float("nan")})
+    assert str(raised.value) == message
