@@ -57,9 +57,12 @@ DEFAULT_GRID = ((10, 100), (10, 1000), (10, 10000), (100, 10000))
 CSV_HEADER = "problem,optimizer,d,n,runs,mean_seconds,final_objective_mean,terminations"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchSpec:
-    """One benchmark configuration: problem family, size, optimizer, protocol."""
+    """One benchmark configuration: problem family, size, optimizer, protocol.
+
+    Checked when it is built, and frozen: a spec that exists is a valid one.
+    """
 
     problem: str = "linear"
     d: int = 100
@@ -71,7 +74,7 @@ class BenchSpec:
     noise_scale: float = 10.0
     dataset: str | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise Diagnostic(f"--problem must be one of {PROBLEMS}, got {self.problem!r}")
         if self.optimizer not in OPTIMIZERS:
@@ -144,7 +147,6 @@ def run_bench(spec, clock=time.perf_counter):
     sequential; run r uses seed + r for its data and for any stochastic
     optimizer, so the record is reproducible spec-for-spec.
     """
-    spec.validate()
     loaded = None
     if spec.dataset is not None:
         X, y = load_csv(spec.dataset)
@@ -240,17 +242,19 @@ def _build_parser():
         prog="bench",
         description="Time the bundled optimizers on generated or loaded regression data.",
     )
-    parser.add_argument("--problem", choices=PROBLEMS, default="linear")
+    parser.add_argument("--problem", choices=PROBLEMS, default=BenchSpec.problem)
     parser.add_argument("--d", type=int, default=None, help="predictor dimension")
     parser.add_argument("--n", type=int, default=None, help="sample count")
     parser.add_argument(
         "--dataset", default=None, help="CSV path (last column is the response); replaces --d/--n"
     )
-    parser.add_argument("--optimizer", choices=OPTIMIZERS, default="lbfgs")
-    parser.add_argument("--max-iterations", type=int, default=10)
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--noise", type=float, default=10.0, help="noise scale for generated data")
+    parser.add_argument("--optimizer", choices=OPTIMIZERS, default=BenchSpec.optimizer)
+    parser.add_argument("--max-iterations", type=int, default=BenchSpec.max_iterations)
+    parser.add_argument("--runs", type=int, default=BenchSpec.runs)
+    parser.add_argument("--seed", type=int, default=BenchSpec.seed)
+    parser.add_argument(
+        "--noise", type=float, default=BenchSpec.noise_scale, help="noise scale for generated data"
+    )
     parser.add_argument("--format", choices=("csv", "markdown"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
@@ -263,25 +267,23 @@ def main(argv=None):
         parser.error("--dataset replaces --d/--n; give one or the other")
     if (args.d is None) != (args.n is None):
         parser.error("--d and --n must be given together")
-    base = BenchSpec(
-        problem=args.problem,
-        optimizer=args.optimizer,
-        runs=args.runs,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-        noise_scale=args.noise,
-        dataset=args.dataset,
-    )
-    if args.dataset is not None:
-        specs = [base]  # run_bench takes d and n from the file
-    else:
-        sizes = [(args.d, args.n)] if args.d is not None else DEFAULT_GRID
-        specs = [replace(base, d=d, n=n) for d, n in sizes]
-    for spec in specs:
-        try:
-            spec.validate()
-        except Diagnostic as problem:
-            parser.error(str(problem))
+    try:
+        base = BenchSpec(
+            problem=args.problem,
+            optimizer=args.optimizer,
+            runs=args.runs,
+            max_iterations=args.max_iterations,
+            seed=args.seed,
+            noise_scale=args.noise,
+            dataset=args.dataset,
+        )
+        if args.dataset is not None:
+            specs = [base]  # run_bench takes d and n from the file
+        else:
+            sizes = [(args.d, args.n)] if args.d is not None else DEFAULT_GRID
+            specs = [replace(base, d=d, n=n) for d, n in sizes]
+    except Diagnostic as problem:
+        parser.error(str(problem))
     try:
         records = [run_bench(spec) for spec in specs]
         text = emit_report(records, args.format)

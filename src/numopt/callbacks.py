@@ -134,6 +134,8 @@ class EarlyStopping:
     def __init__(self, patience=10, min_delta=0.0):
         if not patience >= 1:
             raise ValueError(f"patience must be >= 1, got {patience}")
+        if not min_delta >= 0:
+            raise ValueError(f"min_delta must be >= 0, got {min_delta}")
         self.patience = patience
         self.min_delta = min_delta
         self.best = None

@@ -75,6 +75,29 @@ def as_parameters(x0):
     return x
 
 
+def _integer(value, what):
+    """``value`` by ``operator.index``: any integer type passes, and a float
+    or a string is refused with a Diagnostic naming ``what``, not truncated
+    or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise Diagnostic(
+            f"{what} must be an integer, got {value!r} of type {type(value).__name__}"
+        ) from None
+
+
+# Each capability flag and the contract method that provides it, in
+# diagnostic order.
+_METHODS = {
+    "evaluate": "evaluate",
+    "gradient": "gradient",
+    "evaluate_with_gradient": "evaluate_with_gradient",
+    "part_evaluate": "evaluate_parts",
+    "part_gradient": "gradient_parts",
+}
+
+
 @dataclass(frozen=True)
 class ObjectiveCapabilities:
     """What an objective object provides directly.
@@ -99,32 +122,18 @@ class ObjectiveCapabilities:
         or parsed but refused.
         """
         name = type(objective).__name__
-        part_evaluate = callable(getattr(objective, "evaluate_parts", None))
-        part_gradient = callable(getattr(objective, "gradient_parts", None))
+        provided = {
+            flag: callable(getattr(objective, method, None)) for flag, method in _METHODS.items()
+        }
         num_parts = None
-        if part_evaluate or part_gradient:
+        if provided["part_evaluate"] or provided["part_gradient"]:
             raw = getattr(objective, "num_parts", None)
             if raw is None:
                 raise Diagnostic(f"{name} provides part-wise methods but no num_parts")
-            try:
-                num_parts = operator.index(raw)
-            except TypeError:
-                raise Diagnostic(
-                    f"{name}.num_parts must be an integer, got {raw!r} "
-                    f"of type {type(raw).__name__}"
-                ) from None
+            num_parts = _integer(raw, f"{name}.num_parts")
             if num_parts < 1:
                 raise Diagnostic(f"{name}.num_parts must be >= 1, got {num_parts}")
-        return cls(
-            evaluate=callable(getattr(objective, "evaluate", None)),
-            gradient=callable(getattr(objective, "gradient", None)),
-            evaluate_with_gradient=callable(
-                getattr(objective, "evaluate_with_gradient", None)
-            ),
-            part_evaluate=part_evaluate,
-            part_gradient=part_gradient,
-            num_parts=num_parts,
-        )
+        return cls(num_parts=num_parts, **provided)
 
 
 def _with_inference(caps):
@@ -139,16 +148,6 @@ def _with_inference(caps):
     )
 
 
-# Requirement flags, in diagnostic order, and the method each names.
-_METHOD_NAMES = {
-    "evaluate": "evaluate",
-    "gradient": "gradient",
-    "evaluate_with_gradient": "evaluate_with_gradient",
-    "part_evaluate": "evaluate_parts (with num_parts)",
-    "part_gradient": "gradient_parts (with num_parts)",
-}
-
-
 def check_requirements(provided, required, consumer="optimizer"):
     """Return None when every required capability is available, else a Diagnostic.
 
@@ -161,8 +160,8 @@ def check_requirements(provided, required, consumer="optimizer"):
     """
     available = _with_inference(provided)
     missing = [
-        method_name
-        for flag, method_name in _METHOD_NAMES.items()
+        method + (" (with num_parts)" if flag.startswith("part_") else "")
+        for flag, method in _METHODS.items()
         if getattr(required, flag) and not getattr(available, flag)
     ]
     if not missing:

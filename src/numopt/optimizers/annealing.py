@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..callbacks import StepTaken
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
+from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _integer
 from ._common import finish_run, prepare_run
 
 __all__ = ["SimulatedAnnealing"]
@@ -74,10 +74,12 @@ class SimulatedAnnealing:
             )
         if not 0.0 < self.cooling_factor < 1.0:
             raise Diagnostic(f"cooling_factor must be in (0, 1), got {self.cooling_factor}")
-        if self.moves_per_temperature is not None and not self.moves_per_temperature >= 1:
-            raise Diagnostic(
-                f"moves_per_temperature must be >= 1, got {self.moves_per_temperature}"
-            )
+        if self.moves_per_temperature is not None:
+            if not self.moves_per_temperature >= 1:
+                raise Diagnostic(
+                    f"moves_per_temperature must be >= 1, got {self.moves_per_temperature}"
+                )
+            _integer(self.moves_per_temperature, "moves_per_temperature")
         if not self.move_scale > 0:
             raise Diagnostic(f"move_scale must be > 0, got {self.move_scale}")
         if not self.min_temperature > 0:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..callbacks import StepTaken
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
+from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _integer
 from ._common import finish_run, prepare_run, progress_stop
 
 __all__ = ["LbfgsMemory", "two_loop_direction", "backtracking_line_search", "LBFGS"]
@@ -61,6 +61,7 @@ class LbfgsMemory:
     def __init__(self, memory_size=10):
         if not memory_size >= 1:
             raise Diagnostic(f"memory_size must be >= 1, got {memory_size}")
+        _integer(memory_size, "memory_size")
         self.memory_size = memory_size
         self._count = 0
         self._pairs = None  # allocated by the first push
@@ -249,6 +250,7 @@ class LBFGS:
     def __post_init__(self):
         if not self.memory_size >= 1:
             raise Diagnostic(f"memory_size must be >= 1, got {self.memory_size}")
+        _integer(self.memory_size, "memory_size")
         if not self.max_iterations >= 0:
             raise Diagnostic(f"max_iterations must be >= 0, got {self.max_iterations}")
         if not 0.0 < self.armijo_constant < 1.0:
@@ -261,6 +263,7 @@ class LBFGS:
             raise Diagnostic(
                 f"max_line_search_trials must be >= 1, got {self.max_line_search_trials}"
             )
+        _integer(self.max_line_search_trials, "max_line_search_trials")
         if not (self.min_gradient_norm >= 0 and self.min_objective_improvement >= 0):
             raise Diagnostic("tolerances must be >= 0")
 

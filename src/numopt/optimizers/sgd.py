@@ -15,7 +15,7 @@ from typing import Protocol
 import numpy as np
 
 from ..callbacks import BeginEpoch, EndEpoch, StepTaken
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
+from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _integer
 from ._common import finish_run, prepare_run
 
 __all__ = ["UpdatePolicy", "VanillaUpdate", "MomentumUpdate", "AdamUpdate", "SGD"]
@@ -170,6 +170,7 @@ class SGD:
             raise Diagnostic(f"step_size must be > 0, got {self.step_size}")
         if not self.batch_size >= 1:
             raise Diagnostic(f"batch_size must be >= 1, got {self.batch_size}")
+        _integer(self.batch_size, "batch_size")
         if not self.max_iterations >= 0:
             raise Diagnostic(f"max_iterations must be >= 0, got {self.max_iterations}")
         if not self.tolerance >= 0:
@@ -182,12 +183,12 @@ class SGD:
         after a completed epoch, otherwise the last batch mean.
         """
         x, adapter, events, started = prepare_run(objective, x0, callbacks, self.requires, "SGD")
-        n = adapter.num_parts
-        starts = list(range(0, n, self.batch_size))
-        # Each window's size as a 0-d array of x's dtype: dividing by it gives
-        # the bits that dividing by the int gives, without NumPy's per-call
-        # promotion of a Python scalar.
-        sizes = [np.array(min(self.batch_size, n - first), dtype=x.dtype) for first in starts]
+        n, batch, cap = adapter.num_parts, self.batch_size, self.max_iterations
+        # (first, count, count as a 0-d array of x's dtype) per window: dividing
+        # by the array gives the bits that dividing by the int gives, without
+        # NumPy's per-call promotion of a Python scalar.
+        counts = [(first, min(batch, n - first)) for first in range(0, n, batch)]
+        windows = [(first, count, np.array(count, dtype=x.dtype)) for first, count in counts]
         rng = np.random.default_rng(self.seed)
         state = self.update.initialize(x)
         steps = epoch = 0
@@ -195,23 +196,19 @@ class SGD:
         observed = np.nan
         with adapter:
             while reason is None:
-                if self.max_iterations and steps >= self.max_iterations:
-                    reason = TerminationReason.MAX_ITERATIONS
-                    break
                 epoch += 1
                 events.dispatch(BeginEpoch(epoch=epoch))
-                order = rng.permutation(len(starts)) if self.shuffle else range(len(starts))
+                order = rng.permutation(len(windows)) if self.shuffle else range(len(windows))
                 epoch_total = 0.0
                 for window in order:
-                    # Checked before the step so that a cap landing exactly on
-                    # an epoch boundary still lets the epoch finish below.
-                    if self.max_iterations and steps >= self.max_iterations:
+                    # Tested before the step: a cap reached by an epoch's last
+                    # step is decided at the epoch's end, below.
+                    if cap and steps >= cap:
                         reason = TerminationReason.MAX_ITERATIONS
                         break
-                    first = starts[window]
-                    count = min(self.batch_size, n - first)
+                    first, count, size = windows[window]
                     batch_value = adapter.evaluate_parts(x, first, count)
-                    gradient = adapter.gradient_parts(x, first, count) / sizes[window]
+                    gradient = adapter.gradient_parts(x, first, count) / size
                     x = x + self.update.step(state, gradient, self.step_size)
                     steps += 1
                     epoch_total += batch_value
@@ -233,5 +230,7 @@ class SGD:
                         break
                     if previous_mean is not None and abs(previous_mean - mean) < self.tolerance:
                         reason = TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE
+                    elif cap and steps >= cap:
+                        reason = TerminationReason.MAX_ITERATIONS
                     previous_mean = mean
         return x, finish_run(adapter, started, observed, steps, reason)

@@ -64,14 +64,23 @@ class _ColumnData:
         return phi
 
     def _columns(self, first, count):
-        """(X, y) cut to the checked column window [first, first+count)."""
+        """(X, y) cut to the checked column window [first, first+count).
+
+        A bound that is not an integer fails the range test or the slice with
+        a TypeError, reported as a Diagnostic at no cost to an integer window.
+        """
         n = self.X.shape[1]
-        if not (0 <= first and count >= 1 and first + count <= n):
+        try:
+            if not (0 <= first and count >= 1 and first + count <= n):
+                raise Diagnostic(
+                    f"{type(self).__name__}: window [{first}, {first + count}) outside [0, {n})"
+                )
+            window = slice(first, first + count)
+            return self.X[:, window], self.y[window]
+        except TypeError:
             raise Diagnostic(
-                f"{type(self).__name__}: window [{first}, {first + count}) outside [0, {n})"
-            )
-        window = slice(first, first + count)
-        return self.X[:, window], self.y[window]
+                f"{type(self).__name__}: window first={first!r}, count={count!r} must be integers"
+            ) from None
 
 
 class _LeastSquares(_ColumnData):

@@ -1,6 +1,7 @@
 """Benchmark harness: timing brackets, reports, and CLI exit codes."""
 
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from numopt.bench import (
     BenchSpec,
     CSV_HEADER,
     OPTIMIZERS,
+    _build_parser,
     emit_report,
     main,
     run_bench,
@@ -100,6 +102,13 @@ class TestRunBench:
                              ("max_iterations", "--max-iterations"), ("noise_scale", "--noise")):
             with pytest.raises(Diagnostic, match=flag):
                 run_bench(small_spec(**{option: math.nan}))
+
+    def test_a_spec_is_checked_when_built_and_frozen(self):
+        spec = small_spec()
+        with pytest.raises(FrozenInstanceError):
+            spec.runs = 0
+        with pytest.raises(Diagnostic, match="--runs must be >= 1, got 0"):
+            replace(spec, runs=0)
 
     def test_sgd_row_reports_the_full_least_squares_value_bitwise(self):
         spec = small_spec(optimizer="sgd", runs=1, max_iterations=20, seed=5)
@@ -197,6 +206,12 @@ class TestMain:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert target.read_text().startswith(CSV_HEADER)
+
+    def test_parser_defaults_are_the_specs(self):
+        args, spec = _build_parser().parse_args([]), BenchSpec()
+        assert (args.problem, args.optimizer, args.runs, args.max_iterations, args.seed,
+                args.noise) == (spec.problem, spec.optimizer, spec.runs, spec.max_iterations,
+                                spec.seed, spec.noise_scale)
 
     def test_d_without_n_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as stop:

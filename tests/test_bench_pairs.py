@@ -160,3 +160,33 @@ def test_beyond_bound_only_for_bounded_metrics_and_any_worsening_of_a_zero_media
         {"end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25}],
          "per_layer": [{"name": "problems.calls", "better": "lower"}]}
     ) == {"setup_s": 0.25}
+
+
+def traced_pair(scale):
+    layers = {"problems.self_s": 0.2, "core.adapter_self_s": 0.3, "lbfgs.self_s": 0.5}
+    others = {"solve_s.p50": 2.0, "solve_s.p90": 3.0, "trace.overhead_s": 0.4}
+    runs = []
+    for side, factor in (("parent", 1.0), ("change", scale)):
+        entry = run("w", 1, side, {}, trace=1)
+        entry["result"]["metrics"] = {
+            name: {"value": value * factor, "unit": "s"}
+            for name, value in {**layers, **others}.items()
+        }
+        entry["result"]["metrics"]["problems.calls"] = {"value": 7.0, "unit": "count"}
+        runs.append(entry)
+    return runs
+
+
+def test_traced_shares_are_self_times_over_their_sum_and_ignore_a_uniform_scale(bench_pairs):
+    runs = traced_pair(0.85)
+    shares = bench_pairs.self_time_shares(runs[0]["result"]["metrics"])
+    assert {name: share["value"] for name, share in shares.items()} == pytest.approx(
+        {"problems.self_s.share": 0.2, "core.adapter_self_s.share": 0.3, "lbfgs.self_s.share": 0.5}
+    )
+    metrics = bench_pairs.summarize(runs, BETTER)["trace1"]["w"]["metrics"]
+    assert metrics["problems.self_s"]["median_change_rel"] == pytest.approx(-0.15)
+    for name in shares:
+        assert metrics[name]["change"]["median"] == pytest.approx(metrics[name]["parent"]["median"])
+        assert metrics[name]["median_change_rel"] == pytest.approx(0.0, abs=1e-12)
+    untraced = bench_pairs.summarize(ten_pairs(PARENT, PARENT), BETTER)["trace0"]["w"]["metrics"]
+    assert not any(name.endswith(".share") for name in untraced)

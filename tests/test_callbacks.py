@@ -161,6 +161,11 @@ class TestEarlyStopping:
         with pytest.raises(ValueError, match="patience"):
             EarlyStopping(patience=0)
 
+    def test_negative_min_delta_refused(self):
+        # A negative margin would let ``best`` rise with each worse value.
+        with pytest.raises(ValueError, match="min_delta must be >= 0, got -0.1"):
+            EarlyStopping(min_delta=-0.1)
+
     def test_reused_stopper_starts_each_run_afresh(self):
         # Without the reset on BeginOptimization, the second run inherits
         # the first run's best value and stops after a few steps.

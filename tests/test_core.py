@@ -1,6 +1,7 @@
 """Capability detection, requirement checking, inference, and counting."""
 
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from numopt import (
     check_requirements,
     finite_difference_gradient,
 )
+from numopt.core import _METHODS
+from numopt.problems import LinearRegression
 
 # Hand-checkable instance: X = [1 2] (d=1, n=2), y = (1, 2).  At phi = 0 the
 # residual is (-1, -2), so f = 5 and the gradient is 2*(1*-1 + 2*-2) = -10.
@@ -176,6 +179,21 @@ class TestCheckRequirements:
         diagnostic = check_requirements(caps, need, consumer="SGD")
         assert "evaluate_parts" in str(diagnostic)
         assert "gradient_parts" in str(diagnostic)
+
+    def test_sgd_on_linear_regression_reads_in_full(self):
+        caps = ObjectiveCapabilities.of(LinearRegression(X_TINY, Y_TINY))
+        diagnostic = check_requirements(caps, SGD.requires, consumer="SGD")
+        assert str(diagnostic) == (
+            "SGD requires evaluate_parts (with num_parts), gradient_parts (with num_parts), "
+            "which the objective neither provides nor allows to be inferred"
+        )
+        with pytest.raises(Diagnostic) as raised:
+            SGD().optimize(LinearRegression(X_TINY, Y_TINY), np.zeros(1))
+        assert str(raised.value) == str(diagnostic)
+
+    def test_method_table_covers_exactly_the_capability_flags_in_order(self):
+        flags = [field.name for field in fields(ObjectiveCapabilities) if field.type == "bool"]
+        assert list(_METHODS) == flags
 
     def test_monotone_in_requirements(self):
         # If a requirement set passes, every subset passes.

@@ -72,6 +72,21 @@ def test_inconsistent_data_is_diagnostic(cls):
         cls(np.ones(5), np.ones(5))
 
 
+# A window bound that is not an integer fails the range test or the slice;
+# either way the objective reports a Diagnostic that names it.  Each case
+# builds a fresh objective, so no residual memo holds a window to hit.
+@pytest.mark.parametrize("cls", [SeparableLinearRegression, LogisticRegression])
+@pytest.mark.parametrize("method", ["evaluate_parts", "gradient_parts"])
+@pytest.mark.parametrize("bound", ["first", "count"])
+@pytest.mark.parametrize("value", [0.5, 2.0, np.float64(1.0), "1"],
+                         ids=["half", "float", "float64", "str"])
+def test_non_integer_window_is_diagnostic(cls, method, bound, value):
+    objective = cls(np.ones((2, 5)), np.ones(5))
+    window = {"first": 0, "count": 2, bound: value}
+    with pytest.raises(Diagnostic, match=f"{cls.__name__}: window"):
+        getattr(objective, method)(np.zeros(2), window["first"], window["count"])
+
+
 class TestLinearRegression:
     def test_hand_value(self):
         objective = LinearRegression([[1.0, 2.0]], [1.0, 2.0])

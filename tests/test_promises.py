@@ -281,6 +281,7 @@ def test_x0_is_kept_and_its_dtype_sets_the_run(name, problem, dtype, start, colu
          "min_temperature must be > 0, got nan"),
         (SimulatedAnnealing, "max_iterations", Diagnostic, "max_iterations must be >= 0, got nan"),
         (EarlyStopping, "patience", ValueError, "patience must be >= 1, got nan"),
+        (EarlyStopping, "min_delta", ValueError, "min_delta must be >= 0, got nan"),
         (ProgressPrinter, "period", ValueError, "period must be >= 1, got nan"),
         (TimeLimit, "limit_seconds", ValueError, "limit_seconds must be > 0, got nan"),
     ],
@@ -289,3 +290,24 @@ def test_every_option_refuses_nan_with_its_message(cls, option, error, message):
     with pytest.raises(error) as raised:
         cls(**{option: float("nan")})
     assert str(raised.value) == message
+
+
+# Count options are read by operator.index after their range check, as
+# num_parts is: NumPy integers pass, a float is refused at construction
+# (before any objective call), and NaN keeps its range message above.
+@pytest.mark.parametrize(
+    "cls, option",
+    [
+        (SGD, "batch_size"),
+        (LBFGS, "memory_size"),
+        (LbfgsMemory, "memory_size"),
+        (LBFGS, "max_line_search_trials"),
+        (SimulatedAnnealing, "moves_per_temperature"),
+    ],
+)
+@pytest.mark.parametrize("value", [2.5, 2.0])
+def test_count_options_refuse_non_integers(cls, option, value):
+    with pytest.raises(Diagnostic) as raised:
+        cls(**{option: value})
+    assert str(raised.value) == f"{option} must be an integer, got {value!r} of type float"
+    assert getattr(cls(**{option: np.int64(3)}), option) == 3

@@ -224,6 +224,9 @@ def mean_form(separable):
     return MeanForm()
 
 
+STRUCTURAL = (BeginOptimization, BeginEpoch, StepTaken, EndEpoch, EndOptimization)
+
+
 class TestSgdLoop:
     def setup_method(self):
         self.X, self.y, _ = generate_noisy_linear(3, 100, noise_scale=0.5, seed=1)
@@ -321,11 +324,10 @@ class TestSgdLoop:
         assert result.final_objective == 1.0
 
     def test_epoch_events_bracket_step_events(self):
-        structural = (BeginOptimization, BeginEpoch, StepTaken, EndEpoch, EndOptimization)
         events = []
 
         def capture(event):
-            if isinstance(event, structural):
+            if isinstance(event, STRUCTURAL):
                 events.append(event)
 
         SGD(batch_size=3, max_iterations=4, shuffle=False).optimize(
@@ -346,6 +348,34 @@ class TestSgdLoop:
         ]
         assert events[1].epoch == 1
         assert events[5].epoch == 2
+
+    @pytest.mark.parametrize("epochs", [1, 2, 3])
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_a_cap_on_an_epoch_boundary_ends_at_that_epochs_end(self, epochs, shuffle):
+        # A tolerance of 0 is never met: the cap alone ends the run, after
+        # EndEpoch and before any further BeginEpoch.
+        kinds = []
+        _, result = SGD(
+            batch_size=3, max_iterations=2 * epochs, tolerance=0.0, shuffle=shuffle
+        ).optimize(TwoParts6(), np.zeros(1), callbacks=[lambda e: kinds.append(type(e))])
+        structural = [kind for kind in kinds if kind in STRUCTURAL]
+        epoch = [BeginEpoch, StepTaken, StepTaken, EndEpoch]
+        assert structural == [BeginOptimization, *epoch * epochs, EndOptimization]
+        assert result.iterations == 2 * epochs
+        assert result.termination == TerminationReason.MAX_ITERATIONS
+
+    def test_the_tolerance_wins_a_tie_with_a_cap_on_the_same_epoch(self):
+        # TwoParts6's epoch means are equal, so the tolerance is met at the
+        # end of epoch 2, the step on which the cap of 4 is reached too.
+        kinds = []
+        _, result = SGD(batch_size=3, max_iterations=4, tolerance=1e-5).optimize(
+            TwoParts6(), np.zeros(1), callbacks=[lambda e: kinds.append(type(e))]
+        )
+        structural = [kind for kind in kinds if kind in STRUCTURAL]
+        assert structural[-2:] == [EndEpoch, EndOptimization]
+        assert structural.count(BeginEpoch) == 2
+        assert result.iterations == 4
+        assert result.termination == TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE
 
     def test_final_objective_is_epoch_mean_after_complete_epoch(self):
         seen = []

@@ -18,7 +18,10 @@ change read better in at least nine tenths of the pairs and its median is
 better than the parent's by more than the parent's quartile spread; an
 end-to-end metric is ``beyond_bound`` when the change's median is worse than
 the parent's by more than the metric's relative ``bound``.  ``--trace-seeds``
-adds traced pairs, summarised apart under ``trace1``.
+adds traced pairs, summarised apart under ``trace1``.  A traced run also
+reports each self-time metric's share of its solve (``<metric>.share``):
+seconds from one traced pair move with the host's speed, while a share moves
+only when that layer's part of the solve does.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ DESCRIPTION = (
     "copy (git archive of the parent; the working tree's tracked and untracked, not ignored, "
     "files for the change), so every env.git_sha is null. Each run entry holds the JSON line "
     "the benchmark's command prints last and its env record. Summary: per metric the median and "
-    "quartiles over pairs of each side, and how many pairs the change read better."
+    "quartiles over pairs of each side, and how many pairs the change read better. Traced runs "
+    "also give each self-time metric's share of the solve (shares, and <metric>.share in trace1)."
 )
 
 
@@ -59,6 +63,30 @@ def spread(values):
     }
 
 
+def self_time_shares(metrics):
+    """Each self-time metric's share of the solve, from a run's ``metrics``, as
+    metrics named ``<metric>.share``; none when the self times sum to 0.
+
+    A self-time metric is a unit-``s`` metric other than ``solve_s.*`` and
+    ``trace.overhead_s``; the harness's accounting pins these to sum to the
+    traced solve.
+    """
+    seconds = {
+        name: metric["value"]
+        for name, metric in metrics.items()
+        if metric["unit"] == "s"
+        and not name.startswith("solve_s.")
+        and name != "trace.overhead_s"
+    }
+    total = sum(seconds.values())
+    if not total:
+        return {}
+    return {
+        f"{name}.share": {"value": value / total, "unit": "ratio"}
+        for name, value in seconds.items()
+    }
+
+
 def summarize(runs, better, bounds=None):
     """Summary of ``runs`` per trace mode and workload.
 
@@ -68,13 +96,18 @@ def summarize(runs, better, bounds=None):
     name to its relative bound.  A pair is the two sides' runs of one
     workload, trace mode and seed; a metric missing from ``better`` counts
     lower as better.  Ties count for neither side.  Only metrics in
-    ``bounds`` get ``beyond_bound``.
+    ``bounds`` get ``beyond_bound``.  Traced runs add their self-time shares
+    (``self_time_shares``) to their metrics.
     """
     bounds = bounds or {}
     paired = {}
     for run in runs:
         key = (f"trace{run['trace']}", run["workload"])
-        paired.setdefault(key, {}).setdefault(run["seed"], {})[run["side"]] = run["result"]
+        result = run["result"]
+        if run["trace"]:
+            metrics = {**result["metrics"], **self_time_shares(result["metrics"])}
+            result = {**result, "metrics": metrics}
+        paired.setdefault(key, {}).setdefault(run["seed"], {})[run["side"]] = result
     summary = {}
     for (trace, workload), seeds in paired.items():
         pairs = [sides for _, sides in sorted(seeds.items()) if len(sides) == 2]
@@ -200,6 +233,8 @@ def main(argv=None):
                 result, env = run_once(roots[side], benchmark, workload, seed, trace)
                 runs.append({"workload": workload, "seed": seed, "trace": trace, "side": side,
                              "ran": ran, "env": env, "result": result})
+                if trace:
+                    runs[-1]["shares"] = self_time_shares(result["metrics"])
                 print(f"{workload} seed={seed} trace={trace} {side}: "
                       f"solve_rel.p50={result['metrics'].get('solve_rel.p50', {}).get('value')}",
                       flush=True)
