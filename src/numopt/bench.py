@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Diagnostic, ObjectiveAdapter, TerminationReason
+from .core import Diagnostic, ObjectiveAdapter, TerminationReason, _check_options
 from .optimizers import (
     LBFGS,
     SGD,
@@ -78,17 +78,15 @@ class BenchSpec:
         if self.problem not in PROBLEMS:
             raise Diagnostic(f"--problem must be one of {PROBLEMS}, got {self.problem!r}")
         if self.optimizer not in OPTIMIZERS:
-            raise Diagnostic(
-                f"--optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}"
-            )
-        if not self.runs >= 1:
-            raise Diagnostic(f"--runs must be >= 1, got {self.runs}")
-        if not (self.d >= 1 and self.n >= 1):
-            raise Diagnostic(f"--d and --n must be >= 1, got d={self.d}, n={self.n}")
-        if not self.max_iterations >= 0:
-            raise Diagnostic(f"--max-iterations must be >= 0, got {self.max_iterations}")
-        if not self.noise_scale >= 0:
-            raise Diagnostic(f"--noise must be >= 0, got {self.noise_scale}")
+            raise Diagnostic(f"--optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+        _check_options(
+            ("--runs", self.runs, ">= 1", int),
+            ("--d", self.d, ">= 1", int),
+            ("--n", self.n, ">= 1", int),
+            ("--max-iterations", self.max_iterations, ">= 0", int),
+            ("--seed", self.seed, ">= 0", int),
+            ("--noise", self.noise_scale, ">= 0"),
+        )
 
 
 @dataclass
@@ -153,9 +151,7 @@ def run_bench(spec, clock=time.perf_counter):
         if spec.problem == "logistic":
             labels = np.unique(y)
             if not np.all(np.isin(labels, (0.0, 1.0))):
-                raise Diagnostic(
-                    f"--dataset {spec.dataset}: logistic labels must be 0/1"
-                )
+                raise Diagnostic(f"--dataset {spec.dataset}: logistic labels must be 0/1")
         loaded = (X, y)
         d, n = X.shape
         spec = replace(spec, d=d, n=n)

@@ -13,10 +13,15 @@ Events are small frozen dataclasses so callbacks can match on type:
     GradientCalled(norm)                  every gradient evaluation (max-abs norm)
     StepTaken(iteration, objective, gradient_norm)   after each accepted step
     BeginEpoch(epoch) / EndEpoch(epoch, mean_objective)   batch methods only
+
+``Diagnostic`` and the one option rule, ``_check_options``, live here too,
+below ``core``, which imports this module, so that every module checks its
+options with one function; ``numopt.core.Diagnostic`` is the public name.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 import time
 import warnings
@@ -39,6 +44,60 @@ __all__ = [
     "TraceRecorder",
     "TimeLimit",
 ]
+
+
+class Diagnostic(ValueError):
+    """Contract violation or refused option, with enough context to fix it.
+
+    Raised instead of letting an AttributeError or a shape error surface from
+    deep inside an optimizer loop.  The message names the offending method,
+    argument, option or requirement.  Every option follows one rule
+    (``_check_options``): its admitted range is tested first, so NaN gets
+    the range's message; a value the range cannot compare, such as a string,
+    is refused, never parsed; and a count must then be an integer.  It is a
+    ``ValueError``, so a refused option is one exception wherever it was
+    given: to an optimizer, an update policy, a callback or a data helper.
+    """
+
+    # The public name: numopt.core re-exports it, and tracebacks show it so.
+    __module__ = "numopt.core"
+
+
+# Each admitted range, written as its refusal shows it.
+_ADMITTED = {
+    "> 0": lambda value: value > 0,
+    ">= 0": lambda value: value >= 0,
+    ">= 1": lambda value: value >= 1,
+    "in (0, 1)": lambda value: 0 < value < 1,
+    "in [0, 1)": lambda value: 0 <= value < 1,
+}
+
+
+def _check_options(*options, unset=()):
+    """Refuse the first of ``options`` outside its admitted range with a Diagnostic.
+
+    Each option is a row (name, value, admitted) for a real and (name, value,
+    admitted, int) for a count: the name its message shows, the value given,
+    and its range as a key of ``_ADMITTED``.  The range test runs first,
+    written so that NaN, which compares false with everything, gets the
+    range's message.  A value the range cannot compare, a string or None, is
+    refused with a message naming its type, never parsed.  A count must then
+    be an integer by ``operator.index``: NumPy integers pass, and a float is
+    refused, not truncated.  A name in ``unset`` may be None, which means
+    chosen at run time.
+    """
+    for name, value, admitted, *counts in options:
+        if value is None and name in unset:
+            continue
+        try:
+            if not _ADMITTED[admitted](value):
+                raise Diagnostic(f"{name} must be {admitted}, got {value}")
+            if counts:
+                operator.index(value)
+        except TypeError:
+            kind = "an integer" if counts else "a number"
+            got = f"{value!r} of type {type(value).__name__}"
+            raise Diagnostic(f"{name} must be {kind}, got {got}") from None
 
 
 class CallbackDecision(Enum):
@@ -132,10 +191,7 @@ class EarlyStopping:
     """
 
     def __init__(self, patience=10, min_delta=0.0):
-        if not patience >= 1:
-            raise ValueError(f"patience must be >= 1, got {patience}")
-        if not min_delta >= 0:
-            raise ValueError(f"min_delta must be >= 0, got {min_delta}")
+        _check_options(("patience", patience, ">= 1", int), ("min_delta", min_delta, ">= 0"))
         self.patience = patience
         self.min_delta = min_delta
         self.best = None
@@ -171,8 +227,7 @@ class ProgressPrinter:
     """
 
     def __init__(self, stream=None, period=1):
-        if not period >= 1:
-            raise ValueError(f"period must be >= 1, got {period}")
+        _check_options(("period", period, ">= 1", int))
         self.stream = stream
         self.period = period
 
@@ -232,8 +287,7 @@ class TimeLimit:
     """
 
     def __init__(self, limit_seconds):
-        if not limit_seconds > 0:
-            raise ValueError(f"limit_seconds must be > 0, got {limit_seconds}")
+        _check_options(("limit_seconds", limit_seconds, "> 0"))
         self.limit_seconds = limit_seconds
         self.started = None
 

@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .callbacks import CallbackList, EvaluateCalled, GradientCalled
+from .callbacks import CallbackList, Diagnostic, EvaluateCalled, GradientCalled, _check_options
 
 __all__ = [
     "Diagnostic",
@@ -43,15 +43,6 @@ __all__ = [
     "finite_difference_gradient",
     "as_parameters",
 ]
-
-
-class Diagnostic(Exception):
-    """Contract violation with enough context to fix it.
-
-    Raised instead of letting an AttributeError or a shape error surface from
-    deep inside an optimizer loop.  The message names the offending method,
-    argument, or requirement.
-    """
 
 
 def as_parameters(x0):
@@ -73,18 +64,6 @@ def as_parameters(x0):
     if not np.all(np.isfinite(x)):
         raise Diagnostic("initial parameters contain NaN or infinity")
     return x
-
-
-def _integer(value, what):
-    """``value`` by ``operator.index``: any integer type passes, and a float
-    or a string is refused with a Diagnostic naming ``what``, not truncated
-    or parsed."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise Diagnostic(
-            f"{what} must be an integer, got {value!r} of type {type(value).__name__}"
-        ) from None
 
 
 # Each capability flag and the contract method that provides it, in
@@ -130,9 +109,8 @@ class ObjectiveCapabilities:
             raw = getattr(objective, "num_parts", None)
             if raw is None:
                 raise Diagnostic(f"{name} provides part-wise methods but no num_parts")
-            num_parts = _integer(raw, f"{name}.num_parts")
-            if num_parts < 1:
-                raise Diagnostic(f"{name}.num_parts must be >= 1, got {num_parts}")
+            _check_options((f"{name}.num_parts", raw, ">= 1", int))
+            num_parts = operator.index(raw)
         return cls(num_parts=num_parts, **provided)
 
 
@@ -321,8 +299,7 @@ def finite_difference_gradient(objective, x, step=None):
     x = np.asarray(x)
     if step is None:
         step = 1e-6 * (1.0 + float(np.abs(x).max()))
-    if not step > 0:
-        raise Diagnostic(f"finite difference step must be > 0, got {step}")
+    _check_options(("finite difference step", step, "> 0"))
     g = np.empty_like(x, dtype=np.float64)
     for index in np.ndindex(x.shape):
         forward = x.astype(np.float64, copy=True)
@@ -355,10 +332,11 @@ class OptimizationResult:
     last window's value per part when the run stopped mid-epoch, each window
     valued at the iterate before its step.  For an objective that sums its
     parts that is on the scale of f / num_parts and lags the returned
-    parameters; evaluate them for f itself.  ``iterations`` counts completed steps: accepted line-search steps for
-    L-BFGS, parameter updates for the descent methods, proposed moves for
-    annealing.  Call counters come from the adapter, so window calls count
-    once per part and fused calls count one evaluation plus one gradient.
+    parameters; evaluate them for f itself.  ``iterations`` counts completed
+    steps: accepted line-search steps for L-BFGS, parameter updates for the
+    descent methods, proposed moves for annealing.  Call counters come from
+    the adapter, so window calls count once per part and fused calls count
+    one evaluation plus one gradient.
     """
 
     final_objective: float

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..callbacks import StepTaken
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _integer
+from ..callbacks import StepTaken, _check_options
+from ..core import ObjectiveCapabilities, TerminationReason
 from ._common import finish_run, prepare_run
 
 __all__ = ["SimulatedAnnealing"]
@@ -68,24 +68,16 @@ class SimulatedAnnealing:
     requires = ObjectiveCapabilities(evaluate=True)
 
     def __post_init__(self):
-        if self.initial_temperature is not None and not self.initial_temperature > 0:
-            raise Diagnostic(
-                f"initial_temperature must be > 0, got {self.initial_temperature}"
-            )
-        if not 0.0 < self.cooling_factor < 1.0:
-            raise Diagnostic(f"cooling_factor must be in (0, 1), got {self.cooling_factor}")
-        if self.moves_per_temperature is not None:
-            if not self.moves_per_temperature >= 1:
-                raise Diagnostic(
-                    f"moves_per_temperature must be >= 1, got {self.moves_per_temperature}"
-                )
-            _integer(self.moves_per_temperature, "moves_per_temperature")
-        if not self.move_scale > 0:
-            raise Diagnostic(f"move_scale must be > 0, got {self.move_scale}")
-        if not self.min_temperature > 0:
-            raise Diagnostic(f"min_temperature must be > 0, got {self.min_temperature}")
-        if not self.max_iterations >= 0:
-            raise Diagnostic(f"max_iterations must be >= 0, got {self.max_iterations}")
+        _check_options(
+            ("initial_temperature", self.initial_temperature, "> 0"),
+            ("cooling_factor", self.cooling_factor, "in (0, 1)"),
+            ("moves_per_temperature", self.moves_per_temperature, ">= 1", int),
+            ("move_scale", self.move_scale, "> 0"),
+            ("min_temperature", self.min_temperature, "> 0"),
+            ("max_iterations", self.max_iterations, ">= 0", int),
+            ("seed", self.seed, ">= 0", int),
+            unset=("initial_temperature", "moves_per_temperature"),
+        )
 
     def optimize(self, objective, x0, callbacks=()):
         """Minimize ``objective`` from ``x0``; returns (best parameters, result)."""

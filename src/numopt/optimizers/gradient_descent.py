@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..callbacks import StepTaken
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
+from ..callbacks import StepTaken, _check_options
+from ..core import ObjectiveCapabilities, TerminationReason
 from ._common import finish_run, prepare_run, progress_stop
 
 __all__ = ["GradientDescent"]
@@ -37,12 +37,12 @@ class GradientDescent:
     requires = ObjectiveCapabilities(evaluate=True, gradient=True)
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise Diagnostic(f"step_size must be > 0, got {self.step_size}")
-        if not self.max_iterations >= 0:
-            raise Diagnostic(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if not (self.min_gradient_norm >= 0 and self.min_objective_improvement >= 0):
-            raise Diagnostic("tolerances must be >= 0")
+        _check_options(
+            ("step_size", self.step_size, "> 0"),
+            ("max_iterations", self.max_iterations, ">= 0", int),
+            ("min_gradient_norm", self.min_gradient_norm, ">= 0"),
+            ("min_objective_improvement", self.min_objective_improvement, ">= 0"),
+        )
 
     def optimize(self, objective, x0, callbacks=()):
         """Minimize ``objective`` from ``x0``; returns (parameters, result)."""

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..callbacks import StepTaken
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _integer
+from ..callbacks import StepTaken, _check_options
+from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
 from ._common import finish_run, prepare_run, progress_stop
 
 __all__ = ["LbfgsMemory", "two_loop_direction", "backtracking_line_search", "LBFGS"]
@@ -59,9 +59,7 @@ class LbfgsMemory:
     """
 
     def __init__(self, memory_size=10):
-        if not memory_size >= 1:
-            raise Diagnostic(f"memory_size must be >= 1, got {memory_size}")
-        _integer(memory_size, "memory_size")
+        _check_options(("memory_size", memory_size, ">= 1", int))
         self.memory_size = memory_size
         self._count = 0
         self._pairs = None  # allocated by the first push
@@ -248,24 +246,15 @@ class LBFGS:
     requires = ObjectiveCapabilities(evaluate=True, gradient=True)
 
     def __post_init__(self):
-        if not self.memory_size >= 1:
-            raise Diagnostic(f"memory_size must be >= 1, got {self.memory_size}")
-        _integer(self.memory_size, "memory_size")
-        if not self.max_iterations >= 0:
-            raise Diagnostic(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if not 0.0 < self.armijo_constant < 1.0:
-            raise Diagnostic(f"armijo_constant must be in (0, 1), got {self.armijo_constant}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise Diagnostic(
-                f"backtrack_factor must be in (0, 1), got {self.backtrack_factor}"
-            )
-        if not self.max_line_search_trials >= 1:
-            raise Diagnostic(
-                f"max_line_search_trials must be >= 1, got {self.max_line_search_trials}"
-            )
-        _integer(self.max_line_search_trials, "max_line_search_trials")
-        if not (self.min_gradient_norm >= 0 and self.min_objective_improvement >= 0):
-            raise Diagnostic("tolerances must be >= 0")
+        _check_options(
+            ("memory_size", self.memory_size, ">= 1", int),
+            ("max_iterations", self.max_iterations, ">= 0", int),
+            ("min_gradient_norm", self.min_gradient_norm, ">= 0"),
+            ("min_objective_improvement", self.min_objective_improvement, ">= 0"),
+            ("armijo_constant", self.armijo_constant, "in (0, 1)"),
+            ("backtrack_factor", self.backtrack_factor, "in (0, 1)"),
+            ("max_line_search_trials", self.max_line_search_trials, ">= 1", int),
+        )
 
     def optimize(self, objective, x0, callbacks=()):
         """Minimize ``objective`` from ``x0``; returns (parameters, result).

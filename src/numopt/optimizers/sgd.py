@@ -14,8 +14,8 @@ from typing import Protocol
 
 import numpy as np
 
-from ..callbacks import BeginEpoch, EndEpoch, StepTaken
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _integer
+from ..callbacks import BeginEpoch, EndEpoch, StepTaken, _check_options
+from ..core import ObjectiveCapabilities, TerminationReason
 from ._common import finish_run, prepare_run
 
 __all__ = ["UpdatePolicy", "VanillaUpdate", "MomentumUpdate", "AdamUpdate", "SGD"]
@@ -53,8 +53,7 @@ class MomentumUpdate:
     momentum: float = 0.9
 
     def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise Diagnostic(f"momentum must be in [0, 1), got {self.momentum}")
+        _check_options(("momentum", self.momentum, "in [0, 1)"))
 
     def initialize(self, x):
         return np.zeros_like(x)
@@ -107,12 +106,11 @@ class AdamUpdate:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if not 0.0 <= self.beta1 < 1.0:
-            raise Diagnostic(f"beta1 must be in [0, 1), got {self.beta1}")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise Diagnostic(f"beta2 must be in [0, 1), got {self.beta2}")
-        if not self.epsilon > 0:
-            raise Diagnostic(f"epsilon must be > 0, got {self.epsilon}")
+        _check_options(
+            ("beta1", self.beta1, "in [0, 1)"),
+            ("beta2", self.beta2, "in [0, 1)"),
+            ("epsilon", self.epsilon, "> 0"),
+        )
 
     def initialize(self, x):
         def constant(value):
@@ -166,15 +164,13 @@ class SGD:
     requires = ObjectiveCapabilities(part_evaluate=True, part_gradient=True)
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise Diagnostic(f"step_size must be > 0, got {self.step_size}")
-        if not self.batch_size >= 1:
-            raise Diagnostic(f"batch_size must be >= 1, got {self.batch_size}")
-        _integer(self.batch_size, "batch_size")
-        if not self.max_iterations >= 0:
-            raise Diagnostic(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if not self.tolerance >= 0:
-            raise Diagnostic(f"tolerance must be >= 0, got {self.tolerance}")
+        _check_options(
+            ("step_size", self.step_size, "> 0"),
+            ("batch_size", self.batch_size, ">= 1", int),
+            ("max_iterations", self.max_iterations, ">= 0", int),
+            ("tolerance", self.tolerance, ">= 0"),
+            ("seed", self.seed, ">= 0", int),
+        )
 
     def optimize(self, objective, x0, callbacks=()):
         """Minimize ``objective`` from ``x0``; returns (parameters, result).

@@ -12,7 +12,7 @@ import csv
 
 import numpy as np
 
-from .core import Diagnostic
+from .core import Diagnostic, _check_options
 
 # Products with X stay `@`: perfbench counts them as np.matmul calls, which ndarray.dot bypasses.
 
@@ -96,12 +96,13 @@ class _LeastSquares(_ColumnData):
         call's X window and residual and drops them, so a value and a gradient
         at one point cost two products with X, not three.  Any other call checks
         and cuts its window, computes its own residual and keeps both for the
-        next.  The key is by value: the window, phi's dtype and bytes, and X and
-        y by identity; a hit is therefore a window that was checked before.
+        next.  The key is the window and its bounds' types, phi's dtype and
+        bytes, and X and y by identity; a hit is therefore a window that was
+        checked before, and a float window never hits an equal integer one.
         """
         phi = self._parameters(phi)
         flat = phi.ravel()
-        key = (first, count, flat.dtype.str, flat.tobytes())
+        key = (first, count, type(first), type(count), flat.dtype.str, flat.tobytes())
         kept = self._kept
         if kept is not None and kept[0] is self.X and kept[1] is self.y and kept[2] == key:
             self._kept = None
@@ -175,8 +176,7 @@ class LogisticRegression(_ColumnData):
                 f"{type(self).__name__} labels must all be 0 or 1, "
                 f"got values {np.unique(self.y)[:5]}"
             )
-        if not ridge >= 0:
-            raise Diagnostic(f"ridge must be >= 0, got {ridge}")
+        _check_options(("ridge", ridge, ">= 0"))
         self.ridge = float(ridge)
 
     @property
@@ -259,10 +259,9 @@ def generate_noisy_linear(d, n, noise_scale=10.0, seed=0):
     signal is O(1) per sample and noise_scale sets how badly it is buried.
     phi_true comes back as a d x 1 column.  Same seed, same data.
     """
-    if not (d >= 1 and n >= 1):
-        raise Diagnostic(f"d and n must be >= 1, got d={d}, n={n}")
-    if not noise_scale >= 0:
-        raise Diagnostic(f"noise_scale must be >= 0, got {noise_scale}")
+    _check_options(
+        ("d", d, ">= 1", int), ("n", n, ">= 1", int), ("noise_scale", noise_scale, ">= 0")
+    )
     rng = np.random.default_rng(seed)
     # rng.uniform(-1, 1) returns -1 + 2u for the draws u that rng.random
     # returns; mapping them in place gives the same bits, and rng.random's

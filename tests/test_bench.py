@@ -92,13 +92,13 @@ class TestRunBench:
             run_bench(small_spec(problem="quadratic"))
         with pytest.raises(Diagnostic, match="--optimizer"):
             run_bench(small_spec(optimizer="newton"))
-        with pytest.raises(Diagnostic, match="--d and --n"):
+        with pytest.raises(Diagnostic, match="--n must be >= 1, got 0"):
             run_bench(small_spec(n=0))
         with pytest.raises(Diagnostic, match="--max-iterations"):
             run_bench(small_spec(max_iterations=-1))
         with pytest.raises(Diagnostic, match="--noise"):
             run_bench(small_spec(noise_scale=-1.0))
-        for option, flag in (("runs", "--runs"), ("d", "--d and --n"), ("n", "--d and --n"),
+        for option, flag in (("runs", "--runs"), ("d", "--d"), ("n", "--n"),
                              ("max_iterations", "--max-iterations"), ("noise_scale", "--noise")):
             with pytest.raises(Diagnostic, match=flag):
                 run_bench(small_spec(**{option: math.nan}))
@@ -230,7 +230,9 @@ class TestMain:
         assert stop.value.code == 1
 
     @pytest.mark.parametrize(
-        "option", [["--runs", "0"], ["--noise", "nan"]], ids=["runs", "noise"]
+        "option",
+        [["--runs", "0"], ["--noise", "nan"], ["--seed", "-1"]],
+        ids=["runs", "noise", "seed"],
     )
     def test_invalid_value_is_a_usage_error(self, option, capsys):
         with pytest.raises(SystemExit) as stop:

@@ -433,6 +433,12 @@ class TestFiniteDifferences:
         with pytest.raises(Diagnostic, match="step must be > 0"):
             finite_difference_gradient(FullObjective(), np.zeros(1), step=step)
 
+    def test_string_step_is_refused_not_parsed(self):
+        with pytest.raises(Diagnostic) as raised:
+            finite_difference_gradient(FullObjective(), np.zeros(1), step="1e-6")
+        message = "finite difference step must be a number, got '1e-6' of type str"
+        assert str(raised.value) == message
+
 
 class TestPublicSurface:
     """The exported names, spelled out, so that any addition or removal shows in a diff."""
@@ -495,6 +501,13 @@ class TestPublicSurface:
             "progress_stop",
             "two_loop_direction",
         ]
+
+    def test_diagnostic_is_one_value_error_under_its_public_name(self):
+        # Callbacks and data helpers raise it as the optimizers do, so one
+        # ``except ValueError`` catches every refused option.
+        assert issubclass(Diagnostic, ValueError)
+        assert numopt.core.Diagnostic is numopt.Diagnostic is Diagnostic
+        assert f"{Diagnostic.__module__}.{Diagnostic.__qualname__}" == "numopt.core.Diagnostic"
 
     def test_two_loop_direction_is_the_memory_direction(self):
         assert numopt.two_loop_direction is numopt.LbfgsMemory.direction

@@ -120,9 +120,9 @@ class TestGradientDescent:
             GradientDescent(step_size=0.0)
         with pytest.raises(Diagnostic, match="max_iterations"):
             GradientDescent(max_iterations=-1)
-        with pytest.raises(Diagnostic, match="tolerances"):
+        with pytest.raises(Diagnostic, match="min_gradient_norm must be >= 0, got -1.0"):
             GradientDescent(min_gradient_norm=-1.0)
-        with pytest.raises(Diagnostic, match="tolerances"):
+        with pytest.raises(Diagnostic, match="min_objective_improvement must be >= 0, got -1.0"):
             GradientDescent(min_objective_improvement=-1.0)
 
     def test_requires_gradient(self):

@@ -572,7 +572,7 @@ class TestLbfgsOptimize:
             LBFGS(armijo_constant=1.5)
         with pytest.raises(Diagnostic, match="backtrack"):
             LBFGS(backtrack_factor=1.0)
-        with pytest.raises(Diagnostic, match="tolerances"):
+        with pytest.raises(Diagnostic, match="min_gradient_norm must be >= 0, got -1.0"):
             LBFGS(min_gradient_norm=-1.0)
         with pytest.raises(Diagnostic, match="max_iterations"):
             LBFGS(max_iterations=-1)

@@ -73,16 +73,22 @@ def test_inconsistent_data_is_diagnostic(cls):
 
 
 # A window bound that is not an integer fails the range test or the slice;
-# either way the objective reports a Diagnostic that names it.  Each case
-# builds a fresh objective, so no residual memo holds a window to hit.
+# either way the objective reports a Diagnostic that names it.  A cold case
+# builds a fresh objective, so no residual memo holds a window to hit.  A
+# warm one first evaluates the integer window equal to it (1 for 0.5) at the
+# same point, so the least-squares memo holds a window that 2.0 == 2 would hit.
 @pytest.mark.parametrize("cls", [SeparableLinearRegression, LogisticRegression])
 @pytest.mark.parametrize("method", ["evaluate_parts", "gradient_parts"])
 @pytest.mark.parametrize("bound", ["first", "count"])
 @pytest.mark.parametrize("value", [0.5, 2.0, np.float64(1.0), "1"],
                          ids=["half", "float", "float64", "str"])
-def test_non_integer_window_is_diagnostic(cls, method, bound, value):
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_non_integer_window_is_diagnostic(cls, method, bound, value, warm):
     objective = cls(np.ones((2, 5)), np.ones(5))
     window = {"first": 0, "count": 2, bound: value}
+    if warm:
+        integer = {"first": 0, "count": 2, bound: int(float(value)) or 1}
+        objective.evaluate_parts(np.zeros(2), integer["first"], integer["count"])
     with pytest.raises(Diagnostic, match=f"{cls.__name__}: window"):
         getattr(objective, method)(np.zeros(2), window["first"], window["count"])
 
@@ -577,6 +583,11 @@ class TestLogisticRegression:
         with pytest.raises(Diagnostic, match="ridge must be >= 0"):
             LogisticRegression([[1.0]], [1.0], ridge=ridge)
 
+    def test_string_ridge_is_refused_not_parsed(self):
+        with pytest.raises(Diagnostic) as raised:
+            LogisticRegression([[1.0]], [1.0], ridge="0.5")
+        assert str(raised.value) == "ridge must be a number, got '0.5' of type str"
+
 
 class TestRosenbrock:
     def test_minimum(self):
@@ -659,9 +670,30 @@ class TestGenerateNoisyLinear:
             assert got.tobytes() == expected.tobytes()
 
     def test_bad_sizes_are_diagnostic(self):
-        for d, n in ((0, 10), (math.nan, 10), (2, math.nan)):
-            with pytest.raises(Diagnostic, match="d and n"):
+        for d, n, message in (
+            (0, 10, "d must be >= 1, got 0"),
+            (math.nan, 10, "d must be >= 1, got nan"),
+            (2, math.nan, "n must be >= 1, got nan"),
+        ):
+            with pytest.raises(Diagnostic) as raised:
                 generate_noisy_linear(d, n, 1.0, 0)
+            assert str(raised.value) == message
+
+    # Each of these used to leak Python's raw TypeError, or, for 2.5, NumPy's.
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("3", 10, 1.0), "d must be an integer, got '3' of type str"),
+            ((2.5, 10, 1.0), "d must be an integer, got 2.5 of type float"),
+            ((2, "10", 1.0), "n must be an integer, got '10' of type str"),
+            ((2, 10.0, 1.0), "n must be an integer, got 10.0 of type float"),
+            ((2, 10, "1"), "noise_scale must be a number, got '1' of type str"),
+        ],
+    )
+    def test_non_numbers_and_non_integer_sizes_are_diagnostic(self, args, message):
+        with pytest.raises(Diagnostic) as raised:
+            generate_noisy_linear(*args, seed=0)
+        assert str(raised.value) == message
         for noise_scale in (-1.0, math.nan):
             with pytest.raises(Diagnostic, match="noise_scale"):
                 generate_noisy_linear(2, 10, noise_scale, 0)

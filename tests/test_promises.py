@@ -9,6 +9,7 @@ runs in every grid beside the bundled optimizers.
 
 import runpy
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from numopt import (
     TimeLimit,
     VanillaUpdate,
 )
+from numopt.bench import BenchSpec
 from numopt.optimizers.lbfgs import LbfgsMemory
 from numopt.problems import (
     LinearRegression,
@@ -244,70 +246,84 @@ def test_x0_is_kept_and_its_dtype_sets_the_run(name, problem, dtype, start, colu
     assert x.shape == x0.shape
 
 
-# Each option check is written as a negated admitted range, so NaN, which
-# compares false with everything, is refused with the check's own message.
-@pytest.mark.parametrize(
-    "cls, option, error, message",
-    [
-        (GradientDescent, "step_size", Diagnostic, "step_size must be > 0, got nan"),
-        (GradientDescent, "max_iterations", Diagnostic, "max_iterations must be >= 0, got nan"),
-        (GradientDescent, "min_gradient_norm", Diagnostic, "tolerances must be >= 0"),
-        (GradientDescent, "min_objective_improvement", Diagnostic, "tolerances must be >= 0"),
-        (LBFGS, "memory_size", Diagnostic, "memory_size must be >= 1, got nan"),
-        (LBFGS, "max_iterations", Diagnostic, "max_iterations must be >= 0, got nan"),
-        (LBFGS, "max_line_search_trials", Diagnostic,
-         "max_line_search_trials must be >= 1, got nan"),
-        (LBFGS, "min_gradient_norm", Diagnostic, "tolerances must be >= 0"),
-        (LBFGS, "min_objective_improvement", Diagnostic, "tolerances must be >= 0"),
-        (LBFGS, "armijo_constant", Diagnostic, "armijo_constant must be in (0, 1), got nan"),
-        (LBFGS, "backtrack_factor", Diagnostic, "backtrack_factor must be in (0, 1), got nan"),
-        (LbfgsMemory, "memory_size", Diagnostic, "memory_size must be >= 1, got nan"),
-        (SGD, "step_size", Diagnostic, "step_size must be > 0, got nan"),
-        (SGD, "batch_size", Diagnostic, "batch_size must be >= 1, got nan"),
-        (SGD, "max_iterations", Diagnostic, "max_iterations must be >= 0, got nan"),
-        (SGD, "tolerance", Diagnostic, "tolerance must be >= 0, got nan"),
-        (MomentumUpdate, "momentum", Diagnostic, "momentum must be in [0, 1), got nan"),
-        (AdamUpdate, "beta1", Diagnostic, "beta1 must be in [0, 1), got nan"),
-        (AdamUpdate, "beta2", Diagnostic, "beta2 must be in [0, 1), got nan"),
-        (AdamUpdate, "epsilon", Diagnostic, "epsilon must be > 0, got nan"),
-        (SimulatedAnnealing, "initial_temperature", Diagnostic,
-         "initial_temperature must be > 0, got nan"),
-        (SimulatedAnnealing, "cooling_factor", Diagnostic,
-         "cooling_factor must be in (0, 1), got nan"),
-        (SimulatedAnnealing, "moves_per_temperature", Diagnostic,
-         "moves_per_temperature must be >= 1, got nan"),
-        (SimulatedAnnealing, "move_scale", Diagnostic, "move_scale must be > 0, got nan"),
-        (SimulatedAnnealing, "min_temperature", Diagnostic,
-         "min_temperature must be > 0, got nan"),
-        (SimulatedAnnealing, "max_iterations", Diagnostic, "max_iterations must be >= 0, got nan"),
-        (EarlyStopping, "patience", ValueError, "patience must be >= 1, got nan"),
-        (EarlyStopping, "min_delta", ValueError, "min_delta must be >= 0, got nan"),
-        (ProgressPrinter, "period", ValueError, "period must be >= 1, got nan"),
-        (TimeLimit, "limit_seconds", ValueError, "limit_seconds must be > 0, got nan"),
-    ],
-)
-def test_every_option_refuses_nan_with_its_message(cls, option, error, message):
-    with pytest.raises(error) as raised:
-        cls(**{option: float("nan")})
-    assert str(raised.value) == message
+# Every option with an admitted range: (owner, option, its NaN message, whether
+# it counts).  The range test runs first, so NaN, which compares false with
+# everything, gets the range's message; a string is refused with a message
+# naming its type, never parsed; and a count must then be an integer, so a
+# float is refused at construction, not truncated partway through a run.
+OPTIONS = [
+    (GradientDescent, "step_size", "step_size must be > 0, got nan", False),
+    (GradientDescent, "max_iterations", "max_iterations must be >= 0, got nan", True),
+    (GradientDescent, "min_gradient_norm", "min_gradient_norm must be >= 0, got nan", False),
+    (GradientDescent, "min_objective_improvement",
+     "min_objective_improvement must be >= 0, got nan", False),
+    (LBFGS, "memory_size", "memory_size must be >= 1, got nan", True),
+    (LBFGS, "max_iterations", "max_iterations must be >= 0, got nan", True),
+    (LBFGS, "min_gradient_norm", "min_gradient_norm must be >= 0, got nan", False),
+    (LBFGS, "min_objective_improvement", "min_objective_improvement must be >= 0, got nan", False),
+    (LBFGS, "armijo_constant", "armijo_constant must be in (0, 1), got nan", False),
+    (LBFGS, "backtrack_factor", "backtrack_factor must be in (0, 1), got nan", False),
+    (LBFGS, "max_line_search_trials", "max_line_search_trials must be >= 1, got nan", True),
+    (LbfgsMemory, "memory_size", "memory_size must be >= 1, got nan", True),
+    (SGD, "step_size", "step_size must be > 0, got nan", False),
+    (SGD, "batch_size", "batch_size must be >= 1, got nan", True),
+    (SGD, "max_iterations", "max_iterations must be >= 0, got nan", True),
+    (SGD, "tolerance", "tolerance must be >= 0, got nan", False),
+    (SGD, "seed", "seed must be >= 0, got nan", True),
+    (MomentumUpdate, "momentum", "momentum must be in [0, 1), got nan", False),
+    (AdamUpdate, "beta1", "beta1 must be in [0, 1), got nan", False),
+    (AdamUpdate, "beta2", "beta2 must be in [0, 1), got nan", False),
+    (AdamUpdate, "epsilon", "epsilon must be > 0, got nan", False),
+    (SimulatedAnnealing, "initial_temperature", "initial_temperature must be > 0, got nan", False),
+    (SimulatedAnnealing, "cooling_factor", "cooling_factor must be in (0, 1), got nan", False),
+    (SimulatedAnnealing, "moves_per_temperature",
+     "moves_per_temperature must be >= 1, got nan", True),
+    (SimulatedAnnealing, "move_scale", "move_scale must be > 0, got nan", False),
+    (SimulatedAnnealing, "min_temperature", "min_temperature must be > 0, got nan", False),
+    (SimulatedAnnealing, "max_iterations", "max_iterations must be >= 0, got nan", True),
+    (SimulatedAnnealing, "seed", "seed must be >= 0, got nan", True),
+    (EarlyStopping, "patience", "patience must be >= 1, got nan", True),
+    (EarlyStopping, "min_delta", "min_delta must be >= 0, got nan", False),
+    (ProgressPrinter, "period", "period must be >= 1, got nan", True),
+    (TimeLimit, "limit_seconds", "limit_seconds must be > 0, got nan", False),
+    (BenchSpec, "runs", "--runs must be >= 1, got nan", True),
+    (BenchSpec, "d", "--d must be >= 1, got nan", True),
+    (BenchSpec, "n", "--n must be >= 1, got nan", True),
+    (BenchSpec, "max_iterations", "--max-iterations must be >= 0, got nan", True),
+    (BenchSpec, "seed", "--seed must be >= 0, got nan", True),
+    (BenchSpec, "noise_scale", "--noise must be >= 0, got nan", False),
+]
 
 
-# Count options are read by operator.index after their range check, as
-# num_parts is: NumPy integers pass, a float is refused at construction
-# (before any objective call), and NaN keeps its range message above.
-@pytest.mark.parametrize(
-    "cls, option",
-    [
-        (SGD, "batch_size"),
-        (LBFGS, "memory_size"),
-        (LbfgsMemory, "memory_size"),
-        (LBFGS, "max_line_search_trials"),
-        (SimulatedAnnealing, "moves_per_temperature"),
-    ],
-)
-@pytest.mark.parametrize("value", [2.5, 2.0])
-def test_count_options_refuse_non_integers(cls, option, value):
+@pytest.mark.parametrize("owner, option, message, counts", OPTIONS)
+def test_every_option_refuses_nan_strings_and_non_integer_counts(owner, option, message, counts):
+    name = message.split(" must be ")[0]
     with pytest.raises(Diagnostic) as raised:
-        cls(**{option: value})
-    assert str(raised.value) == f"{option} must be an integer, got {value!r} of type float"
-    assert getattr(cls(**{option: np.int64(3)}), option) == 3
+        owner(**{option: float("nan")})
+    assert str(raised.value) == message
+    kind = "an integer" if counts else "a number"
+    with pytest.raises(Diagnostic) as raised:
+        owner(**{option: "3"})
+    assert str(raised.value) == f"{name} must be {kind}, got '3' of type str"
+    if counts:
+        for value in (2.5, 2.0):
+            with pytest.raises(Diagnostic) as raised:
+                owner(**{option: value})
+            assert str(raised.value) == f"{name} must be an integer, got {value!r} of type float"
+        assert getattr(owner(**{option: np.int64(3)}), option) == 3
+
+
+# A new numeric field cannot land without a row above, and a row counts
+# exactly when its field is an integer.
+@pytest.mark.parametrize(
+    "owner",
+    [GradientDescent, LBFGS, SGD, MomentumUpdate, AdamUpdate, SimulatedAnnealing, BenchSpec],
+)
+def test_the_option_table_lists_every_numeric_field(owner):
+    numeric = {}
+    for name, hint in get_type_hints(owner).items():
+        types = {hint, *get_args(hint)}
+        if types & {int, float}:
+            numeric[name] = int in types
+    listed = {option: counts for cls, option, _, counts in OPTIONS if cls is owner}
+    assert listed == numeric
