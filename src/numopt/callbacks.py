@@ -127,6 +127,21 @@ class GradientCalled:
 
 @dataclass(frozen=True)
 class StepTaken:
+    """One completed step; ``iteration`` counts steps from 1.
+
+    Which point each field describes depends on the optimizer:
+
+    - GradientDescent: ``objective`` after the step, ``gradient_norm`` at
+      the point the step left (the gradient the step was taken along);
+    - LBFGS: both at the accepted point;
+    - SGD: both at the window's pre-step iterate, ``objective`` per part
+      and ``gradient_norm`` of the window-averaged gradient;
+    - SimulatedAnnealing: ``objective`` is the current value after the
+      move, accepted or not, and ``gradient_norm`` is None.
+
+    Norms are max-abs norms.
+    """
+
     iteration: int
     objective: float
     gradient_norm: float | None = None

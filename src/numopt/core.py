@@ -45,22 +45,39 @@ __all__ = [
 ]
 
 
+def _as_float_array(values, name, copy=False):
+    """``values`` as a float32 or float64 array: the one admission rule for
+    parameters and data.
+
+    Booleans, integers and real floats are admitted: float32 and float64
+    keep their dtype (copied only when ``copy``), the others become float64.
+    Anything else, such as complex numbers, strings or None, is refused with
+    a Diagnostic naming ``name`` and the dtype; it is never truncated or
+    parsed.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf":
+        raise Diagnostic(f"{name} must be real numbers, got dtype {a.dtype}")
+    if a.dtype not in (np.float32, np.float64):
+        return a.astype(np.float64)
+    return np.array(a) if copy else a
+
+
 def as_parameters(x0):
     """Copy ``x0`` into a fresh parameter array an optimizer may mutate.
 
-    Accepts 1-D vectors or 2-D (column or general) matrices.  float32 and
-    float64 inputs keep their precision and the whole run is carried out in
-    that precision; anything else is converted to float64.  Non-finite
-    entries are rejected up front because every descent rule would silently
-    propagate them.
+    Accepts 1-D vectors or 2-D (column or general) matrices of booleans,
+    integers or real floats (``_as_float_array``).  float32 and float64
+    inputs keep their precision and the whole run is carried out in that
+    precision; the others are converted to float64.  Non-finite entries are
+    rejected up front because every descent rule would silently propagate
+    them.
     """
-    x = np.array(x0, copy=True)
+    x = _as_float_array(x0, "initial parameters", copy=True)
     if x.ndim not in (1, 2) or x.size == 0:
         raise Diagnostic(
             f"initial parameters must be a non-empty 1-D or 2-D array, got shape {x.shape}"
         )
-    if x.dtype not in (np.float32, np.float64):
-        x = x.astype(np.float64)
     if not np.all(np.isfinite(x)):
         raise Diagnostic("initial parameters contain NaN or infinity")
     return x
@@ -281,8 +298,13 @@ class ObjectiveAdapter:
                 f"{g.shape} for parameters of shape {x.shape}"
             )
         if self.events:
-            self.events.dispatch(GradientCalled(norm=float(np.abs(g).max())))
+            self.events.dispatch(GradientCalled(norm=_max_abs_norm(g)))
         return g
+
+
+def _max_abs_norm(g):
+    """max |g_i|: the gradient norm every optimizer reports and stops on."""
+    return float(np.abs(g).max())
 
 
 def finite_difference_gradient(objective, x, step=None):

@@ -1,6 +1,9 @@
 """Pre-built optimizers.  Each exposes optimize(objective, x0, callbacks=()) ->
 (parameters, OptimizationResult) and a ``requires`` capability constant.
-New ones are built from ``prepare_run``, ``finish_run`` and ``progress_stop``."""
+New ones are built from ``prepare_run``, ``finish_run`` and ``progress_stop``.
+The stop rules live in ``_common``: the improvement stop (``progress_stop``),
+the iteration cap and the gradient-norm stop, each stated once; the
+max-abs gradient norm is ``core._max_abs_norm``."""
 
 from . import _common, annealing, gradient_descent, lbfgs, sgd
 from ._common import *

@@ -1,4 +1,10 @@
-"""Run setup, teardown and the stopping rule: the public parts every optimizer is built from."""
+"""Run setup, teardown and the stop rules: the parts every optimizer is built from.
+
+``prepare_run``, ``finish_run`` and ``progress_stop`` are public.  The
+iteration cap (``_cap_stop``) and the gradient-norm stop
+(``_gradient_stop``) are stated here once and read by every bundled
+optimizer; the norm itself is ``core._max_abs_norm``.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +15,7 @@ from ..core import (
     ObjectiveAdapter,
     OptimizationResult,
     TerminationReason,
+    _max_abs_norm,
     as_parameters,
     check_requirements,
 )
@@ -42,9 +49,22 @@ def progress_stop(options, value, new_value, iteration):
     improvement = value - new_value
     if 0 <= improvement <= options.min_objective_improvement * max(1.0, abs(value)):
         return TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE
-    if options.max_iterations and iteration >= options.max_iterations:
-        return TerminationReason.MAX_ITERATIONS
-    return None
+    return _cap_stop(options, iteration)
+
+
+def _cap_stop(options, iteration):
+    """MAX_ITERATIONS once ``iteration`` reaches ``options.max_iterations``
+    (0 means no cap), else None."""
+    capped = options.max_iterations and iteration >= options.max_iterations
+    return TerminationReason.MAX_ITERATIONS if capped else None
+
+
+def _gradient_stop(options, gradient):
+    """``gradient``'s max-abs norm, and GRADIENT_NORM_TOLERANCE when that is
+    at most ``options.min_gradient_norm`` (None otherwise)."""
+    norm = _max_abs_norm(gradient)
+    converged = norm <= options.min_gradient_norm
+    return norm, TerminationReason.GRADIENT_NORM_TOLERANCE if converged else None
 
 
 def finish_run(adapter, started, final_objective, iterations, termination):

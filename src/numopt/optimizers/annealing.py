@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..callbacks import StepTaken, _check_options
-from ..core import ObjectiveCapabilities, TerminationReason
-from ._common import finish_run, prepare_run
+from ..core import ObjectiveCapabilities
+from ._common import _cap_stop, finish_run, prepare_run
 
 __all__ = ["SimulatedAnnealing"]
 
@@ -93,8 +93,7 @@ class SimulatedAnnealing:
             temperature = self.initial_temperature or 100.0 * abs(value) + 1.0
             while reason is None:
                 for _ in range(moves_per_temperature):
-                    if self.max_iterations and moves >= self.max_iterations:
-                        reason = TerminationReason.MAX_ITERATIONS
+                    if (reason := _cap_stop(self, moves)) is not None:
                         break
                     u_coordinate, u_offset, u_gate = next(uniforms)
                     # u < 1 and x.size < 2**53, so the product rounds below x.size.

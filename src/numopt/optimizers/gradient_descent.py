@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..callbacks import StepTaken, _check_options
-from ..core import ObjectiveCapabilities, TerminationReason
-from ._common import finish_run, prepare_run, progress_stop
+from ..core import ObjectiveCapabilities
+from ._common import _gradient_stop, finish_run, prepare_run, progress_stop
 
 __all__ = ["GradientDescent"]
 
@@ -54,9 +54,8 @@ class GradientDescent:
             value = adapter.evaluate(x)
             while reason is None:
                 gradient = adapter.gradient(x)
-                gradient_norm = float(np.abs(gradient).max())
-                if gradient_norm <= self.min_gradient_norm:
-                    reason = TerminationReason.GRADIENT_NORM_TOLERANCE
+                gradient_norm, reason = _gradient_stop(self, gradient)
+                if reason is not None:
                     break
                 new_x = x - self.step_size * gradient
                 new_value = adapter.evaluate(new_x)

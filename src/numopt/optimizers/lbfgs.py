@@ -20,7 +20,7 @@ import numpy as np
 
 from ..callbacks import StepTaken, _check_options
 from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
-from ._common import finish_run, prepare_run, progress_stop
+from ._common import _gradient_stop, finish_run, prepare_run, progress_stop
 
 __all__ = ["LbfgsMemory", "two_loop_direction", "backtracking_line_search", "LBFGS"]
 
@@ -269,8 +269,7 @@ class LBFGS:
         with adapter:
             value, gradient = adapter.evaluate_with_gradient(x)
             memory = LbfgsMemory(self.memory_size)
-            if float(np.abs(gradient).max()) <= self.min_gradient_norm:
-                reason = TerminationReason.GRADIENT_NORM_TOLERANCE
+            _, reason = _gradient_stop(self, gradient)
             while reason is None:
                 direction = two_loop_direction(memory, gradient)
                 if len(memory) == 0:
@@ -298,16 +297,13 @@ class LBFGS:
                     # (negative curvature along the step).  Steering by the old
                     # history stalls in that situation, so restart it.
                     memory.clear()
-                gradient_norm = float(np.abs(new_gradient).max())
+                gradient_norm, reason = _gradient_stop(self, new_gradient)
                 if events:
                     events.dispatch(
                         StepTaken(
                             iteration=iteration, objective=found.value, gradient_norm=gradient_norm
                         )
                     )
-                if gradient_norm <= self.min_gradient_norm:
-                    reason = TerminationReason.GRADIENT_NORM_TOLERANCE
-                else:
-                    reason = progress_stop(self, value, found.value, iteration)
+                reason = reason or progress_stop(self, value, found.value, iteration)
                 value, gradient = found.value, new_gradient
         return x, finish_run(adapter, started, value, iteration, reason)

@@ -15,8 +15,8 @@ from typing import Protocol
 import numpy as np
 
 from ..callbacks import BeginEpoch, EndEpoch, StepTaken, _check_options
-from ..core import ObjectiveCapabilities, TerminationReason
-from ._common import finish_run, prepare_run
+from ..core import ObjectiveCapabilities, TerminationReason, _max_abs_norm
+from ._common import _cap_stop, finish_run, prepare_run
 
 __all__ = ["UpdatePolicy", "VanillaUpdate", "MomentumUpdate", "AdamUpdate", "SGD"]
 
@@ -179,7 +179,7 @@ class SGD:
         after a completed epoch, otherwise the last batch mean.
         """
         x, adapter, events, started = prepare_run(objective, x0, callbacks, self.requires, "SGD")
-        n, batch, cap = adapter.num_parts, self.batch_size, self.max_iterations
+        n, batch = adapter.num_parts, self.batch_size
         # (first, count, count as a 0-d array of x's dtype) per window: dividing
         # by the array gives the bits that dividing by the int gives, without
         # NumPy's per-call promotion of a Python scalar.
@@ -199,8 +199,7 @@ class SGD:
                 for window in order:
                     # Tested before the step: a cap reached by an epoch's last
                     # step is decided at the epoch's end, below.
-                    if cap and steps >= cap:
-                        reason = TerminationReason.MAX_ITERATIONS
+                    if (reason := _cap_stop(self, steps)) is not None:
                         break
                     first, count, size = windows[window]
                     batch_value = adapter.evaluate_parts(x, first, count)
@@ -214,7 +213,7 @@ class SGD:
                             StepTaken(
                                 iteration=steps,
                                 objective=observed,
-                                gradient_norm=float(np.abs(gradient).max()),
+                                gradient_norm=_max_abs_norm(gradient),
                             )
                         )
                 else:
@@ -226,7 +225,7 @@ class SGD:
                         break
                     if previous_mean is not None and abs(previous_mean - mean) < self.tolerance:
                         reason = TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE
-                    elif cap and steps >= cap:
-                        reason = TerminationReason.MAX_ITERATIONS
+                    else:
+                        reason = _cap_stop(self, steps)
                     previous_mean = mean
         return x, finish_run(adapter, started, observed, steps, reason)

@@ -12,7 +12,7 @@ import csv
 
 import numpy as np
 
-from .core import Diagnostic, _check_options
+from .core import Diagnostic, _as_float_array, _check_options
 
 # Products with X stay `@`: perfbench counts them as np.matmul calls, which ndarray.dot bypasses.
 
@@ -26,10 +26,8 @@ __all__ = [
 ]
 
 
-def _as_float_array(values, name):
-    a = np.asarray(values)
-    if a.dtype not in (np.float32, np.float64):
-        a = a.astype(np.float64)
+def _data_array(values, name):
+    a = _as_float_array(values, name)
     if a.size == 0:
         raise Diagnostic(f"{name} must be non-empty")
     return a
@@ -44,8 +42,8 @@ class _ColumnData:
 
     def __init__(self, predictors, responses):
         owner = type(self).__name__
-        X = _as_float_array(predictors, f"{owner} predictors")
-        y = _as_float_array(responses, f"{owner} responses").ravel()
+        X = _data_array(predictors, f"{owner} predictors")
+        y = _data_array(responses, f"{owner} responses").ravel()
         if X.ndim != 2:
             raise Diagnostic(f"{owner} predictors must be a d x n matrix, got shape {X.shape}")
         if y.shape[0] != X.shape[1]:

@@ -401,6 +401,31 @@ class TestAsParameters:
         with pytest.raises(Diagnostic, match="non-empty"):
             as_parameters(np.array([]))
 
+    # Complex numbers were truncated to their real parts, strings parsed, and
+    # None reported as NaN; each is refused by its dtype instead.
+    @pytest.mark.parametrize(
+        "bad, dtype",
+        [
+            (np.array([1 + 2j, 3]), "complex128"),
+            (["1", "2"], "<U1"),
+            (["a"], "<U1"),
+            ([None, 1.0], "object"),
+            (np.array([1.0, 2.0], dtype=object), "object"),
+        ],
+    )
+    def test_refuses_what_is_not_real_numbers(self, bad, dtype):
+        with pytest.raises(Diagnostic) as raised:
+            as_parameters(bad)
+        assert str(raised.value) == f"initial parameters must be real numbers, got dtype {dtype}"
+
+    @pytest.mark.parametrize(
+        "dtype", [np.bool_, np.int8, np.int64, np.uint16, np.float16, np.longdouble]
+    )
+    def test_admits_booleans_integers_and_other_floats_as_float64(self, dtype):
+        x = as_parameters(np.array([1, 0, 1], dtype=dtype))
+        assert x.dtype == np.float64
+        assert x.tolist() == [1.0, 0.0, 1.0]
+
 
 class TestFiniteDifferences:
     def test_quadratic_gradient(self):

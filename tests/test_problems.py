@@ -72,6 +72,31 @@ def test_inconsistent_data_is_diagnostic(cls):
         cls(np.ones(5), np.ones(5))
 
 
+# Data follows the parameters' admission rule: complex numbers, strings and
+# None are refused by their dtype, never truncated or parsed.
+@pytest.mark.parametrize("cls", [LinearRegression, SeparableLinearRegression, LogisticRegression])
+@pytest.mark.parametrize(
+    "which, predictors, responses, dtype",
+    [
+        ("predictors", np.array([[1 + 1j, 2.0]]), [1.0, 0.0], "complex128"),
+        ("predictors", [[None, 2.0]], [1.0, 0.0], "object"),
+        ("responses", [[1.0, 2.0]], ["1", "0"], "<U1"),
+        ("responses", [[1.0, 2.0]], np.array([1 + 0j, 0]), "complex128"),
+    ],
+)
+def test_data_that_is_not_real_numbers_is_diagnostic(cls, which, predictors, responses, dtype):
+    with pytest.raises(Diagnostic) as raised:
+        cls(predictors, responses)
+    assert str(raised.value) == f"{cls.__name__} {which} must be real numbers, got dtype {dtype}"
+
+
+@pytest.mark.parametrize("cls", [LinearRegression, SeparableLinearRegression, LogisticRegression])
+def test_boolean_and_integer_data_become_float64(cls):
+    objective = cls(np.array([[1, 2]], dtype=np.int32), np.array([True, False]))
+    assert objective.X.dtype == objective.y.dtype == np.float64
+    assert objective.y.tolist() == [1.0, 0.0]
+
+
 # A window bound that is not an integer fails the range test or the slice;
 # either way the objective reports a Diagnostic that names it.  A cold case
 # builds a fresh objective, so no residual memo holds a window to hit.  A

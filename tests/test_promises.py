@@ -2,7 +2,9 @@
 
 A callback's TERMINATE means no further objective calls, the reported call
 counts are exact, ``x0`` is never mutated, and a float32 start gives a
-float32 result, also when the objective computes in float64.  The compass
+float32 result, also when the objective computes in float64.  A start that
+is not real numbers is refused before any call, and every termination
+reason is true of the run it ends.  The compass
 search from ``demos/custom_optimizer.py``, built from public names only,
 runs in every grid beside the bundled optimizers.
 """
@@ -29,11 +31,13 @@ from numopt import (
     GradientCalled,
     GradientDescent,
     MomentumUpdate,
+    ObjectiveAdapter,
     ProgressPrinter,
     SimulatedAnnealing,
     StepTaken,
     TerminationReason,
     TimeLimit,
+    TraceRecorder,
     VanillaUpdate,
 )
 from numopt.bench import BenchSpec
@@ -244,6 +248,89 @@ def test_x0_is_kept_and_its_dtype_sets_the_run(name, problem, dtype, start, colu
     assert np.array_equal(x0, before)
     assert x.dtype == dtype
     assert x.shape == x0.shape
+
+
+@pytest.mark.parametrize("name", ["lbfgs", "gd", "sgd", "annealing", "compass"])
+def test_complex_start_is_refused_before_any_call(name):
+    objective, optimizer, x0 = make_run(name, False, np.zeros(2), 0)
+    message = "initial parameters must be real numbers, got dtype complex128"
+    with pytest.raises(Diagnostic, match=message):
+        optimizer.optimize(objective, x0 + 5j)
+    assert objective.calls == 0
+
+
+SGD_POLICIES = {"sgd": VanillaUpdate, "momentum": MomentumUpdate, "adam": AdamUpdate}
+STOPPING = ["gd", "lbfgs", *SGD_POLICIES, "annealing", "compass"]
+
+
+def stopping_optimizer(name, cap, step, gtol, ftol, size, shuffle, seed):
+    """``name``'s optimizer with the drawn cap and whichever of the drawn
+    step, tolerances, window or block size, shuffle flag and seed it takes."""
+    if name == "gd":
+        return GradientDescent(
+            step_size=step, max_iterations=cap, min_gradient_norm=gtol, min_objective_improvement=ftol
+        )
+    if name == "lbfgs":
+        return LBFGS(max_iterations=cap, min_gradient_norm=gtol, min_objective_improvement=ftol)
+    if name == "annealing":
+        return SimulatedAnnealing(moves_per_temperature=size, max_iterations=cap, seed=seed)
+    if name == "compass":
+        return CompassSearch(step=step, max_iterations=cap)
+    return SGD(
+        step_size=step, batch_size=size, max_iterations=cap, tolerance=ftol, shuffle=shuffle,
+        seed=seed, update=SGD_POLICIES[name](),
+    )
+
+
+def stop_grid():
+    for name in STOPPING:
+        problems = ["linear", "logistic"]
+        if name not in SGD_POLICIES:
+            problems.append("rosenbrock")
+        for problem in problems:
+            for dtype in (np.float32, np.float64):
+                yield name, problem, dtype
+
+
+@pytest.mark.parametrize("name, problem, dtype", list(stop_grid()))
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(
+    cap=st.integers(1, 40),
+    step=st.sampled_from([1e-4, 1e-2, 0.1, 1.0]),
+    gtol=st.sampled_from([0.0, 1e-6, 1e-2, 1.0, 10.0]),
+    ftol=st.sampled_from([0.0, 1e-10, 1e-4, 1e-2, 1.0]),
+    size=st.integers(1, 45),
+    shuffle=st.booleans(),
+    start=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_every_stop_reason_is_true_of_its_run(
+    name, problem, dtype, cap, step, gtol, ftol, size, shuffle, start, seed
+):
+    optimizer = stopping_optimizer(name, cap, step, gtol, ftol, size, shuffle, seed)
+    x0 = np.array(start, dtype=dtype)
+    if problem == "rosenbrock":
+        objective, x0 = Rosenbrock(), x0[:2]
+    elif problem == "logistic":
+        objective = LogisticRegression(X.astype(dtype), (Y > 0).astype(dtype), ridge=0.3)
+    else:
+        least_squares = SeparableLinearRegression if name in SGD_POLICIES else LinearRegression
+        objective = least_squares(X.astype(dtype), Y.astype(dtype))
+    recorder = TraceRecorder()
+    # Diverging draws are kept: the predicates hold for them too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, result = optimizer.optimize(objective, x0, callbacks=[recorder])
+        reason = result.termination
+        assert result.iterations <= cap
+        if reason is TerminationReason.MAX_ITERATIONS:
+            assert result.iterations == cap
+        if reason is TerminationReason.GRADIENT_NORM_TOLERANCE:
+            assert np.abs(ObjectiveAdapter(objective).gradient(x)).max() <= gtol
+        if reason is TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE and name in ("gd", "lbfgs"):
+            values = [ObjectiveAdapter(objective).evaluate(x0)]
+            values += [value for _, value in recorder.trace]
+            previous, last = values[-2:]
+            assert 0 <= previous - last <= ftol * max(1.0, abs(previous))
 
 
 # Every option with an admitted range: (owner, option, its NaN message, whether

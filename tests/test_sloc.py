@@ -1,4 +1,5 @@
-"""Code-line counting of tools/sloc.py: docstrings, comments and blanks left out."""
+"""Code-line counting of tools/sloc.py: docstrings, comments and blanks left out;
+and the line-length limit of the source it counts."""
 
 import importlib.util
 from pathlib import Path
@@ -44,3 +45,14 @@ def test_prints_each_file_and_the_total(tmp_path, capsys):
         ["1", str(tmp_path / "b.py")],
         ["9", "total"],
     ]
+
+
+def test_no_source_line_is_over_100_characters():
+    source = TOOL.parent.parent / "src"
+    long_lines = [
+        f"{path.relative_to(source)}:{number}"
+        for path in sorted(source.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long_lines == []
