@@ -7,11 +7,14 @@ one needs nothing else to keep the same promises: the capability check
 before the first call, exact call counts, an untouched ``x0`` whose dtype
 sets the run, and no objective call after a callback's TERMINATE.
 
-``prepare_run`` checks the objective and opens the run.  The loop runs
-inside ``with adapter:``: once a callback has asked to stop, the adapter
-refuses the next objective call and the block ends there.  ``finish_run``
-builds the result; a loop that never chose a reason to stop (``None``)
-was ended that way, and the result says CALLBACK_REQUESTED.
+``prepare_run`` checks the objective and opens the run; it returns the
+parameters and the adapter, the run's one handle.  The loop runs inside
+``with adapter:``, calls the objective through the adapter and reports
+each completed step with ``adapter.step_taken``, which builds no event
+when no callback listens.  Once a callback has asked to stop, the adapter
+refuses the next objective call and the block ends there.
+``finish_run(adapter, ...)`` builds the result; after a stop request it
+says CALLBACK_REQUESTED, whatever reason the loop had reached.
 
 The example is compass search (Kolda, Lewis & Torczon, SIAM Review 2003):
 try x +- step along each axis, move to the first point that improves, and
@@ -24,14 +27,7 @@ from itertools import product
 
 import numpy as np
 
-from numopt import (
-    EarlyStopping,
-    ObjectiveCapabilities,
-    StepTaken,
-    TerminationReason,
-    finish_run,
-    prepare_run,
-)
+from numopt import EarlyStopping, ObjectiveCapabilities, TerminationReason, finish_run, prepare_run
 from numopt.problems import generate_noisy_linear
 
 
@@ -48,9 +44,7 @@ class CompassSearch:
     requires = ObjectiveCapabilities(evaluate=True)
 
     def optimize(self, objective, x0, callbacks=()):
-        x, adapter, events, started = prepare_run(
-            objective, x0, callbacks, self.requires, "compass search"
-        )
+        x, adapter = prepare_run(objective, x0, callbacks, self.requires, "compass search")
         value, step, polls, reason = np.nan, self.step, 0, None
         with adapter:
             value = adapter.evaluate(x)
@@ -65,12 +59,12 @@ class CompassSearch:
                 else:
                     step /= 2.0
                 polls += 1
-                events.dispatch(StepTaken(iteration=polls, objective=value))
+                adapter.step_taken(polls, value)
                 if step < self.min_step:
                     reason = TerminationReason.STEP_SIZE_UNDERFLOW
                 elif self.max_iterations and polls >= self.max_iterations:
                     reason = TerminationReason.MAX_ITERATIONS
-        return x, finish_run(adapter, started, value, polls, reason)
+        return x, finish_run(adapter, value, polls, reason)
 
 
 if __name__ == "__main__":

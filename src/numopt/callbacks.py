@@ -4,7 +4,8 @@ A callback is any callable taking one event object and returning a
 ``CallbackDecision`` (or None, which means continue).  Optimizers fire events
 at fixed points; returning ``TERMINATE`` from any callback stops the run
 before the next objective call and the result reports
-``CALLBACK_REQUESTED``.
+``CALLBACK_REQUESTED``, also when the step it stopped on had reached
+another stop, such as the iteration cap.
 
 Events are small frozen dataclasses so callbacks can match on type:
 
@@ -163,7 +164,8 @@ class CallbackList:
 
     Once any dispatch sees TERMINATE, ``terminate_requested`` stays True
     and the run's ``ObjectiveAdapter`` refuses every further objective call.
-    Empty lists are free: ``bool(cbs)`` is False and dispatch is skipped.
+    Empty lists are free: the adapter builds an event only when
+    ``callbacks`` is non-empty, and ``bool(cbs)`` is False for an empty list.
     """
 
     def __init__(self, callbacks=()):

@@ -17,21 +17,25 @@ gradient.  ``check_requirements`` turns a shortfall into a ``Diagnostic``
 that names the missing methods, and ``ObjectiveAdapter`` binds each call to
 the objective's own method or its inferred form.
 
-The adapter is also the stop gate: once a callback has returned TERMINATE,
-it refuses every further objective call, and ``with adapter:`` ends the
-optimizer's loop at its last completed step with ``CALLBACK_REQUESTED``.
+The adapter is also the handle of one run: it holds the run's callbacks and
+start time, and reports each step (``step_taken``).  It is the stop gate
+too: once a callback has returned TERMINATE, it refuses every further
+objective call, and ``with adapter:`` ends the optimizer's loop at its last
+completed step with ``CALLBACK_REQUESTED``.
 """
 
 from __future__ import annotations
 
 import operator
+import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 
 import numpy as np
 
-from .callbacks import CallbackList, Diagnostic, EvaluateCalled, GradientCalled, _check_options
+from .callbacks import CallbackList, Diagnostic, EvaluateCalled, GradientCalled, StepTaken
+from .callbacks import _check_options
 
 __all__ = [
     "Diagnostic",
@@ -53,9 +57,12 @@ def _as_float_array(values, name, copy=False):
     keep their dtype (copied only when ``copy``), the others become float64.
     Anything else, such as complex numbers, strings or None, is refused with
     a Diagnostic naming ``name`` and the dtype; it is never truncated or
-    parsed.
+    parsed.  A ragged nested sequence is refused with a Diagnostic too.
     """
-    a = np.asarray(values)
+    try:
+        a = np.asarray(values)
+    except ValueError:  # NumPy's refusal of nested sequences of unequal lengths
+        raise Diagnostic(f"{name} must be real numbers, got a ragged sequence") from None
     if a.dtype.kind not in "biuf":
         raise Diagnostic(f"{name} must be real numbers, got dtype {a.dtype}")
     if a.dtype not in (np.float32, np.float64):
@@ -172,15 +179,18 @@ class _StopRequested(Exception):
 
 
 class ObjectiveAdapter:
-    """Uniform front for an objective: inference, call counting, event reporting.
+    """Uniform front for an objective, and the handle of one run: inference,
+    call counting, event reporting.
 
     Optimizers only ever talk to the adapter.  ``__init__`` binds each call
     once: to the objective's own method, to its inferred form, or to a
-    ``Diagnostic`` naming what is missing.  Each objective call is counted
-    and reported to ``events``, the run's ``CallbackList`` (an empty one when
-    None is given); after a termination request it is refused with
-    ``_StopRequested``, the only error that ``with adapter:`` swallows.
-    Values become floats and gradients take the dtype of ``x``.
+    ``Diagnostic`` naming what is missing, and takes the run's start time,
+    ``started``.  Each objective call is counted and reported to ``events``,
+    the run's ``CallbackList`` (an empty one when None is given); after a
+    termination request it is refused with ``_StopRequested``, the only
+    error that ``with adapter:`` swallows.  Values become floats and
+    gradients take the dtype of ``x``.  Events are built only when a
+    callback listens, so an unobserved run pays nothing for them.
 
     Counting rules: a part-window call of ``count`` parts costs ``count``
     evaluations (or gradients); a fused call costs one of each.
@@ -192,6 +202,7 @@ class ObjectiveAdapter:
         self.events = CallbackList() if events is None else events
         self.evaluate_calls = 0
         self.gradient_calls = 0
+        self.started = time.perf_counter()
         available = _with_inference(caps)
         # Plain functions, called with the adapter: bound methods stored on
         # it would make each adapter a reference cycle that outlives its run.
@@ -230,6 +241,16 @@ class ObjectiveAdapter:
 
     def gradient_parts(self, x, first, count):
         return self._gradient_parts(self, x, first, count)
+
+    def step_taken(self, iteration, objective, gradient=None):
+        """Send ``StepTaken`` for a completed step, built only when a callback
+        listens; its ``gradient_norm`` is ``gradient``'s max-abs norm, or None
+        when no gradient is given."""
+        if self.events.callbacks:
+            norm = None if gradient is None else _max_abs_norm(gradient)
+            self.events.dispatch(
+                StepTaken(iteration=iteration, objective=objective, gradient_norm=norm)
+            )
 
     @property
     def num_parts(self):
@@ -286,7 +307,7 @@ class ObjectiveAdapter:
             got = f"shape {value.shape}" if hasattr(value, "shape") else type(value).__name__
             name = f"{type(self.objective).__name__}.{method}"
             raise Diagnostic(f"{name} returned a value of {got}, not a scalar") from None
-        if self.events:
+        if self.events.callbacks:
             self.events.dispatch(EvaluateCalled(value=value))
         return value
 
@@ -297,7 +318,7 @@ class ObjectiveAdapter:
                 f"{type(self.objective).__name__}.{method} returned gradient of shape "
                 f"{g.shape} for parameters of shape {x.shape}"
             )
-        if self.events:
+        if self.events.callbacks:
             self.events.dispatch(GradientCalled(norm=_max_abs_norm(g)))
         return g
 

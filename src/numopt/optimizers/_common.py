@@ -1,9 +1,12 @@
 """Run setup, teardown and the stop rules: the parts every optimizer is built from.
 
-``prepare_run``, ``finish_run`` and ``progress_stop`` are public.  The
-iteration cap (``_cap_stop``) and the gradient-norm stop
-(``_gradient_stop``) are stated here once and read by every bundled
-optimizer; the norm itself is ``core._max_abs_norm``.
+``prepare_run``, ``finish_run`` and ``progress_stop`` are public.  A run's
+one handle is the ``ObjectiveAdapter`` that ``prepare_run`` returns beside
+the parameters: the loop calls the objective and reports each step
+(``step_taken``) through it, and ``finish_run`` reads the callbacks, the
+start time and the call counts from it.  The iteration cap (``_cap_stop``)
+and the gradient-norm stop (``_gradient_stop``) are stated here once and
+read by every bundled optimizer; the norm itself is ``core._max_abs_norm``.
 """
 
 from __future__ import annotations
@@ -28,18 +31,16 @@ def prepare_run(objective, x0, callbacks, requires, consumer):
 
     The capability check happens before any objective call, so an unusable
     pairing fails fast with a Diagnostic instead of mid-run.  Returns the
-    working parameter array, the adapter, the callback list (already sent
-    BeginOptimization), and the start time.
+    working parameter array and the run's adapter, whose ``events`` (the
+    callbacks) have already been sent BeginOptimization.
     """
     x = as_parameters(x0)
-    events = CallbackList(callbacks)
-    adapter = ObjectiveAdapter(objective, events=events)
+    adapter = ObjectiveAdapter(objective, events=CallbackList(callbacks))
     diagnostic = check_requirements(adapter.capabilities, requires, consumer)
     if diagnostic is not None:
         raise diagnostic
-    started = time.perf_counter()
-    events.dispatch(BeginOptimization())
-    return x, adapter, events, started
+    adapter.events.dispatch(BeginOptimization())
+    return x, adapter
 
 
 def progress_stop(options, value, new_value, iteration):
@@ -60,22 +61,27 @@ def _cap_stop(options, iteration):
 
 
 def _gradient_stop(options, gradient):
-    """``gradient``'s max-abs norm, and GRADIENT_NORM_TOLERANCE when that is
-    at most ``options.min_gradient_norm`` (None otherwise)."""
-    norm = _max_abs_norm(gradient)
-    converged = norm <= options.min_gradient_norm
-    return norm, TerminationReason.GRADIENT_NORM_TOLERANCE if converged else None
+    """GRADIENT_NORM_TOLERANCE when ``gradient``'s max-abs norm is at most
+    ``options.min_gradient_norm``, else None."""
+    converged = _max_abs_norm(gradient) <= options.min_gradient_norm
+    return TerminationReason.GRADIENT_NORM_TOLERANCE if converged else None
 
 
-def finish_run(adapter, started, final_objective, iterations, termination):
-    """Close the run: EndOptimization, then the assembled result.  A None
-    ``termination`` means ``with adapter:`` ended the loop: CALLBACK_REQUESTED."""
+def finish_run(adapter, final_objective, iterations, termination):
+    """Close the run: EndOptimization, then the assembled result.
+
+    Once a callback has asked to stop, the run ends with CALLBACK_REQUESTED,
+    whatever ``termination`` the loop reached: None when ``with adapter:``
+    ended it, or a reason decided on the very step the callback stopped.
+    """
+    if adapter.events.terminate_requested:
+        termination = TerminationReason.CALLBACK_REQUESTED
     adapter.events.dispatch(EndOptimization())
     return OptimizationResult(
         final_objective=float(final_objective),
         iterations=iterations,
-        termination=termination or TerminationReason.CALLBACK_REQUESTED,
-        elapsed_seconds=time.perf_counter() - started,
+        termination=termination,
+        elapsed_seconds=time.perf_counter() - adapter.started,
         evaluate_calls=adapter.evaluate_calls,
         gradient_calls=adapter.gradient_calls,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..callbacks import StepTaken, _check_options
+from ..callbacks import _check_options
 from ..core import ObjectiveCapabilities
 from ._common import _cap_stop, finish_run, prepare_run
 
@@ -81,9 +81,7 @@ class SimulatedAnnealing:
 
     def optimize(self, objective, x0, callbacks=()):
         """Minimize ``objective`` from ``x0``; returns (best parameters, result)."""
-        x, adapter, events, started = prepare_run(
-            objective, x0, callbacks, self.requires, "simulated annealing"
-        )
+        x, adapter = prepare_run(objective, x0, callbacks, self.requires, "simulated annealing")
         uniforms = _move_uniforms(np.random.default_rng(self.seed))
         # Both options are validated positive when set, so ``or`` picks the default.
         moves_per_temperature = self.moves_per_temperature or 20 * x.size
@@ -116,8 +114,7 @@ class SimulatedAnnealing:
                         if value < best_value:
                             best_x, best_value = x, value
                     moves += 1
-                    if events:
-                        events.dispatch(StepTaken(iteration=moves, objective=value))
+                    adapter.step_taken(moves, value)
                 else:
                     temperature *= self.cooling_factor
-        return best_x, finish_run(adapter, started, best_value, moves, reason)
+        return best_x, finish_run(adapter, best_value, moves, reason)

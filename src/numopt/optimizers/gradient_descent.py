@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..callbacks import StepTaken, _check_options
+from ..callbacks import _check_options
 from ..core import ObjectiveCapabilities
 from ._common import _gradient_stop, finish_run, prepare_run, progress_stop
 
@@ -46,26 +46,18 @@ class GradientDescent:
 
     def optimize(self, objective, x0, callbacks=()):
         """Minimize ``objective`` from ``x0``; returns (parameters, result)."""
-        x, adapter, events, started = prepare_run(
-            objective, x0, callbacks, self.requires, "gradient descent"
-        )
+        x, adapter = prepare_run(objective, x0, callbacks, self.requires, "gradient descent")
         value, iteration, reason = np.nan, 0, None
         with adapter:
             value = adapter.evaluate(x)
             while reason is None:
                 gradient = adapter.gradient(x)
-                gradient_norm, reason = _gradient_stop(self, gradient)
-                if reason is not None:
+                if (reason := _gradient_stop(self, gradient)) is not None:
                     break
                 new_x = x - self.step_size * gradient
                 new_value = adapter.evaluate(new_x)
                 x, iteration = new_x, iteration + 1
-                if events:
-                    events.dispatch(
-                        StepTaken(
-                            iteration=iteration, objective=new_value, gradient_norm=gradient_norm
-                        )
-                    )
+                adapter.step_taken(iteration, new_value, gradient)
                 reason = progress_stop(self, value, new_value, iteration)
                 value = new_value
-        return x, finish_run(adapter, started, value, iteration, reason)
+        return x, finish_run(adapter, value, iteration, reason)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..callbacks import StepTaken, _check_options
+from ..callbacks import _check_options
 from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
 from ._common import _gradient_stop, finish_run, prepare_run, progress_stop
 
@@ -179,23 +179,15 @@ class LineSearchResult(NamedTuple):
     point: np.ndarray | None = None
 
 
-def backtracking_line_search(
-    adapter,
-    x,
-    value,
-    gradient,
-    direction,
-    *,
-    armijo_constant=1e-4,
-    backtrack_factor=0.5,
-    max_trials=50,
-):
+def backtracking_line_search(adapter, x, value, gradient, direction, options):
     """Find a step along ``direction`` passing the sufficient-decrease test.
 
+    ``options`` is the ``LBFGS`` whose ``armijo_constant`` c1,
+    ``backtrack_factor`` b and ``max_line_search_trials`` the search reads.
     Tries steps 1, b, b^2, ... and accepts the first with
     f(x + a d) <= f(x) + c1 a g.d.  A NaN trial value is rejected like any
     insufficient decrease.  Failures are reported in the result, not raised:
-    LINE_SEARCH_FAILURE after ``max_trials`` rejections, and
+    LINE_SEARCH_FAILURE after ``max_line_search_trials`` rejections, and
     STEP_SIZE_UNDERFLOW when the next trial step would fall below
     ``MIN_STEP``.  Each trial costs one objective evaluation through
     ``adapter``; once a callback has returned TERMINATE, the adapter refuses
@@ -210,14 +202,14 @@ def backtracking_line_search(
         # Not a descent direction (or NaN); nothing downhill to find.
         return LineSearchResult(0.0, value, TerminationReason.LINE_SEARCH_FAILURE)
     step = 1.0
-    for _ in range(max_trials):
+    for _ in range(options.max_line_search_trials):
         if step < MIN_STEP:
             return LineSearchResult(step, value, TerminationReason.STEP_SIZE_UNDERFLOW)
         point = x + direction if step == 1.0 else x + step * direction
         trial_value = adapter.evaluate(point)
-        if trial_value <= value + armijo_constant * step * slope:
+        if trial_value <= value + options.armijo_constant * step * slope:
             return LineSearchResult(step, trial_value, None, point)
-        step *= backtrack_factor
+        step *= options.backtrack_factor
     return LineSearchResult(step, value, TerminationReason.LINE_SEARCH_FAILURE)
 
 
@@ -262,30 +254,19 @@ class LBFGS:
         ``x0`` is not modified; the run works on a copy and its dtype
         (float32 or float64) sets the precision of the whole run.
         """
-        x, adapter, events, started = prepare_run(
-            objective, x0, callbacks, self.requires, "L-BFGS"
-        )
+        x, adapter = prepare_run(objective, x0, callbacks, self.requires, "L-BFGS")
         value, iteration, reason = np.nan, 0, None
         with adapter:
             value, gradient = adapter.evaluate_with_gradient(x)
             memory = LbfgsMemory(self.memory_size)
-            _, reason = _gradient_stop(self, gradient)
+            reason = _gradient_stop(self, gradient)
             while reason is None:
                 direction = two_loop_direction(memory, gradient)
                 if len(memory) == 0:
                     # Steepest descent carries no curvature scale; cap the first
                     # trial step at unit length (Nocedal & Wright, 2nd ed., 3.5).
                     direction = direction / max(1.0, float(np.linalg.norm(direction.ravel())))
-                found = backtracking_line_search(
-                    adapter,
-                    x,
-                    value,
-                    gradient,
-                    direction,
-                    armijo_constant=self.armijo_constant,
-                    backtrack_factor=self.backtrack_factor,
-                    max_trials=self.max_line_search_trials,
-                )
+                found = backtracking_line_search(adapter, x, value, gradient, direction, self)
                 if found.failure is not None:
                     reason = found.failure
                     break
@@ -297,13 +278,8 @@ class LBFGS:
                     # (negative curvature along the step).  Steering by the old
                     # history stalls in that situation, so restart it.
                     memory.clear()
-                gradient_norm, reason = _gradient_stop(self, new_gradient)
-                if events:
-                    events.dispatch(
-                        StepTaken(
-                            iteration=iteration, objective=found.value, gradient_norm=gradient_norm
-                        )
-                    )
+                reason = _gradient_stop(self, new_gradient)
+                adapter.step_taken(iteration, found.value, new_gradient)
                 reason = reason or progress_stop(self, value, found.value, iteration)
                 value, gradient = found.value, new_gradient
-        return x, finish_run(adapter, started, value, iteration, reason)
+        return x, finish_run(adapter, value, iteration, reason)

@@ -14,8 +14,8 @@ from typing import Protocol
 
 import numpy as np
 
-from ..callbacks import BeginEpoch, EndEpoch, StepTaken, _check_options
-from ..core import ObjectiveCapabilities, TerminationReason, _max_abs_norm
+from ..callbacks import BeginEpoch, EndEpoch, _check_options
+from ..core import ObjectiveCapabilities, TerminationReason
 from ._common import _cap_stop, finish_run, prepare_run
 
 __all__ = ["UpdatePolicy", "VanillaUpdate", "MomentumUpdate", "AdamUpdate", "SGD"]
@@ -178,7 +178,7 @@ class SGD:
         ``final_objective`` is the most recent observed mean: the epoch mean
         after a completed epoch, otherwise the last batch mean.
         """
-        x, adapter, events, started = prepare_run(objective, x0, callbacks, self.requires, "SGD")
+        x, adapter = prepare_run(objective, x0, callbacks, self.requires, "SGD")
         n, batch = adapter.num_parts, self.batch_size
         # (first, count, count as a 0-d array of x's dtype) per window: dividing
         # by the array gives the bits that dividing by the int gives, without
@@ -193,7 +193,7 @@ class SGD:
         with adapter:
             while reason is None:
                 epoch += 1
-                events.dispatch(BeginEpoch(epoch=epoch))
+                adapter.events.dispatch(BeginEpoch(epoch=epoch))
                 order = rng.permutation(len(windows)) if self.shuffle else range(len(windows))
                 epoch_total = 0.0
                 for window in order:
@@ -208,24 +208,18 @@ class SGD:
                     steps += 1
                     epoch_total += batch_value
                     observed = batch_value / count
-                    if events:
-                        events.dispatch(
-                            StepTaken(
-                                iteration=steps,
-                                objective=observed,
-                                gradient_norm=_max_abs_norm(gradient),
-                            )
-                        )
+                    adapter.step_taken(steps, observed, gradient)
                 else:
                     # Epoch completed; the mean is over values observed at the
                     # iterates current when each window was visited.
                     mean = epoch_total / n
                     observed = mean
-                    if events.dispatch(EndEpoch(epoch=epoch, mean_objective=mean)):
+                    # A stop request ends the run here, so that no epoch starts after it.
+                    if adapter.events.dispatch(EndEpoch(epoch=epoch, mean_objective=mean)):
                         break
                     if previous_mean is not None and abs(previous_mean - mean) < self.tolerance:
                         reason = TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE
                     else:
                         reason = _cap_stop(self, steps)
                     previous_mean = mean
-        return x, finish_run(adapter, started, observed, steps, reason)
+        return x, finish_run(adapter, observed, steps, reason)

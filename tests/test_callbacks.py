@@ -1,15 +1,14 @@
 """Dispatch combination rules and the built-in callbacks."""
 
+import runpy
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import numopt.optimizers.annealing
-import numopt.optimizers.gradient_descent
-import numopt.optimizers.lbfgs
-import numopt.optimizers.sgd
+import numopt.core
 from numopt import (
     LBFGS,
     SGD,
@@ -31,6 +30,9 @@ from numopt import (
     parse_progress_line,
 )
 from numopt.problems import Rosenbrock, SeparableLinearRegression, generate_noisy_linear
+
+DEMO = Path(__file__).resolve().parent.parent / "demos" / "custom_optimizer.py"
+CompassSearch = runpy.run_path(str(DEMO))["CompassSearch"]
 
 
 class Quadratic:
@@ -356,29 +358,31 @@ class TestTerminationHygiene:
         assert norms[0] == 2.0  # max-abs gradient at x0
 
 
-# Each optimizer module with a run of several steps: (module, optimizer, objective, x0).
+# Each optimizer with a run of several steps: (optimizer, objective, x0).  The
+# compass search of demos/custom_optimizer.py reports its steps the same way.
 STEPPING_RUNS = {
     "gd": lambda: (
-        numopt.optimizers.gradient_descent,
         GradientDescent(step_size=0.1, max_iterations=20),
         Quadratic(),
         np.array([3.0, -1.0]),
     ),
     "lbfgs": lambda: (
-        numopt.optimizers.lbfgs,
         LBFGS(max_iterations=20),
         Rosenbrock(),
         np.array([-1.2, 1.0]),
     ),
     "sgd": lambda: (
-        numopt.optimizers.sgd,
         SGD(batch_size=4, max_iterations=20),
         SeparableLinearRegression(*generate_noisy_linear(3, 40, 1.0, seed=0)[:2]),
         np.zeros(3),
     ),
     "annealing": lambda: (
-        numopt.optimizers.annealing,
         SimulatedAnnealing(max_iterations=20),
+        Quadratic(),
+        np.array([3.0, -1.0]),
+    ),
+    "compass": lambda: (
+        CompassSearch(max_iterations=20),
         Quadratic(),
         np.array([3.0, -1.0]),
     ),
@@ -389,7 +393,7 @@ class TestIdleObservation:
     @pytest.mark.parametrize("name", sorted(STEPPING_RUNS))
     @pytest.mark.parametrize("observed", [False, True], ids=["idle", "observed"])
     def test_step_events_are_built_only_when_observed(self, monkeypatch, name, observed):
-        module, optimizer, objective, x0 = STEPPING_RUNS[name]()
+        optimizer, objective, x0 = STEPPING_RUNS[name]()
         built = []
 
         class CountedStep(StepTaken):
@@ -397,7 +401,7 @@ class TestIdleObservation:
                 built.append(fields["iteration"])
                 super().__init__(**fields)
 
-        monkeypatch.setattr(module, "StepTaken", CountedStep)
+        monkeypatch.setattr(numopt.core, "StepTaken", CountedStep)
         callbacks = [lambda event: None] if observed else []
         _, result = optimizer.optimize(objective, x0, callbacks=callbacks)
         assert result.iterations == 20

@@ -402,21 +402,23 @@ class TestAsParameters:
             as_parameters(np.array([]))
 
     # Complex numbers were truncated to their real parts, strings parsed, and
-    # None reported as NaN; each is refused by its dtype instead.
+    # None reported as NaN; each is refused by its dtype instead.  A ragged
+    # sequence raised NumPy's own ValueError.
     @pytest.mark.parametrize(
-        "bad, dtype",
+        "bad, got",
         [
-            (np.array([1 + 2j, 3]), "complex128"),
-            (["1", "2"], "<U1"),
-            (["a"], "<U1"),
-            ([None, 1.0], "object"),
-            (np.array([1.0, 2.0], dtype=object), "object"),
+            (np.array([1 + 2j, 3]), "dtype complex128"),
+            (["1", "2"], "dtype <U1"),
+            (["a"], "dtype <U1"),
+            ([None, 1.0], "dtype object"),
+            (np.array([1.0, 2.0], dtype=object), "dtype object"),
+            ([[1.0, 2.0], [3.0]], "a ragged sequence"),
         ],
     )
-    def test_refuses_what_is_not_real_numbers(self, bad, dtype):
+    def test_refuses_what_is_not_real_numbers(self, bad, got):
         with pytest.raises(Diagnostic) as raised:
             as_parameters(bad)
-        assert str(raised.value) == f"initial parameters must be real numbers, got dtype {dtype}"
+        assert str(raised.value) == f"initial parameters must be real numbers, got {got}"
 
     @pytest.mark.parametrize(
         "dtype", [np.bool_, np.int8, np.int64, np.uint16, np.float16, np.longdouble]

@@ -332,7 +332,7 @@ class TestBacktrackingLineSearch:
         adapter = ObjectiveAdapter(Quadratic())
         x = np.array([1.0, 0.0])
         direction = np.array([-1.0, 0.0])
-        found = backtracking_line_search(adapter, x, 1.0, 2.0 * x, direction)
+        found = backtracking_line_search(adapter, x, 1.0, 2.0 * x, direction, LBFGS())
         assert found.failure is None
         assert found.step == 1.0
         assert found.value == 0.0
@@ -346,7 +346,7 @@ class TestBacktrackingLineSearch:
         adapter = ObjectiveAdapter(Quadratic())
         x = np.array([1.0, 0.0])
         direction = np.array([-4.0, 0.0])
-        found = backtracking_line_search(adapter, x, 1.0, 2.0 * x, direction)
+        found = backtracking_line_search(adapter, x, 1.0, 2.0 * x, direction, LBFGS())
         assert found.failure is None
         assert found.step == 0.25
         assert found.value == 0.0
@@ -356,7 +356,7 @@ class TestBacktrackingLineSearch:
     def test_nan_trials_rejected_and_search_continues(self):
         adapter = ObjectiveAdapter(NanRegion())
         x = np.array([1.0, 0.0])
-        found = backtracking_line_search(adapter, x, 1.0, 2.0 * x, np.array([-4.0, 0.0]))
+        found = backtracking_line_search(adapter, x, 1.0, 2.0 * x, np.array([-4.0, 0.0]), LBFGS())
         assert found.failure is None
         assert found.step == 0.25
         assert adapter.evaluate_calls == 3
@@ -365,7 +365,7 @@ class TestBacktrackingLineSearch:
         adapter = ObjectiveAdapter(AlwaysNan())
         x = np.array([1.0])
         found = backtracking_line_search(
-            adapter, x, 1.0, np.array([2.0]), np.array([-1.0]), max_trials=50
+            adapter, x, 1.0, np.array([2.0]), np.array([-1.0]), LBFGS(max_line_search_trials=50)
         )
         assert found.failure == TerminationReason.LINE_SEARCH_FAILURE
         assert found.value == 1.0
@@ -377,7 +377,7 @@ class TestBacktrackingLineSearch:
         adapter = ObjectiveAdapter(AlwaysNan())
         x = np.array([1.0])
         found = backtracking_line_search(
-            adapter, x, 1.0, np.array([2.0]), np.array([-1.0]), max_trials=200
+            adapter, x, 1.0, np.array([2.0]), np.array([-1.0]), LBFGS(max_line_search_trials=200)
         )
         assert found.failure == TerminationReason.STEP_SIZE_UNDERFLOW
         assert found.point is None
@@ -386,7 +386,7 @@ class TestBacktrackingLineSearch:
     def test_non_descent_direction_fails_without_evaluating(self):
         adapter = ObjectiveAdapter(Quadratic())
         x = np.array([1.0, 0.0])
-        found = backtracking_line_search(adapter, x, 1.0, 2.0 * x, np.array([1.0, 0.0]))
+        found = backtracking_line_search(adapter, x, 1.0, 2.0 * x, np.array([1.0, 0.0]), LBFGS())
         assert found.failure == TerminationReason.LINE_SEARCH_FAILURE
         assert found.point is None
         assert adapter.evaluate_calls == 0
@@ -394,7 +394,9 @@ class TestBacktrackingLineSearch:
     def test_nan_slope_fails_without_evaluating(self):
         adapter = ObjectiveAdapter(Quadratic())
         x = np.array([1.0, 0.0])
-        found = backtracking_line_search(adapter, x, 1.0, 2.0 * x, np.array([np.nan, 0.0]))
+        found = backtracking_line_search(
+            adapter, x, 1.0, 2.0 * x, np.array([np.nan, 0.0]), LBFGS()
+        )
         assert found.failure == TerminationReason.LINE_SEARCH_FAILURE
         assert adapter.evaluate_calls == 0
 
@@ -415,7 +417,7 @@ class TestBacktrackingLineSearch:
         adapter = ObjectiveAdapter(Counting(), events=CallbackList([stop_on_evaluate]))
         with adapter:
             backtracking_line_search(
-                adapter, np.array([1.0]), 1.0, np.array([2.0]), np.array([-1.0])
+                adapter, np.array([1.0]), 1.0, np.array([2.0]), np.array([-1.0]), LBFGS()
             )
             pytest.fail("the line search returned after its second trial was refused")
         assert len(trials) == 1
@@ -616,7 +618,7 @@ class TestUnitSteepestDescent:
         g0 = objective.gradient(x0)
         assert np.linalg.norm(g0) <= 1.0
         reference = backtracking_line_search(
-            ObjectiveAdapter(objective), x0, objective.evaluate(x0), g0, -g0
+            ObjectiveAdapter(objective), x0, objective.evaluate(x0), g0, -g0, LBFGS()
         )
         x, result = LBFGS(max_iterations=1).optimize(objective, x0)
         assert result.iterations == 1

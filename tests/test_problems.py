@@ -73,21 +73,23 @@ def test_inconsistent_data_is_diagnostic(cls):
 
 
 # Data follows the parameters' admission rule: complex numbers, strings and
-# None are refused by their dtype, never truncated or parsed.
+# None are refused by their dtype, never truncated or parsed, and a ragged
+# sequence is refused too.
 @pytest.mark.parametrize("cls", [LinearRegression, SeparableLinearRegression, LogisticRegression])
 @pytest.mark.parametrize(
-    "which, predictors, responses, dtype",
+    "which, predictors, responses, got",
     [
-        ("predictors", np.array([[1 + 1j, 2.0]]), [1.0, 0.0], "complex128"),
-        ("predictors", [[None, 2.0]], [1.0, 0.0], "object"),
-        ("responses", [[1.0, 2.0]], ["1", "0"], "<U1"),
-        ("responses", [[1.0, 2.0]], np.array([1 + 0j, 0]), "complex128"),
+        ("predictors", np.array([[1 + 1j, 2.0]]), [1.0, 0.0], "dtype complex128"),
+        ("predictors", [[None, 2.0]], [1.0, 0.0], "dtype object"),
+        ("responses", [[1.0, 2.0]], ["1", "0"], "dtype <U1"),
+        ("responses", [[1.0, 2.0]], np.array([1 + 0j, 0]), "dtype complex128"),
+        ("predictors", [[1.0, 2.0], [3.0]], [1.0, 2.0], "a ragged sequence"),
     ],
 )
-def test_data_that_is_not_real_numbers_is_diagnostic(cls, which, predictors, responses, dtype):
+def test_data_that_is_not_real_numbers_is_diagnostic(cls, which, predictors, responses, got):
     with pytest.raises(Diagnostic) as raised:
         cls(predictors, responses)
-    assert str(raised.value) == f"{cls.__name__} {which} must be real numbers, got dtype {dtype}"
+    assert str(raised.value) == f"{cls.__name__} {which} must be real numbers, got {got}"
 
 
 @pytest.mark.parametrize("cls", [LinearRegression, SeparableLinearRegression, LogisticRegression])

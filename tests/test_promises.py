@@ -4,12 +4,13 @@ A callback's TERMINATE means no further objective calls, the reported call
 counts are exact, ``x0`` is never mutated, and a float32 start gives a
 float32 result, also when the objective computes in float64.  A start that
 is not real numbers is refused before any call, and every termination
-reason is true of the run it ends.  The compass
+reason and ``final_objective`` is true of the run it ends.  The compass
 search from ``demos/custom_optimizer.py``, built from public names only,
 runs in every grid beside the bundled optimizers.
 """
 
 import runpy
+from dataclasses import replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -27,6 +28,7 @@ from numopt import (
     CallbackDecision,
     Diagnostic,
     EarlyStopping,
+    EndEpoch,
     EvaluateCalled,
     GradientCalled,
     GradientDescent,
@@ -162,6 +164,18 @@ def test_terminate_means_no_further_objective_calls(name, kind, k, offset, seed,
         assert_allclose(result.final_objective, objective.inner.evaluate(x), rtol=1e-12)
 
 
+# A TERMINATE on the step that reaches the cap: the request is the reason,
+# for SGD whether the cap falls inside an epoch (2) or at its end (3).
+@pytest.mark.parametrize("name", ["lbfgs", "gd", "sgd", "annealing", "compass"])
+@pytest.mark.parametrize("cap", [2, 3])
+def test_a_stop_request_on_the_capped_step_is_the_reason(name, cap):
+    objective, optimizer, x0 = make_run(name, False, np.zeros(2), 0)
+    stopper = StopAt(StepTaken, cap, objective)
+    _, result = replace(optimizer, max_iterations=cap).optimize(objective, x0, [stopper])
+    assert result.iterations == cap
+    assert result.termination == TerminationReason.CALLBACK_REQUESTED
+
+
 class Float64Quadratic:
     """x @ A @ x with a float64 A, so a float32 x gets float64 gradients."""
 
@@ -292,6 +306,18 @@ def stop_grid():
                 yield name, problem, dtype
 
 
+class LastObserved:
+    """The value of the latest StepTaken or EndEpoch."""
+
+    value = np.nan
+
+    def __call__(self, event):
+        if isinstance(event, StepTaken):
+            self.value = event.objective
+        elif isinstance(event, EndEpoch):
+            self.value = event.mean_objective
+
+
 @pytest.mark.parametrize("name, problem, dtype", list(stop_grid()))
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(
@@ -316,10 +342,14 @@ def test_every_stop_reason_is_true_of_its_run(
     else:
         least_squares = SeparableLinearRegression if name in SGD_POLICIES else LinearRegression
         objective = least_squares(X.astype(dtype), Y.astype(dtype))
-    recorder = TraceRecorder()
+    recorder, last = TraceRecorder(), LastObserved()
     # Diverging draws are kept: the predicates hold for them too.
     with np.errstate(over="ignore", invalid="ignore"):
-        x, result = optimizer.optimize(objective, x0, callbacks=[recorder])
+        x, result = optimizer.optimize(objective, x0, callbacks=[recorder, last])
+        # final_objective as documented: SGD's latest mean per part, the
+        # others' f at the returned (for annealing, best) parameters.
+        expected = last.value if name in SGD_POLICIES else ObjectiveAdapter(objective).evaluate(x)
+        np.testing.assert_equal(result.final_objective, expected)  # NaN equals NaN
         reason = result.termination
         assert result.iterations <= cap
         if reason is TerminationReason.MAX_ITERATIONS:

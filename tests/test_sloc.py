@@ -1,5 +1,5 @@
-"""Code-line counting of tools/sloc.py: docstrings, comments and blanks left out;
-and the line-length limit of the source it counts."""
+"""Code-line and code-token counting of tools/sloc.py: docstrings, comments,
+blanks and layout left out; and the line-length limit of the source it counts."""
 
 import importlib.util
 from pathlib import Path
@@ -30,9 +30,17 @@ class Point:
 '''
 
 
-def test_counts_code_lines_only():
-    # import, class, def, the two-line string, and the three-line return.
-    assert sloc.code_lines(SOURCE) == 8
+def test_counts_code_lines_and_tokens_only():
+    # Lines: import, class, def, the two-line string, and the three-line
+    # return.  Tokens: import os (2), class Point : (3), def norm ( self ) :
+    # (6), text = "..." (3), return os . path . join ( (7), text , (2), ) (1).
+    assert sloc.code_size(SOURCE) == (8, 24)
+
+
+def test_joining_lines_leaves_the_token_count():
+    split = "total = (\n    1\n    + 2\n)\n"
+    assert sloc.code_size(split) == (4, 7)
+    assert sloc.code_size("total = (1 + 2)\n") == (1, 7)
 
 
 def test_prints_each_file_and_the_total(tmp_path, capsys):
@@ -41,9 +49,9 @@ def test_prints_each_file_and_the_total(tmp_path, capsys):
     assert sloc.main([str(tmp_path)]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert [row.split() for row in rows] == [
-        ["8", str(tmp_path / "a.py")],
-        ["1", str(tmp_path / "b.py")],
-        ["9", "total"],
+        ["8", "24", str(tmp_path / "a.py")],
+        ["1", "3", str(tmp_path / "b.py")],
+        ["9", "27", "total"],
     ]
 
 

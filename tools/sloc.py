@@ -1,11 +1,13 @@
-"""Code lines per Python file: docstrings, comments and blank lines excluded.
+"""Code lines and code tokens per Python file: docstrings, comments and blank lines excluded.
 
     python3 tools/sloc.py [PATH ...]
 
 Each PATH is a file or a directory searched for ``*.py`` files; the default
-is ``src``.  Prints one ``<lines> <file>`` row per file, then the total.  A
-line counts when a token other than a comment or a docstring starts, ends or
-runs through it, so a statement spread over three lines counts three.
+is ``src``.  Prints one ``<lines> <tokens> <file>`` row per file, then the
+totals.  A code token is any token but a comment, a docstring or layout
+(newlines, indents, dedents), so joining or splitting lines leaves the token
+count as it was.  A line counts when a code token starts, ends or runs
+through it, so a statement spread over three lines counts three.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ _LAYOUT = {
 }
 
 
-def docstring_lines(source):
-    """The line numbers that module, class and function docstrings occupy."""
-    lines = set()
+def docstring_spans(source):
+    """The (start, end) positions of module, class and function docstrings."""
+    spans = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             first = node.body[0] if node.body else None
@@ -37,18 +39,23 @@ def docstring_lines(source):
                 and isinstance(first.value, ast.Constant)
                 and isinstance(first.value.value, str)
             ):
-                lines.update(range(first.lineno, first.end_lineno + 1))
-    return lines
+                start = first.lineno, first.col_offset
+                spans.append((start, (first.end_lineno, first.end_col_offset)))
+    return spans
 
 
-def code_lines(source):
-    """The number of lines of ``source`` that hold code."""
-    skipped = docstring_lines(source)
-    lines = set()
+def code_size(source):
+    """The number of lines of ``source`` that hold code, and of its code tokens."""
+    docstrings = docstring_spans(source)
+    lines, tokens = set(), 0
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
-        if token.type not in _LAYOUT:
-            lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines - skipped)
+        if token.type in _LAYOUT or any(
+            start <= token.start and token.end <= end for start, end in docstrings
+        ):
+            continue
+        tokens += 1
+        lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines), tokens
 
 
 def python_files(paths):
@@ -58,12 +65,13 @@ def python_files(paths):
 
 def main(argv=None):
     paths = (sys.argv[1:] if argv is None else argv) or ["src"]
-    total = 0
+    total_lines = total_tokens = 0
     for path in python_files(paths):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d} {path}")
-    print(f"{total:6d} total")
+        lines, tokens = code_size(path.read_text())
+        total_lines += lines
+        total_tokens += tokens
+        print(f"{lines:6d} {tokens:7d} {path}")
+    print(f"{total_lines:6d} {total_tokens:7d} total")
     return 0
 
 
