@@ -10,10 +10,12 @@ sets the run, and no objective call after a callback's TERMINATE.
 ``prepare_run`` checks the objective and opens the run; it returns the
 parameters and the adapter, the run's one handle.  The loop runs inside
 ``with adapter:``, calls the objective through the adapter and reports
-each completed step with ``adapter.step_taken``, which builds no event
-when no callback listens.  Once a callback has asked to stop, the adapter
-refuses the next objective call and the block ends there.
-``finish_run(adapter, ...)`` builds the result; after a stop request it
+each completed step with ``adapter.step_taken``, which counts it in
+``adapter.iterations`` and builds no event when no callback listens, so
+the loop keeps no step counter of its own.  Once a callback has asked to
+stop, the adapter refuses the next objective call and the block ends
+there.  ``finish_run(adapter, final_objective, termination)`` builds the
+result, its ``iterations`` read from the adapter; after a stop request it
 says CALLBACK_REQUESTED, whatever reason the loop had reached.
 
 The example is compass search (Kolda, Lewis & Torczon, SIAM Review 2003):
@@ -45,7 +47,7 @@ class CompassSearch:
 
     def optimize(self, objective, x0, callbacks=()):
         x, adapter = prepare_run(objective, x0, callbacks, self.requires, "compass search")
-        value, step, polls, reason = np.nan, self.step, 0, None
+        value, step, reason = np.nan, self.step, None
         with adapter:
             value = adapter.evaluate(x)
             while reason is None:
@@ -58,13 +60,12 @@ class CompassSearch:
                         break
                 else:
                     step /= 2.0
-                polls += 1
-                adapter.step_taken(polls, value)
+                adapter.step_taken(value)
                 if step < self.min_step:
                     reason = TerminationReason.STEP_SIZE_UNDERFLOW
-                elif self.max_iterations and polls >= self.max_iterations:
+                elif self.max_iterations and adapter.iterations >= self.max_iterations:
                     reason = TerminationReason.MAX_ITERATIONS
-        return x, finish_run(adapter, value, polls, reason)
+        return x, finish_run(adapter, value, reason)
 
 
 if __name__ == "__main__":

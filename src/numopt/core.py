@@ -17,8 +17,9 @@ gradient.  ``check_requirements`` turns a shortfall into a ``Diagnostic``
 that names the missing methods, and ``ObjectiveAdapter`` binds each call to
 the objective's own method or its inferred form.
 
-The adapter is also the handle of one run: it holds the run's callbacks and
-start time, and reports each step (``step_taken``).  It is the stop gate
+The adapter is also the handle of one run: it holds the run's callbacks,
+start time and call counts, and counts and reports each step
+(``step_taken``), so no optimizer keeps a step counter.  It is the stop gate
 too: once a callback has returned TERMINATE, it refuses every further
 objective call, and ``with adapter:`` ends the optimizer's loop at its last
 completed step with ``CALLBACK_REQUESTED``.
@@ -180,12 +181,14 @@ class _StopRequested(Exception):
 
 class ObjectiveAdapter:
     """Uniform front for an objective, and the handle of one run: inference,
-    call counting, event reporting.
+    call and step counting, event reporting.
 
     Optimizers only ever talk to the adapter.  ``__init__`` binds each call
     once: to the objective's own method, to its inferred form, or to a
     ``Diagnostic`` naming what is missing, and takes the run's start time,
-    ``started``.  Each objective call is counted and reported to ``events``,
+    ``started``.  ``iterations`` starts at 0 and counts the completed steps
+    that the loop reports with ``step_taken``, whether or not a callback
+    listens.  Each objective call is counted and reported to ``events``,
     the run's ``CallbackList`` (an empty one when None is given); after a
     termination request it is refused with ``_StopRequested``, the only
     error that ``with adapter:`` swallows.  Values become floats and
@@ -202,6 +205,7 @@ class ObjectiveAdapter:
         self.events = CallbackList() if events is None else events
         self.evaluate_calls = 0
         self.gradient_calls = 0
+        self.iterations = 0
         self.started = time.perf_counter()
         available = _with_inference(caps)
         # Plain functions, called with the adapter: bound methods stored on
@@ -242,14 +246,15 @@ class ObjectiveAdapter:
     def gradient_parts(self, x, first, count):
         return self._gradient_parts(self, x, first, count)
 
-    def step_taken(self, iteration, objective, gradient=None):
-        """Send ``StepTaken`` for a completed step, built only when a callback
-        listens; its ``gradient_norm`` is ``gradient``'s max-abs norm, or None
-        when no gradient is given."""
+    def step_taken(self, objective, gradient=None):
+        """Count a completed step in ``iterations``, then send its ``StepTaken``,
+        built only when a callback listens; its ``gradient_norm`` is
+        ``gradient``'s max-abs norm, or None when no gradient is given."""
+        self.iterations += 1
         if self.events.callbacks:
             norm = None if gradient is None else _max_abs_norm(gradient)
             self.events.dispatch(
-                StepTaken(iteration=iteration, objective=objective, gradient_norm=norm)
+                StepTaken(iteration=self.iterations, objective=objective, gradient_norm=norm)
             )
 
     @property
@@ -376,10 +381,11 @@ class OptimizationResult:
     valued at the iterate before its step.  For an objective that sums its
     parts that is on the scale of f / num_parts and lags the returned
     parameters; evaluate them for f itself.  ``iterations`` counts completed
-    steps: accepted line-search steps for L-BFGS, parameter updates for the
-    descent methods, proposed moves for annealing.  Call counters come from
-    the adapter, so window calls count once per part and fused calls count
-    one evaluation plus one gradient.
+    steps, counted by the adapter's ``step_taken``: accepted line-search
+    steps for L-BFGS, parameter updates for the descent methods, proposed
+    moves for annealing.  Call counters come from the adapter too, so window
+    calls count once per part and fused calls count one evaluation plus one
+    gradient.
     """
 
     final_objective: float

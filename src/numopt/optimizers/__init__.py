@@ -3,10 +3,11 @@
 New ones are built from ``prepare_run``, ``finish_run`` and ``progress_stop``:
 ``prepare_run`` returns the parameters and the run's adapter, the one handle
 the loop calls the objective through, reports each step to
-(``adapter.step_taken``) and hands to ``finish_run``.  The stop rules live
-in ``_common``: the improvement stop (``progress_stop``), the iteration cap
-and the gradient-norm stop, each stated once; the max-abs gradient norm is
-``core._max_abs_norm``."""
+(``adapter.step_taken``, which counts it in ``adapter.iterations``) and
+hands to ``finish_run``; no optimizer keeps a step counter of its own.
+The stop rules live in ``_common``: the improvement stop
+(``progress_stop``), the iteration cap and the gradient-norm stop, each
+stated once; the max-abs gradient norm is ``core._max_abs_norm``."""
 
 from . import _common, annealing, gradient_descent, lbfgs, sgd
 from ._common import *

@@ -3,10 +3,12 @@
 ``prepare_run``, ``finish_run`` and ``progress_stop`` are public.  A run's
 one handle is the ``ObjectiveAdapter`` that ``prepare_run`` returns beside
 the parameters: the loop calls the objective and reports each step
-(``step_taken``) through it, and ``finish_run`` reads the callbacks, the
-start time and the call counts from it.  The iteration cap (``_cap_stop``)
-and the gradient-norm stop (``_gradient_stop``) are stated here once and
-read by every bundled optimizer; the norm itself is ``core._max_abs_norm``.
+(``step_taken``, which counts it in ``adapter.iterations``) through it, and
+``finish_run`` reads the callbacks, the start time, the step count and the
+call counts from it; no optimizer keeps a step counter of its own.  The
+iteration cap (``_cap_stop``, tested on ``adapter.iterations``) and the
+gradient-norm stop (``_gradient_stop``) are stated here once and read by
+every bundled optimizer; the norm itself is ``core._max_abs_norm``.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def _gradient_stop(options, gradient):
     return TerminationReason.GRADIENT_NORM_TOLERANCE if converged else None
 
 
-def finish_run(adapter, final_objective, iterations, termination):
+def finish_run(adapter, final_objective, termination):
     """Close the run: EndOptimization, then the assembled result.
 
     Once a callback has asked to stop, the run ends with CALLBACK_REQUESTED,
@@ -79,7 +81,7 @@ def finish_run(adapter, final_objective, iterations, termination):
     adapter.events.dispatch(EndOptimization())
     return OptimizationResult(
         final_objective=float(final_objective),
-        iterations=iterations,
+        iterations=adapter.iterations,
         termination=termination,
         elapsed_seconds=time.perf_counter() - adapter.started,
         evaluate_calls=adapter.evaluate_calls,

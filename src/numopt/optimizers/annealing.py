@@ -85,13 +85,13 @@ class SimulatedAnnealing:
         uniforms = _move_uniforms(np.random.default_rng(self.seed))
         # Both options are validated positive when set, so ``or`` picks the default.
         moves_per_temperature = self.moves_per_temperature or 20 * x.size
-        best_x, best_value, moves, reason = x, np.nan, 0, None
+        best_x, best_value, reason = x, np.nan, None
         with adapter:
             value = best_value = adapter.evaluate(x)
             temperature = self.initial_temperature or 100.0 * abs(value) + 1.0
             while reason is None:
                 for _ in range(moves_per_temperature):
-                    if (reason := _cap_stop(self, moves)) is not None:
+                    if (reason := _cap_stop(self, adapter.iterations)) is not None:
                         break
                     u_coordinate, u_offset, u_gate = next(uniforms)
                     # u < 1 and x.size < 2**53, so the product rounds below x.size.
@@ -101,20 +101,17 @@ class SimulatedAnnealing:
                     proposal.flat[j] += half_width * (2.0 * u_offset - 1.0)
                     trial = adapter.evaluate(proposal)
                     delta = trial - value
-                    accept = not math.isnan(trial) and (
-                        delta <= 0
-                        or (
-                            temperature >= self.min_temperature
-                            and u_gate < math.exp(-delta / temperature)
-                        )
+                    # A NaN trial fails both tests, so it is never accepted.
+                    accept = delta <= 0 or (
+                        temperature >= self.min_temperature
+                        and u_gate < math.exp(-delta / temperature)
                     )
                     if accept:
                         # Proposals are fresh and never modified; best_x may share them.
                         x, value = proposal, trial
                         if value < best_value:
                             best_x, best_value = x, value
-                    moves += 1
-                    adapter.step_taken(moves, value)
+                    adapter.step_taken(value)
                 else:
                     temperature *= self.cooling_factor
-        return best_x, finish_run(adapter, best_value, moves, reason)
+        return best_x, finish_run(adapter, best_value, reason)

@@ -47,7 +47,7 @@ class GradientDescent:
     def optimize(self, objective, x0, callbacks=()):
         """Minimize ``objective`` from ``x0``; returns (parameters, result)."""
         x, adapter = prepare_run(objective, x0, callbacks, self.requires, "gradient descent")
-        value, iteration, reason = np.nan, 0, None
+        value, reason = np.nan, None
         with adapter:
             value = adapter.evaluate(x)
             while reason is None:
@@ -56,8 +56,8 @@ class GradientDescent:
                     break
                 new_x = x - self.step_size * gradient
                 new_value = adapter.evaluate(new_x)
-                x, iteration = new_x, iteration + 1
-                adapter.step_taken(iteration, new_value, gradient)
-                reason = progress_stop(self, value, new_value, iteration)
+                x = new_x
+                adapter.step_taken(new_value, gradient)
+                reason = progress_stop(self, value, new_value, adapter.iterations)
                 value = new_value
-        return x, finish_run(adapter, value, iteration, reason)
+        return x, finish_run(adapter, value, reason)

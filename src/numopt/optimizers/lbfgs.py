@@ -255,7 +255,7 @@ class LBFGS:
         (float32 or float64) sets the precision of the whole run.
         """
         x, adapter = prepare_run(objective, x0, callbacks, self.requires, "L-BFGS")
-        value, iteration, reason = np.nan, 0, None
+        value, reason = np.nan, None
         with adapter:
             value, gradient = adapter.evaluate_with_gradient(x)
             memory = LbfgsMemory(self.memory_size)
@@ -272,14 +272,14 @@ class LBFGS:
                     break
                 s = direction if found.step == 1.0 else found.step * direction
                 new_gradient = adapter.gradient(found.point)
-                x, iteration = found.point, iteration + 1
+                x = found.point
                 if not memory.push(s, new_gradient - gradient):
                     # A rejected pair means the local quadratic model broke down
                     # (negative curvature along the step).  Steering by the old
                     # history stalls in that situation, so restart it.
                     memory.clear()
                 reason = _gradient_stop(self, new_gradient)
-                adapter.step_taken(iteration, found.value, new_gradient)
-                reason = reason or progress_stop(self, value, found.value, iteration)
+                adapter.step_taken(found.value, new_gradient)
+                reason = reason or progress_stop(self, value, found.value, adapter.iterations)
                 value, gradient = found.value, new_gradient
-        return x, finish_run(adapter, value, iteration, reason)
+        return x, finish_run(adapter, value, reason)

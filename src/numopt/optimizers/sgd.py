@@ -187,7 +187,7 @@ class SGD:
         windows = [(first, count, np.array(count, dtype=x.dtype)) for first, count in counts]
         rng = np.random.default_rng(self.seed)
         state = self.update.initialize(x)
-        steps = epoch = 0
+        epoch = 0
         previous_mean = reason = None
         observed = np.nan
         with adapter:
@@ -199,16 +199,15 @@ class SGD:
                 for window in order:
                     # Tested before the step: a cap reached by an epoch's last
                     # step is decided at the epoch's end, below.
-                    if (reason := _cap_stop(self, steps)) is not None:
+                    if (reason := _cap_stop(self, adapter.iterations)) is not None:
                         break
                     first, count, size = windows[window]
                     batch_value = adapter.evaluate_parts(x, first, count)
                     gradient = adapter.gradient_parts(x, first, count) / size
                     x = x + self.update.step(state, gradient, self.step_size)
-                    steps += 1
                     epoch_total += batch_value
                     observed = batch_value / count
-                    adapter.step_taken(steps, observed, gradient)
+                    adapter.step_taken(observed, gradient)
                 else:
                     # Epoch completed; the mean is over values observed at the
                     # iterates current when each window was visited.
@@ -220,6 +219,6 @@ class SGD:
                     if previous_mean is not None and abs(previous_mean - mean) < self.tolerance:
                         reason = TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE
                     else:
-                        reason = _cap_stop(self, steps)
+                        reason = _cap_stop(self, adapter.iterations)
                     previous_mean = mean
-        return x, finish_run(adapter, observed, steps, reason)
+        return x, finish_run(adapter, observed, reason)

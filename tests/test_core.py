@@ -326,6 +326,16 @@ class TestStopGate:
                 adapter.evaluate(np.zeros(1))
 
 
+class TestStepCount:
+    def test_a_bare_adapter_counts_steps_with_no_callback(self):
+        adapter = ObjectiveAdapter(FullObjective())
+        assert adapter.iterations == 0
+        adapter.step_taken(5.0)
+        adapter.step_taken(4.0, np.array([-10.0]))
+        assert adapter.iterations == 2
+        assert (adapter.evaluate_calls, adapter.gradient_calls) == (0, 0)
+
+
 class VectorValued:
     """Every value path returns a length-2 array instead of a scalar."""
 

@@ -351,6 +351,9 @@ def test_every_stop_reason_is_true_of_its_run(
         expected = last.value if name in SGD_POLICIES else ObjectiveAdapter(objective).evaluate(x)
         np.testing.assert_equal(result.final_objective, expected)  # NaN equals NaN
         reason = result.termination
+        # The adapter counts the steps: one StepTaken per step, numbered 1..k.
+        assert result.iterations == len(recorder.trace)
+        assert [k for k, _ in recorder.trace] == list(range(1, result.iterations + 1))
         assert result.iterations <= cap
         if reason is TerminationReason.MAX_ITERATIONS:
             assert result.iterations == cap

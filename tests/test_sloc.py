@@ -1,7 +1,9 @@
 """Code-line and code-token counting of tools/sloc.py: docstrings, comments,
-blanks and layout left out; and the line-length limit of the source it counts."""
+blanks and layout left out; its comparison with a git revision; and the
+line-length limit of the source it counts."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "sloc.py"
@@ -52,6 +54,40 @@ def test_prints_each_file_and_the_total(tmp_path, capsys):
         ["8", "24", str(tmp_path / "a.py")],
         ["1", "3", str(tmp_path / "b.py")],
         ["9", "27", "total"],
+    ]
+
+
+def test_against_a_revision_counts_edited_added_and_deleted_files(
+    tmp_path, monkeypatch, capsys
+):
+    def git(*args):
+        identity = ["-c", "user.name=sloc", "-c", "user.email=sloc@example.com"]
+        subprocess.run(
+            ["git", *identity, "-c", "commit.gpgsign=false", *args],
+            cwd=tmp_path,
+            check=True,
+            capture_output=True,
+        )
+
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "edited.py").write_text("x = 1\n")
+    (package / "deleted.py").write_text("y = (1 +\n     2)\n")
+    (tmp_path / "outside.py").write_text("w = 0\n")
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-q", "-m", "base")
+    (package / "edited.py").write_text("x = 1\nz = x + 2\n")
+    (package / "deleted.py").unlink()
+    (package / "added.py").write_text(SOURCE)
+    monkeypatch.chdir(tmp_path)
+    assert sloc.main(["--against", "HEAD", "pkg"]) == 0
+    rows = [row.split() for row in capsys.readouterr().out.splitlines()]
+    assert rows == [
+        ["0", "0", "8", "24", "+8", "+24", "pkg/added.py"],
+        ["2", "7", "0", "0", "-2", "-7", "pkg/deleted.py"],
+        ["1", "3", "2", "8", "+1", "+5", "pkg/edited.py"],
+        ["3", "10", "10", "32", "+7", "+22", "total"],
     ]
 
 

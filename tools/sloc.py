@@ -1,19 +1,27 @@
 """Code lines and code tokens per Python file: docstrings, comments and blank lines excluded.
 
     python3 tools/sloc.py [PATH ...]
+    python3 tools/sloc.py --against REF [PATH ...]
 
 Each PATH is a file or a directory searched for ``*.py`` files; the default
 is ``src``.  Prints one ``<lines> <tokens> <file>`` row per file, then the
-totals.  A code token is any token but a comment, a docstring or layout
-(newlines, indents, dedents), so joining or splitting lines leaves the token
-count as it was.  A line counts when a code token starts, ends or runs
-through it, so a statement spread over three lines counts three.
+totals.  With ``--against``, run from inside a git repository, each row is
+``<lines> <tokens>`` at the git revision REF (read with ``git show``), the
+same in the working tree, the difference, then the file; a file missing on
+one side counts as 0 there.  A code token is any token but a comment, a
+docstring or layout (newlines, indents, dedents), so joining or splitting
+lines leaves the token count as it was.  A line counts when a code token
+starts, ends or runs through it, so a statement spread over three lines
+counts three.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import os
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -63,8 +71,19 @@ def python_files(paths):
         yield from sorted(path.rglob("*.py")) if path.is_dir() else [path]
 
 
-def main(argv=None):
-    paths = (sys.argv[1:] if argv is None else argv) or ["src"]
+def git(*args):
+    return subprocess.run(["git", *args], capture_output=True, text=True, check=True).stdout
+
+
+def sizes_at(ref, paths):
+    """{file: code_size} of the ``*.py`` files under ``paths`` at git ``ref``."""
+    names = git("ls-tree", "-r", "--name-only", ref, "--", *paths).splitlines()
+    return {
+        name: code_size(git("show", f"{ref}:./{name}")) for name in names if name.endswith(".py")
+    }
+
+
+def print_sizes(paths):
     total_lines = total_tokens = 0
     for path in python_files(paths):
         lines, tokens = code_size(path.read_text())
@@ -72,8 +91,38 @@ def main(argv=None):
         total_tokens += tokens
         print(f"{lines:6d} {tokens:7d} {path}")
     print(f"{total_lines:6d} {total_tokens:7d} total")
-    return 0
 
+
+def print_comparison(ref, paths):
+    before = sizes_at(ref, paths)
+    after = {
+        os.path.relpath(path): code_size(path.read_text())
+        for path in python_files(paths)
+        if path.is_file()
+    }
+    totals = [0, 0, 0, 0]
+    rows = []
+    for name in sorted(before.keys() | after.keys()):
+        sizes = [*before.get(name, (0, 0)), *after.get(name, (0, 0))]
+        totals = [total + size for total, size in zip(totals, sizes)]
+        rows.append((name, sizes))
+    for name, (old_lines, old_tokens, new_lines, new_tokens) in [*rows, ("total", totals)]:
+        print(
+            f"{old_lines:6d} {old_tokens:7d} {new_lines:6d} {new_tokens:7d} "
+            f"{new_lines - old_lines:+6d} {new_tokens - old_tokens:+7d} {name}"
+        )
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Code lines and tokens per Python file.")
+    parser.add_argument("--against", metavar="REF", help="compare with this git revision")
+    parser.add_argument("paths", nargs="*", default=["src"], metavar="PATH")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        print_sizes(args.paths)
+    else:
+        print_comparison(args.against, args.paths)
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())
