@@ -15,19 +15,19 @@ Events are small frozen dataclasses so callbacks can match on type:
     StepTaken(iteration, objective, gradient_norm)   after each accepted step
     BeginEpoch(epoch) / EndEpoch(epoch, mean_objective)   batch methods only
 
-``Diagnostic`` and the one option rule, ``_check_options``, live here too,
-below ``core``, which imports this module, so that every module checks its
-options with one function; ``numopt.core.Diagnostic`` is the public name.
+The events, ``CallbackDecision`` and ``CallbackList`` are defined in
+``numopt.core``, beside the adapter that sends them, and exported here.
+This module adds the stock callbacks.
 """
 
 from __future__ import annotations
 
-import operator
 import sys
 import time
 import warnings
-from dataclasses import dataclass
-from enum import Enum
+
+from .core import BeginEpoch, BeginOptimization, CallbackDecision, CallbackList, EndEpoch
+from .core import EndOptimization, EvaluateCalled, GradientCalled, StepTaken, _check_options
 
 __all__ = [
     "CallbackDecision",
@@ -45,157 +45,6 @@ __all__ = [
     "TraceRecorder",
     "TimeLimit",
 ]
-
-
-class Diagnostic(ValueError):
-    """Contract violation or refused option, with enough context to fix it.
-
-    Raised instead of letting an AttributeError or a shape error surface from
-    deep inside an optimizer loop.  The message names the offending method,
-    argument, option or requirement.  Every option follows one rule
-    (``_check_options``): its admitted range is tested first, so NaN gets
-    the range's message; a value the range cannot compare, such as a string,
-    is refused, never parsed; and a count must then be an integer.  It is a
-    ``ValueError``, so a refused option is one exception wherever it was
-    given: to an optimizer, an update policy, a callback or a data helper.
-    """
-
-    # The public name: numopt.core re-exports it, and tracebacks show it so.
-    __module__ = "numopt.core"
-
-
-# Each admitted range, written as its refusal shows it.
-_ADMITTED = {
-    "> 0": lambda value: value > 0,
-    ">= 0": lambda value: value >= 0,
-    ">= 1": lambda value: value >= 1,
-    "in (0, 1)": lambda value: 0 < value < 1,
-    "in [0, 1)": lambda value: 0 <= value < 1,
-}
-
-
-def _check_options(*options, unset=()):
-    """Refuse the first of ``options`` outside its admitted range with a Diagnostic.
-
-    Each option is a row (name, value, admitted) for a real and (name, value,
-    admitted, int) for a count: the name its message shows, the value given,
-    and its range as a key of ``_ADMITTED``.  The range test runs first,
-    written so that NaN, which compares false with everything, gets the
-    range's message.  A value the range cannot compare, a string or None, is
-    refused with a message naming its type, never parsed.  A count must then
-    be an integer by ``operator.index``: NumPy integers pass, and a float is
-    refused, not truncated.  A name in ``unset`` may be None, which means
-    chosen at run time.
-    """
-    for name, value, admitted, *counts in options:
-        if value is None and name in unset:
-            continue
-        try:
-            if not _ADMITTED[admitted](value):
-                raise Diagnostic(f"{name} must be {admitted}, got {value}")
-            if counts:
-                operator.index(value)
-        except TypeError:
-            kind = "an integer" if counts else "a number"
-            got = f"{value!r} of type {type(value).__name__}"
-            raise Diagnostic(f"{name} must be {kind}, got {got}") from None
-
-
-class CallbackDecision(Enum):
-    CONTINUE = "continue"
-    TERMINATE = "terminate"
-
-
-@dataclass(frozen=True)
-class BeginOptimization:
-    pass
-
-
-@dataclass(frozen=True)
-class EndOptimization:
-    pass
-
-
-@dataclass(frozen=True)
-class EvaluateCalled:
-    value: float
-
-
-@dataclass(frozen=True)
-class GradientCalled:
-    norm: float
-
-
-@dataclass(frozen=True)
-class StepTaken:
-    """One completed step; ``iteration`` counts steps from 1.
-
-    Which point each field describes depends on the optimizer:
-
-    - GradientDescent: ``objective`` after the step, ``gradient_norm`` at
-      the point the step left (the gradient the step was taken along);
-    - LBFGS: both at the accepted point;
-    - SGD: both at the window's pre-step iterate, ``objective`` per part
-      and ``gradient_norm`` of the window-averaged gradient;
-    - SimulatedAnnealing: ``objective`` is the current value after the
-      move, accepted or not, and ``gradient_norm`` is None.
-
-    Norms are max-abs norms.
-    """
-
-    iteration: int
-    objective: float
-    gradient_norm: float | None = None
-
-
-@dataclass(frozen=True)
-class BeginEpoch:
-    epoch: int
-
-
-@dataclass(frozen=True)
-class EndEpoch:
-    epoch: int
-    mean_objective: float
-
-
-class CallbackList:
-    """The callbacks of one run plus a sticky termination flag.
-
-    Once any dispatch sees TERMINATE, ``terminate_requested`` stays True
-    and the run's ``ObjectiveAdapter`` refuses every further objective call.
-    Empty lists are free: the adapter builds an event only when
-    ``callbacks`` is non-empty, and ``bool(cbs)`` is False for an empty list.
-    """
-
-    def __init__(self, callbacks=()):
-        self.callbacks = list(callbacks)
-        self.terminate_requested = False
-
-    def __bool__(self):
-        return bool(self.callbacks)
-
-    def dispatch(self, event):
-        """Send ``event`` to every callback; returns ``terminate_requested``.
-
-        All callbacks see the event even after one requests termination, so
-        loggers do not go blind when a stopper fires.  A callback that raises
-        is reported as a warning and treated as CONTINUE; observation must
-        not kill the run.
-        """
-        for callback in self.callbacks:
-            try:
-                answer = callback(event)
-            except Exception as error:  # noqa: BLE001 - isolate misbehaving observers
-                warnings.warn(
-                    f"callback {callback!r} raised {type(error).__name__}: {error}; continuing",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            if answer == CallbackDecision.TERMINATE:
-                self.terminate_requested = True
-        return self.terminate_requested
 
 
 class EarlyStopping:

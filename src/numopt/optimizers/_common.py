@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import time
 
-from ..callbacks import BeginOptimization, CallbackList, EndOptimization
 from ..core import (
+    BeginOptimization,
+    CallbackList,
+    EndOptimization,
     ObjectiveAdapter,
     OptimizationResult,
     TerminationReason,

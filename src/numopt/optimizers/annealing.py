@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..callbacks import _check_options
-from ..core import ObjectiveCapabilities
+from ..core import ObjectiveCapabilities, _check_options
 from ._common import _cap_stop, finish_run, prepare_run
 
 __all__ = ["SimulatedAnnealing"]

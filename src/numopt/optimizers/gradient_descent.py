@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..callbacks import _check_options
-from ..core import ObjectiveCapabilities
+from ..core import ObjectiveCapabilities, _check_options
 from ._common import _gradient_stop, finish_run, prepare_run, progress_stop
 
 __all__ = ["GradientDescent"]

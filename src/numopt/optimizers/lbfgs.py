@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..callbacks import _check_options
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason
+from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _check_options
 from ._common import _gradient_stop, finish_run, prepare_run, progress_stop
 
 __all__ = ["LbfgsMemory", "two_loop_direction", "backtracking_line_search", "LBFGS"]
@@ -257,7 +256,10 @@ class LBFGS:
         x, adapter = prepare_run(objective, x0, callbacks, self.requires, "L-BFGS")
         value, reason = np.nan, None
         with adapter:
+            # Each gradient held across a gradient call is a copy: an objective
+            # may return one buffer that it overwrites on every call.
             value, gradient = adapter.evaluate_with_gradient(x)
+            gradient = gradient.copy()
             memory = LbfgsMemory(self.memory_size)
             reason = _gradient_stop(self, gradient)
             while reason is None:
@@ -271,7 +273,7 @@ class LBFGS:
                     reason = found.failure
                     break
                 s = direction if found.step == 1.0 else found.step * direction
-                new_gradient = adapter.gradient(found.point)
+                new_gradient = adapter.gradient(found.point).copy()
                 x = found.point
                 if not memory.push(s, new_gradient - gradient):
                     # A rejected pair means the local quadratic model broke down

@@ -14,8 +14,7 @@ from typing import Protocol
 
 import numpy as np
 
-from ..callbacks import BeginEpoch, EndEpoch, _check_options
-from ..core import ObjectiveCapabilities, TerminationReason
+from ..core import BeginEpoch, EndEpoch, ObjectiveCapabilities, TerminationReason, _check_options
 from ._common import _cap_stop, finish_run, prepare_run
 
 __all__ = ["UpdatePolicy", "VanillaUpdate", "MomentumUpdate", "AdamUpdate", "SGD"]

@@ -1,5 +1,7 @@
 """Capability detection, requirement checking, inference, and counting."""
 
+import ast
+import inspect
 import weakref
 from dataclasses import fields
 
@@ -8,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import numopt
+import numopt.callbacks
 import numopt.optimizers
 from numopt import (
     CallbackDecision,
@@ -545,6 +548,36 @@ class TestPublicSurface:
         assert issubclass(Diagnostic, ValueError)
         assert numopt.core.Diagnostic is numopt.Diagnostic is Diagnostic
         assert f"{Diagnostic.__module__}.{Diagnostic.__qualname__}" == "numopt.core.Diagnostic"
+
+    def test_core_imports_no_numopt_module(self):
+        # core is the bottom layer: every other module may import it, and it
+        # imports none of them.
+        imported = []
+        for node in ast.walk(ast.parse(inspect.getsource(numopt.core))):
+            if isinstance(node, ast.ImportFrom):
+                imported.append("." * node.level + (node.module or ""))
+            elif isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+        assert imported
+        assert [name for name in imported if name.startswith((".", "numopt"))] == []
+
+    def test_callbacks_exports_the_run_events_of_core_and_defines_the_stock_callbacks(self):
+        stock = {
+            "EarlyStopping",
+            "ProgressPrinter",
+            "parse_progress_line",
+            "TraceRecorder",
+            "TimeLimit",
+        }
+        for name in set(numopt.callbacks.__all__) - stock:
+            assert getattr(numopt.callbacks, name) is getattr(numopt.core, name), name
+        assert numopt.callbacks._check_options is numopt.core._check_options
+        defined = {
+            name
+            for name, member in vars(numopt.callbacks).items()
+            if getattr(member, "__module__", None) == "numopt.callbacks"
+        }
+        assert defined == stock
 
     def test_two_loop_direction_is_the_memory_direction(self):
         assert numopt.two_loop_direction is numopt.LbfgsMemory.direction

@@ -2,7 +2,8 @@
 
 A callback's TERMINATE means no further objective calls, the reported call
 counts are exact, ``x0`` is never mutated, and a float32 start gives a
-float32 result, also when the objective computes in float64.  A start that
+float32 result, also when the objective computes in float64, and an
+objective may return a gradient array that it reuses.  A start that
 is not real numbers is refused before any call, and every termination
 reason and ``final_objective`` is true of the run it ends.  The compass
 search from ``demos/custom_optimizer.py``, built from public names only,
@@ -10,8 +11,9 @@ runs in every grid beside the bundled optimizers.
 """
 
 import runpy
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -262,6 +264,56 @@ def test_x0_is_kept_and_its_dtype_sets_the_run(name, problem, dtype, start, colu
     assert np.array_equal(x0, before)
     assert x.dtype == dtype
     assert x.shape == x0.shape
+
+
+def reused_buffer(gradient):
+    """``gradient`` writing each result into one array and returning that array."""
+    buffer = None
+
+    def call(*args):
+        nonlocal buffer
+        g = gradient(*args)
+        if buffer is None:
+            buffer = np.empty_like(g)
+        buffer[...] = g
+        return buffer
+
+    return call
+
+
+def reusing_buffers(objective):
+    """``objective`` with exactly its methods, each gradient method returning
+    one array of its own that every call overwrites, as an objective with
+    preallocated storage does."""
+    methods = {}
+    for name in ("evaluate", "gradient", "num_parts", "evaluate_parts", "gradient_parts"):
+        if hasattr(objective, name):
+            method = getattr(objective, name)
+            methods[name] = reused_buffer(method) if name.startswith("gradient") else method
+    return SimpleNamespace(**methods)
+
+
+@pytest.mark.parametrize("name, problem, dtype", list(grid()))
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    start=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    column=st.booleans(),
+    data_seed=st.integers(0, 2**16),
+    seed=st.integers(0, 2**16),
+)
+def test_a_reused_gradient_buffer_changes_no_result(
+    name, problem, dtype, start, column, data_seed, seed
+):
+    runs = []
+    for wrap in (lambda objective: objective, reusing_buffers):
+        optimizer = OPTIMIZERS[name](seed)
+        objective, dim = make_problem(problem, dtype, data_seed, optimizer.requires.part_gradient)
+        x0 = np.array(start[:dim], dtype=dtype).reshape((dim, 1) if column else (dim,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, result = optimizer.optimize(wrap(objective), x0)
+        # Every result field but the elapsed time.
+        runs.append((x.tobytes(), x.dtype, x.shape, *astuple(replace(result, elapsed_seconds=0))))
+    np.testing.assert_equal(runs[1], runs[0])  # NaN equals NaN
 
 
 @pytest.mark.parametrize("name", ["lbfgs", "gd", "sgd", "annealing", "compass"])
