@@ -20,10 +20,14 @@ the objective's own method or its inferred form.
 
 The adapter is also the handle of one run: it holds the run's callbacks,
 start time and call counts, and counts and reports each step
-(``step_taken``), so no optimizer keeps a step counter.  It is the stop gate
-too: once a callback has returned TERMINATE, it refuses every further
-objective call, and ``with adapter:`` ends the optimizer's loop at its last
-completed step with ``CALLBACK_REQUESTED``.
+(``step_taken``), so no optimizer keeps a step counter.  It is the one
+sender of the run's events: each is built and dispatched only when a
+callback listens, the run's own and SGD's epoch events through
+``announce``, the three whose fields may cost something behind the same
+test inline.  It is the stop gate too: once a callback has returned
+TERMINATE, it refuses every further objective call, and ``with adapter:``
+ends the optimizer's loop at its last completed step with
+``CALLBACK_REQUESTED``.
 
 The run's events, ``CallbackDecision`` and the ``CallbackList`` that
 dispatches them are defined here, beside the adapter that sends them;
@@ -170,18 +174,27 @@ class EndEpoch:
 class CallbackList:
     """The callbacks of one run plus a sticky termination flag.
 
-    Once any dispatch sees TERMINATE, ``terminate_requested`` stays True
-    and the run's ``ObjectiveAdapter`` refuses every further objective call.
-    Empty lists are free: the adapter builds an event only when
-    ``callbacks`` is non-empty, and ``bool(cbs)`` is False for an empty list.
+    ``callbacks`` is any iterable of callables, a generator included; one
+    callback not in a list, None, or an item that is not callable is
+    refused with a Diagnostic naming the offending type, so a run with a
+    malformed argument stops before its first event.  Once any dispatch
+    sees TERMINATE, ``terminate_requested`` stays True and the run's
+    ``ObjectiveAdapter`` refuses every further objective call.  Empty lists
+    are free: the adapter builds and sends an event only when ``callbacks``
+    is non-empty.
     """
 
     def __init__(self, callbacks=()):
-        self.callbacks = list(callbacks)
+        try:
+            self.callbacks = list(callbacks)
+        except TypeError:
+            kind = type(callbacks).__name__
+            raise Diagnostic(f"callbacks must be an iterable of callables, got {kind}") from None
+        for callback in self.callbacks:
+            if not callable(callback):
+                kind = type(callback).__name__
+                raise Diagnostic(f"callbacks must hold callables, got an item of type {kind}")
         self.terminate_requested = False
-
-    def __bool__(self):
-        return bool(self.callbacks)
 
     def dispatch(self, event):
         """Send ``event`` to every callback; returns ``terminate_requested``.
@@ -349,7 +362,8 @@ class ObjectiveAdapter:
     termination request it is refused with ``_StopRequested``, the only
     error that ``with adapter:`` swallows.  Values become floats and
     gradients take the dtype of ``x``.  Events are built only when a
-    callback listens, so an unobserved run pays nothing for them.
+    callback listens, so an unobserved run pays nothing for them: the
+    optimizers send theirs through ``announce``, which makes that test.
 
     Counting rules: a part-window call of ``count`` parts costs ``count``
     evaluations (or gradients); a fused call costs one of each.
@@ -401,6 +415,15 @@ class ObjectiveAdapter:
 
     def gradient_parts(self, x, first, count):
         return self._gradient_parts(self, x, first, count)
+
+    def announce(self, kind, *fields):
+        """Send the event ``kind(*fields)``, built only when a callback listens;
+        returns ``terminate_requested``.  Fields are computed before the
+        test, so only cheap ones are passed: an event with a costly field
+        keeps its own guard, as ``step_taken`` does."""
+        if self.events.callbacks:
+            self.events.dispatch(kind(*fields))
+        return self.events.terminate_requested
 
     def step_taken(self, objective, gradient=None):
         """Count a completed step in ``iterations``, then send its ``StepTaken``,

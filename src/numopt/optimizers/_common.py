@@ -6,6 +6,8 @@ the parameters: the loop calls the objective and reports each step
 (``step_taken``, which counts it in ``adapter.iterations``) through it, and
 ``finish_run`` reads the callbacks, the start time, the step count and the
 call counts from it; no optimizer keeps a step counter of its own.  The
+run's BeginOptimization and EndOptimization go out through
+``adapter.announce``, so an unobserved run builds neither.  The
 iteration cap (``_cap_stop``, tested on ``adapter.iterations``) and the
 gradient-norm stop (``_gradient_stop``) are stated here once and read by
 every bundled optimizer; the norm itself is ``core._max_abs_norm``.
@@ -34,16 +36,17 @@ def prepare_run(objective, x0, callbacks, requires, consumer):
     """Validate parameters and capabilities, then open the run.
 
     The capability check happens before any objective call, so an unusable
-    pairing fails fast with a Diagnostic instead of mid-run.  Returns the
-    working parameter array and the run's adapter, whose ``events`` (the
-    callbacks) have already been sent BeginOptimization.
+    pairing fails fast with a Diagnostic instead of mid-run, and so does a
+    malformed ``callbacks`` argument (``CallbackList``).  Returns the
+    working parameter array and the run's adapter, which has already
+    announced BeginOptimization.
     """
     x = as_parameters(x0)
     adapter = ObjectiveAdapter(objective, events=CallbackList(callbacks))
     diagnostic = check_requirements(adapter.capabilities, requires, consumer)
     if diagnostic is not None:
         raise diagnostic
-    adapter.events.dispatch(BeginOptimization())
+    adapter.announce(BeginOptimization)
     return x, adapter
 
 
@@ -77,10 +80,12 @@ def finish_run(adapter, final_objective, termination):
     Once a callback has asked to stop, the run ends with CALLBACK_REQUESTED,
     whatever ``termination`` the loop reached: None when ``with adapter:``
     ended it, or a reason decided on the very step the callback stopped.
+    The request is read before EndOptimization is announced, so a TERMINATE
+    answered to that event changes no result.
     """
     if adapter.events.terminate_requested:
         termination = TerminationReason.CALLBACK_REQUESTED
-    adapter.events.dispatch(EndOptimization())
+    adapter.announce(EndOptimization)
     return OptimizationResult(
         final_objective=float(final_objective),
         iterations=adapter.iterations,

@@ -4,7 +4,10 @@ Works on separable objectives: the n parts are split into fixed contiguous
 windows of ``batch_size`` (the last window may be short) and each epoch
 visits the windows in a freshly shuffled order.  The policy object turns the
 averaged window gradient into a parameter step, so vanilla SGD, momentum,
-and Adam share one loop.
+and Adam share one loop.  Each epoch's BeginEpoch and EndEpoch go out
+through ``adapter.announce``, built only when a callback listens, and
+EndEpoch's answer is the stop test that keeps a new epoch from starting
+after a stop request.
 """
 
 from __future__ import annotations
@@ -192,7 +195,7 @@ class SGD:
         with adapter:
             while reason is None:
                 epoch += 1
-                adapter.events.dispatch(BeginEpoch(epoch=epoch))
+                adapter.announce(BeginEpoch, epoch)
                 order = rng.permutation(len(windows)) if self.shuffle else range(len(windows))
                 epoch_total = 0.0
                 for window in order:
@@ -213,7 +216,7 @@ class SGD:
                     mean = epoch_total / n
                     observed = mean
                     # A stop request ends the run here, so that no epoch starts after it.
-                    if adapter.events.dispatch(EndEpoch(epoch=epoch, mean_objective=mean)):
+                    if adapter.announce(EndEpoch, epoch, mean):
                         break
                     if previous_mean is not None and abs(previous_mean - mean) < self.tolerance:
                         reason = TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE

@@ -12,6 +12,7 @@ import numopt.core
 from numopt import (
     LBFGS,
     SGD,
+    BeginEpoch,
     BeginOptimization,
     CallbackDecision,
     CallbackList,
@@ -123,10 +124,6 @@ class TestDispatch:
         events.callbacks = [lambda event: CallbackDecision.CONTINUE]
         events.dispatch(step(2))
         assert events.terminate_requested
-
-    def test_empty_list_is_falsy(self):
-        assert not CallbackList([])
-        assert CallbackList([lambda event: None])
 
 
 class TestEarlyStopping:
@@ -401,8 +398,31 @@ class TestIdleObservation:
                 built.append(fields["iteration"])
                 super().__init__(**fields)
 
+        dispatched = []
+        dispatch = CallbackList.dispatch
+
+        def counted_dispatch(events, event):
+            dispatched.append(event)
+            return dispatch(events, event)
+
         monkeypatch.setattr(numopt.core, "StepTaken", CountedStep)
+        monkeypatch.setattr(CallbackList, "dispatch", counted_dispatch)
         callbacks = [lambda event: None] if observed else []
         _, result = optimizer.optimize(objective, x0, callbacks=callbacks)
         assert result.iterations == 20
         assert built == (list(range(1, 21)) if observed else [])
+        if not observed:
+            # No event of any kind is dispatched when no callback listens.
+            assert dispatched == []
+            return
+        assert type(dispatched[0]) is BeginOptimization
+        assert type(dispatched[-1]) is EndOptimization
+        epochs = [
+            (type(event), event.epoch)
+            for event in dispatched
+            if isinstance(event, (BeginEpoch, EndEpoch))
+        ]
+        # SGD has ten windows of four parts an epoch, so its cap falls at the
+        # end of epoch 2; no other optimizer has epochs.
+        sgd_epochs = [(BeginEpoch, 1), (EndEpoch, 1), (BeginEpoch, 2), (EndEpoch, 2)]
+        assert epochs == (sgd_epochs if name == "sgd" else [])

@@ -4,6 +4,7 @@ import ast
 import inspect
 import weakref
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -560,6 +561,31 @@ class TestPublicSurface:
                 imported += [alias.name for alias in node.names]
         assert imported
         assert [name for name in imported if name.startswith((".", "numopt"))] == []
+
+    def test_only_core_sends_events(self):
+        # The adapter is the one sender: every other module announces an event
+        # through it, so none may dispatch or build one itself.
+        events = {
+            "BeginOptimization",
+            "EndOptimization",
+            "EvaluateCalled",
+            "GradientCalled",
+            "StepTaken",
+            "BeginEpoch",
+            "EndEpoch",
+        }
+        package = Path(numopt.__file__).parent
+        sends = []
+        for path in sorted(package.rglob("*.py")):
+            if path.name == "core.py" and path.parent == package:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    # The called name, of owner.name(...) or of name(...).
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name == "dispatch" or name in events:
+                        sends.append(f"{path.relative_to(package)}:{node.lineno} {name}")
+        assert sends == []
 
     def test_callbacks_exports_the_run_events_of_core_and_defines_the_stock_callbacks(self):
         stock = {

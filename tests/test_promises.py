@@ -4,7 +4,8 @@ A callback's TERMINATE means no further objective calls, the reported call
 counts are exact, ``x0`` is never mutated, and a float32 start gives a
 float32 result, also when the objective computes in float64, and an
 objective may return a gradient array that it reuses.  A start that
-is not real numbers is refused before any call, and every termination
+is not real numbers, or a ``callbacks`` argument that is not an iterable
+of callables, is refused before any call, and every termination
 reason and ``final_objective`` is true of the run it ends.  The compass
 search from ``demos/custom_optimizer.py``, built from public names only,
 runs in every grid beside the bundled optimizers.
@@ -323,6 +324,27 @@ def test_complex_start_is_refused_before_any_call(name):
     with pytest.raises(Diagnostic, match=message):
         optimizer.optimize(objective, x0 + 5j)
     assert objective.calls == 0
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+@pytest.mark.parametrize(
+    "callbacks, kind",
+    [(TraceRecorder(), "TraceRecorder"), (None, "NoneType"), ([None], "NoneType")],
+    ids=["one-callback", "none", "none-item"],
+)
+def test_malformed_callbacks_are_refused_before_any_event_or_call(name, callbacks, kind):
+    optimizer = OPTIMIZERS[name](0)
+    if optimizer.requires.part_gradient:
+        objective, x0 = CountingParts(SeparableLinearRegression(X, Y)), np.zeros(3)
+    else:
+        objective, x0 = CountingFull(Rosenbrock()), np.array([-1.2, 1.0])
+    seen = []
+    if isinstance(callbacks, list):
+        callbacks = [seen.append, *callbacks]  # a listener before the bad item
+    with pytest.raises(Diagnostic, match=f"callbacks must .* {kind}$"):
+        optimizer.optimize(objective, x0, callbacks=callbacks)
+    assert objective.calls == 0
+    assert seen == []
 
 
 SGD_POLICIES = {"sgd": VanillaUpdate, "momentum": MomentumUpdate, "adam": AdamUpdate}
