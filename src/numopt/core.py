@@ -42,7 +42,7 @@ from __future__ import annotations
 import operator
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
@@ -255,7 +255,7 @@ def as_parameters(x0):
         raise Diagnostic(
             f"initial parameters must be a non-empty 1-D or 2-D array, got shape {x.shape}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise Diagnostic("initial parameters contain NaN or infinity")
     return x
 
@@ -313,10 +313,15 @@ def _with_inference(caps):
     the parts, and the fused call from evaluate and gradient.  Both
     ``check_requirements`` and ``ObjectiveAdapter`` read the rules here."""
     evaluate = caps.evaluate or caps.part_evaluate
-    return replace(
-        caps,
+    # Built field by field: dataclasses.replace costs twice as much, and a run
+    # infers twice, in check_requirements and in the adapter.
+    return ObjectiveCapabilities(
         evaluate=evaluate,
+        gradient=caps.gradient,
         evaluate_with_gradient=caps.evaluate_with_gradient or (evaluate and caps.gradient),
+        part_evaluate=caps.part_evaluate,
+        part_gradient=caps.part_gradient,
+        num_parts=caps.num_parts,
     )
 
 
@@ -425,13 +430,16 @@ class ObjectiveAdapter:
             self.events.dispatch(kind(*fields))
         return self.events.terminate_requested
 
-    def step_taken(self, objective, gradient=None):
+    def step_taken(self, objective, gradient=None, norm=None):
         """Count a completed step in ``iterations``, then send its ``StepTaken``,
-        built only when a callback listens; its ``gradient_norm`` is
-        ``gradient``'s max-abs norm, or None when no gradient is given."""
+        built only when a callback listens.  Its ``gradient_norm`` is ``norm``
+        when given, which a loop that has tested the norm passes so that it is
+        not computed twice; else ``gradient``'s max-abs norm, computed only
+        for the event; else None."""
         self.iterations += 1
         if self.events.callbacks:
-            norm = None if gradient is None else _max_abs_norm(gradient)
+            if norm is None and gradient is not None:
+                norm = _max_abs_norm(gradient)
             self.events.dispatch(
                 StepTaken(iteration=self.iterations, objective=objective, gradient_norm=norm)
             )

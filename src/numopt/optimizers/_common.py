@@ -11,6 +11,8 @@ run's BeginOptimization and EndOptimization go out through
 iteration cap (``_cap_stop``, tested on ``adapter.iterations``) and the
 gradient-norm stop (``_gradient_stop``) are stated here once and read by
 every bundled optimizer; the norm itself is ``core._max_abs_norm``.
+``_gradient_stop`` returns the norm it tested beside its reason, and the
+loop hands it to ``step_taken``, so an observed step computes it once.
 """
 
 from __future__ import annotations
@@ -68,10 +70,13 @@ def _cap_stop(options, iteration):
 
 
 def _gradient_stop(options, gradient):
-    """GRADIENT_NORM_TOLERANCE when ``gradient``'s max-abs norm is at most
-    ``options.min_gradient_norm``, else None."""
-    converged = _max_abs_norm(gradient) <= options.min_gradient_norm
-    return TerminationReason.GRADIENT_NORM_TOLERANCE if converged else None
+    """(reason, norm): GRADIENT_NORM_TOLERANCE when ``gradient``'s max-abs
+    norm is at most ``options.min_gradient_norm``, else None, and that norm,
+    which the loop hands to ``step_taken`` so that an observed step does not
+    compute it again."""
+    norm = _max_abs_norm(gradient)
+    converged = norm <= options.min_gradient_norm
+    return (TerminationReason.GRADIENT_NORM_TOLERANCE if converged else None), norm
 
 
 def finish_run(adapter, final_objective, termination):

@@ -51,12 +51,13 @@ class GradientDescent:
             value = adapter.evaluate(x)
             while reason is None:
                 gradient = adapter.gradient(x)
-                if (reason := _gradient_stop(self, gradient)) is not None:
+                reason, norm = _gradient_stop(self, gradient)
+                if reason is not None:
                     break
                 new_x = x - self.step_size * gradient
                 new_value = adapter.evaluate(new_x)
                 x = new_x
-                adapter.step_taken(new_value, gradient)
+                adapter.step_taken(new_value, norm=norm)
                 reason = progress_stop(self, value, new_value, adapter.iterations)
                 value = new_value
         return x, finish_run(adapter, value, reason)

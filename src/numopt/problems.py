@@ -231,7 +231,7 @@ class Rosenbrock:
         x = np.asarray(x)
         if x.size != 2:
             raise Diagnostic(f"Rosenbrock is 2-D, got shape {x.shape}")
-        return float(x.flat[0]), float(x.flat[1])
+        return x.ravel().tolist()  # [a, b] as Python floats, in one call
 
     def evaluate(self, x):
         a, b = self._point(x)

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import numopt.core
+import numopt.optimizers._common
 from numopt import (
     LBFGS,
     SGD,
@@ -426,3 +427,38 @@ class TestIdleObservation:
         # end of epoch 2; no other optimizer has epochs.
         sgd_epochs = [(BeginEpoch, 1), (EndEpoch, 1), (BeginEpoch, 2), (EndEpoch, 2)]
         assert epochs == (sgd_epochs if name == "sgd" else [])
+
+    @pytest.mark.parametrize("name", sorted(STEPPING_RUNS))
+    @pytest.mark.parametrize("observed", [False, True], ids=["idle", "observed"])
+    def test_each_gradient_norm_is_computed_once_per_reader(self, monkeypatch, name, observed):
+        # GD and L-BFGS test every gradient's max-abs norm for their stop and
+        # hand that value to StepTaken; GradientCalled computes its own.  So
+        # they compute one norm per gradient call idle and two observed.  SGD's
+        # StepTaken norm stays lazy, and annealing and the compass take none.
+        computed = []
+        norm = numopt.core._max_abs_norm
+
+        def counted_norm(gradient):
+            computed.append(gradient)
+            return norm(gradient)
+
+        monkeypatch.setattr(numopt.core, "_max_abs_norm", counted_norm)
+        monkeypatch.setattr(numopt.optimizers._common, "_max_abs_norm", counted_norm)
+        optimizer, objective, x0 = STEPPING_RUNS[name]()
+        events = []
+        _, result = optimizer.optimize(objective, x0, callbacks=[events.append] if observed else [])
+        per_run = {
+            "gd": (1 + observed) * result.gradient_calls,
+            "lbfgs": (1 + observed) * result.gradient_calls,
+            "sgd": 2 * result.iterations if observed else 0,
+        }
+        assert len(computed) == per_run.get(name, 0)
+        if observed and name in ("gd", "lbfgs"):
+            # Each step reports the norm of the last gradient taken: the one it
+            # was taken along for GD, the accepted point's for L-BFGS.
+            last = None
+            for event in events:
+                if isinstance(event, GradientCalled):
+                    last = event.norm
+                elif isinstance(event, StepTaken):
+                    assert event.gradient_norm == last

@@ -339,6 +339,22 @@ class TestStepCount:
         assert adapter.iterations == 2
         assert (adapter.evaluate_calls, adapter.gradient_calls) == (0, 0)
 
+    def test_a_given_norm_is_reported_as_it_is(self):
+        # A norm the loop passes is reported without reading any gradient;
+        # without one, the gradient's max-abs norm; without either, None.
+        events = []
+        adapter = ObjectiveAdapter(FullObjective(), events=numopt.CallbackList([events.append]))
+        adapter.step_taken(5.0, norm=0.25)
+        adapter.step_taken(4.0, np.array([-10.0, 2.0]))
+        adapter.step_taken(3.0, np.array([-10.0, 2.0]), norm=0.5)
+        adapter.step_taken(2.0)
+        assert [(event.iteration, event.gradient_norm) for event in events] == [
+            (1, 0.25),
+            (2, 10.0),
+            (3, 0.5),
+            (4, None),
+        ]
+
 
 class VectorValued:
     """Every value path returns a length-2 array instead of a scalar."""

@@ -167,6 +167,78 @@ class TestLbfgsMemory:
             LbfgsMemory(3).push(np.ones(2), np.ones(3))
 
 
+def curved_pair(rng, dtype, dim=4):
+    """A pair (s, y) with y.s > 0 well above the curvature floor."""
+    s = rng.uniform(-1, 1, dim)
+    return s.astype(dtype), (2.0 * s + 0.1 * rng.uniform(-1, 1, dim)).astype(dtype)
+
+
+class TestDoubleBufferedMemory:
+    """The memory keeps its arrays in two banks and makes the spare one its own
+    on each accepted push; no bank may show through where it should not."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pushes", [2, 7], ids=["partial", "full"])
+    @pytest.mark.parametrize("refused", ["nan", "below-floor"])
+    def test_a_refused_pair_swaps_no_bank(self, dtype, pushes, refused):
+        # A memory of 3: two pairs leave it partial; seven fill it and swap
+        # its banks seven times.  The refused pair must change no direction,
+        # now or after the next accepted pair, against a twin that never saw it.
+        rng = np.random.default_rng(41)
+        memory, twin = LbfgsMemory(3), LbfgsMemory(3)
+        for _ in range(pushes):
+            pair = curved_pair(rng, dtype)
+            assert memory.push(*pair) and twin.push(*pair)
+        gradients = [rng.uniform(-1, 1, 4).astype(dtype) for _ in range(3)]
+        before = [memory.direction(g) for g in gradients]
+        s = rng.uniform(-1, 1, 4)
+        # Below the floor: y orthogonal to s, so y.s is exactly 0.
+        orthogonal = s[[1, 0, 3, 2]] * [-1.0, 1.0, -1.0, 1.0]
+        y = np.array([np.nan, 1.0, 0.5, 2.0]) if refused == "nan" else orthogonal
+        assert not memory.push(s.astype(dtype), y.astype(dtype))
+        assert len(memory) == min(pushes, 3)
+        for g, direction in zip(gradients, before):
+            assert_array_equal(memory.direction(g), direction)
+        pair = curved_pair(rng, dtype)
+        assert memory.push(*pair) and twin.push(*pair)
+        for g in gradients:
+            assert_array_equal(memory.direction(g), twin.direction(g))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_clear_leaves_no_stale_row(self, dtype):
+        # After a clear, each pair pushed gives the directions of a fresh
+        # memory given the same pairs, until both are full and past it.
+        rng = np.random.default_rng(43)
+        memory = LbfgsMemory(3)
+        for _ in range(5):
+            assert memory.push(*curved_pair(rng, dtype))
+        memory.clear()
+        fresh = LbfgsMemory(3)
+        gradients = [rng.uniform(-1, 1, 4).astype(dtype) for _ in range(3)]
+        for _ in range(4):
+            pair = curved_pair(rng, dtype)
+            assert memory.push(*pair) and fresh.push(*pair)
+            for g in gradients:
+                assert_array_equal(memory.direction(g), fresh.direction(g))
+
+    def test_memory_owns_its_pairs_past_both_banks(self):
+        # As test_memory_owns_its_pairs, with more than twice the memory's
+        # size in pushes, so each bank has been written and swapped in.
+        rng = np.random.default_rng(47)
+        memory = LbfgsMemory(3)
+        pushed = []
+        for _ in range(7):
+            s, y = curved_pair(rng, np.float64)
+            assert memory.push(s, y)
+            pushed.append((s, y))
+        g = rng.uniform(-1, 1, 4)
+        before = memory.direction(g)
+        for s, y in pushed:
+            s *= -3.0
+            y[0] = 1e6
+        assert np.array_equal(memory.direction(g), before)
+
+
 class TestTwoLoopDirection:
     def test_empty_memory_is_negated_gradient_bitwise(self):
         g = np.array([3.0, -1.0])
