@@ -28,6 +28,7 @@ import warnings
 
 from .core import BeginEpoch, BeginOptimization, CallbackDecision, CallbackList, EndEpoch
 from .core import EndOptimization, EvaluateCalled, GradientCalled, StepTaken, _check_options
+from .core import _CONTINUE, _TERMINATE
 
 __all__ = [
     "CallbackDecision",
@@ -66,21 +67,21 @@ class EarlyStopping:
     def __call__(self, event):
         if isinstance(event, BeginOptimization):
             self.best, self.stale_steps = None, 0
-            return CallbackDecision.CONTINUE
+            return _CONTINUE
         if isinstance(event, StepTaken):
             value = event.objective
         elif isinstance(event, EndEpoch):
             value = event.mean_objective
         else:
-            return CallbackDecision.CONTINUE
+            return _CONTINUE
         if self.best is None or value < self.best - self.min_delta:
             self.best = value
             self.stale_steps = 0
         else:
             self.stale_steps += 1
             if self.stale_steps >= self.patience:
-                return CallbackDecision.TERMINATE
-        return CallbackDecision.CONTINUE
+                return _TERMINATE
+        return _CONTINUE
 
 
 class ProgressPrinter:
@@ -109,7 +110,7 @@ class ProgressPrinter:
                 warnings.warn(
                     f"progress line not written: {error}", RuntimeWarning, stacklevel=2
                 )
-        return CallbackDecision.CONTINUE
+        return _CONTINUE
 
 
 def parse_progress_line(line):
@@ -142,7 +143,7 @@ class TraceRecorder:
             self.trace.append((event.iteration, event.objective))
         elif isinstance(event, BeginOptimization):
             self.trace = []
-        return CallbackDecision.CONTINUE
+        return _CONTINUE
 
 
 class TimeLimit:
@@ -160,7 +161,7 @@ class TimeLimit:
     def __call__(self, event):
         if isinstance(event, BeginOptimization) or self.started is None:
             self.started = time.monotonic()
-            return CallbackDecision.CONTINUE
+            return _CONTINUE
         if time.monotonic() - self.started > self.limit_seconds:
-            return CallbackDecision.TERMINATE
-        return CallbackDecision.CONTINUE
+            return _TERMINATE
+        return _CONTINUE

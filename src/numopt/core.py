@@ -118,6 +118,10 @@ class CallbackDecision(Enum):
     TERMINATE = "terminate"
 
 
+# The members bound once, for the hot paths (see CallbackList.dispatch).
+_CONTINUE, _TERMINATE = CallbackDecision.CONTINUE, CallbackDecision.TERMINATE
+
+
 @dataclass(frozen=True)
 class BeginOptimization:
     pass
@@ -202,7 +206,14 @@ class CallbackList:
         All callbacks see the event even after one requests termination, so
         loggers do not go blind when a stopper fires.  A callback that raises
         is reported as a warning and treated as CONTINUE; observation must
-        not kill the run.
+        not kill the run.  Only the member ``TERMINATE`` itself stops a
+        run (an ``is`` test), so a callback that returns the string
+        ``"terminate"`` or 1 continues it.  The member is read from the
+        module-level name ``_TERMINATE``, bound once: an observed run
+        dispatches once per objective call and per step, and reading
+        ``CallbackDecision.TERMINATE`` goes through the enum class's
+        attribute lookup, about 0.1 us against 0.01 us for a global on
+        CPython 3.11.
         """
         for callback in self.callbacks:
             try:
@@ -214,7 +225,7 @@ class CallbackList:
                     stacklevel=2,
                 )
                 continue
-            if answer == CallbackDecision.TERMINATE:
+            if answer is _TERMINATE:
                 self.terminate_requested = True
         return self.terminate_requested
 
@@ -440,9 +451,7 @@ class ObjectiveAdapter:
         if self.events.callbacks:
             if norm is None and gradient is not None:
                 norm = _max_abs_norm(gradient)
-            self.events.dispatch(
-                StepTaken(iteration=self.iterations, objective=objective, gradient_norm=norm)
-            )
+            self.events.dispatch(StepTaken(self.iterations, objective, norm))
 
     @property
     def num_parts(self):
@@ -500,7 +509,7 @@ class ObjectiveAdapter:
             name = f"{type(self.objective).__name__}.{method}"
             raise Diagnostic(f"{name} returned a value of {got}, not a scalar") from None
         if self.events.callbacks:
-            self.events.dispatch(EvaluateCalled(value=value))
+            self.events.dispatch(EvaluateCalled(value))
         return value
 
     def _reported_gradient(self, g, x, method):
@@ -511,7 +520,7 @@ class ObjectiveAdapter:
                 f"{g.shape} for parameters of shape {x.shape}"
             )
         if self.events.callbacks:
-            self.events.dispatch(GradientCalled(norm=_max_abs_norm(g)))
+            self.events.dispatch(GradientCalled(_max_abs_norm(g)))
         return g
 
 

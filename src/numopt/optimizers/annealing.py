@@ -95,7 +95,7 @@ class SimulatedAnnealing:
                     u_coordinate, u_offset, u_gate = next(uniforms)
                     # u < 1 and x.size < 2**53, so the product rounds below x.size.
                     j = int(u_coordinate * x.size)
-                    half_width = self.move_scale * (1.0 + abs(float(x.flat[j])))
+                    half_width = self.move_scale * (1.0 + abs(x.item(j)))
                     proposal = x.copy()
                     proposal.flat[j] += half_width * (2.0 * u_offset - 1.0)
                     trial = adapter.evaluate(proposal)

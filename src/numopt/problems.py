@@ -184,8 +184,9 @@ class LogisticRegression(_ColumnData):
     def _value(self, flat, X, y, share):
         """Value over the columns X, y; share is their count/n of the ridge penalty."""
         z = X.T @ flat
-        # ndarray.sum is np.sum's add.reduce without its ~1.5 us dispatch wrapper.
-        value = float((np.logaddexp(0.0, z) - y * z).sum())
+        # add.reduce is what ndarray.sum and np.sum run, without NumPy's Python
+        # wrapper (_methods._sum) around it: the same pairwise sum, ~0.15 us less.
+        value = float(np.add.reduce(np.logaddexp(0.0, z) - y * z))
         if self.ridge:
             value += self.ridge * float(flat @ flat) * share
         return value
@@ -228,13 +229,13 @@ class Rosenbrock:
     """
 
     def _point(self, x):
-        x = np.asarray(x)
+        """[a, b] of the array ``x`` as Python floats, in one call."""
         if x.size != 2:
             raise Diagnostic(f"Rosenbrock is 2-D, got shape {x.shape}")
-        return x.ravel().tolist()  # [a, b] as Python floats, in one call
+        return x.ravel().tolist()
 
     def evaluate(self, x):
-        a, b = self._point(x)
+        a, b = self._point(np.asarray(x))
         try:
             return (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
         except OverflowError:
@@ -242,11 +243,13 @@ class Rosenbrock:
             return np.inf
 
     def gradient(self, x):
-        a, b = self._point(x)
         x = np.asarray(x)
+        a, b = self._point(x)
         ga = -2.0 * (1.0 - a) - 400.0 * a * (b - a * a)
         gb = 200.0 * (b - a * a)
-        return np.array([ga, gb], dtype=x.dtype).reshape(x.shape)
+        g = np.array([ga, gb], dtype=x.dtype)
+        # A 1-D x already has g's shape, and a reshape costs ~0.2 us of ~1 us.
+        return g if x.ndim == 1 else g.reshape(x.shape)
 
 
 def generate_noisy_linear(d, n, noise_scale=10.0, seed=0):

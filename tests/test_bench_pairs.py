@@ -190,3 +190,22 @@ def test_traced_shares_are_self_times_over_their_sum_and_ignore_a_uniform_scale(
         assert metrics[name]["median_change_rel"] == pytest.approx(0.0, abs=1e-12)
     untraced = bench_pairs.summarize(ten_pairs(PARENT, PARENT), BETTER)["trace0"]["w"]["metrics"]
     assert not any(name.endswith(".share") for name in untraced)
+
+
+def test_verdict_names_each_workloads_end_to_end_metrics_beyond_bound_and_claimable(bench_pairs):
+    # On workload a, setup_s worsens by 27% against a 0.25 bound while
+    # solve_rel.p50 gains; calls has no bound, so it is never named.
+    runs = []
+    for seed, p in enumerate(PARENT):
+        runs.append(run("a", seed, "parent", {"setup_s": p, "solve_rel.p50": p, "calls": p}))
+        runs.append(
+            run("a", seed, "change", {"setup_s": 1.27 * p, "solve_rel.p50": p - 5.0, "calls": 1.0})
+        )
+    runs += ten_pairs(PARENT, PARENT, workload="b")
+    bounds = {"setup_s": 0.25, "solve_rel.p50": 0.25}
+    summary = bench_pairs.summarize(runs, BETTER, bounds)
+    assert summary["trace0"]["a"]["metrics"]["calls"]["claimable"] is True
+    assert bench_pairs.verdict(summary) == [
+        "trace0 a: beyond_bound setup_s; claimable solve_rel.p50",
+        "trace0 b: beyond_bound none; claimable none",
+    ]

@@ -1,6 +1,9 @@
 """Dispatch combination rules and the built-in callbacks."""
 
+import dataclasses
+import itertools
 import runpy
+import types
 import warnings
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import numopt.callbacks
 import numopt.core
 import numopt.optimizers._common
 from numopt import (
@@ -125,6 +129,87 @@ class TestDispatch:
         events.callbacks = [lambda event: CallbackDecision.CONTINUE]
         events.dispatch(step(2))
         assert events.terminate_requested
+
+
+class TestEventFields:
+    # The adapter and SGD build these events positionally, so a reordered
+    # field would silently swap what an event carries.
+    @pytest.mark.parametrize(
+        "kind, names",
+        [
+            (StepTaken, ("iteration", "objective", "gradient_norm")),
+            (EvaluateCalled, ("value",)),
+            (GradientCalled, ("norm",)),
+            (BeginEpoch, ("epoch",)),
+            (EndEpoch, ("epoch", "mean_objective")),
+        ],
+        ids=lambda case: case.__name__ if isinstance(case, type) else None,
+    )
+    def test_positionally_built_events_keep_their_field_order(self, kind, names):
+        assert tuple(field.name for field in dataclasses.fields(kind)) == names
+        values = [object() for _ in names]
+        event = kind(*values)
+        assert all(getattr(event, name) is value for name, value in zip(names, values))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(event, names[0], None)
+
+
+# One event of each kind, in the order a run could send them.
+EVERY_KIND = [
+    BeginOptimization(),
+    EvaluateCalled(1.0),
+    GradientCalled(2.0),
+    StepTaken(1, 1.0, 2.0),
+    StepTaken(2, 1.0),
+    BeginEpoch(1),
+    EndEpoch(1, 1.0),
+    EndOptimization(),
+]
+C, T = CallbackDecision.CONTINUE, CallbackDecision.TERMINATE
+
+
+class TestDecisions:
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            # Patience 1: the second flat step and the flat epoch mean are stale.
+            ("EarlyStopping", [C, C, C, C, T, C, T, C]),
+            ("ProgressPrinter", [C] * 8),
+            ("TraceRecorder", [C] * 8),
+            # The clock reads 0, 1, 2, ...: the limit of 2.5 s is past from the
+            # first step on.
+            ("TimeLimit", [C, C, C, T, T, T, T, T]),
+        ],
+    )
+    def test_stock_callbacks_return_the_decision_members_themselves(
+        self, monkeypatch, name, expected
+    ):
+        clock = types.SimpleNamespace(monotonic=itertools.count().__next__)
+        monkeypatch.setattr(numopt.callbacks, "time", clock)
+        callback = {
+            "EarlyStopping": lambda: EarlyStopping(patience=1),
+            "ProgressPrinter": lambda: ProgressPrinter(stream=LineSink()),
+            "TraceRecorder": TraceRecorder,
+            "TimeLimit": lambda: TimeLimit(2.5),
+        }[name]()
+        answers = [callback(event) for event in EVERY_KIND]
+        assert len(answers) == len(expected)
+        assert all(answer is decision for answer, decision in zip(answers, expected))
+
+    @pytest.mark.parametrize("name", ["gd", "lbfgs", "sgd", "annealing"])
+    @pytest.mark.parametrize("answer", ["terminate", "TERMINATE", 1, True])
+    def test_only_the_terminate_member_stops_a_run(self, name, answer):
+        def run(decision):
+            optimizer, objective, x0 = STEPPING_RUNS[name]()
+            return optimizer.optimize(objective, x0, callbacks=[lambda event: decision])
+
+        x, result = run(answer)
+        x_idle, idle = run(None)
+        assert result.termination is idle.termination is TerminationReason.MAX_ITERATIONS
+        assert (result.iterations, result.evaluate_calls) == (idle.iterations, idle.evaluate_calls)
+        assert x.tobytes() == x_idle.tobytes()
+        _, stopped = run(CallbackDecision.TERMINATE)
+        assert stopped.termination is TerminationReason.CALLBACK_REQUESTED
 
 
 class TestEarlyStopping:
@@ -395,9 +480,9 @@ class TestIdleObservation:
         built = []
 
         class CountedStep(StepTaken):
-            def __init__(self, **fields):
-                built.append(fields["iteration"])
-                super().__init__(**fields)
+            def __init__(self, iteration, objective, gradient_norm=None):
+                built.append(iteration)
+                super().__init__(iteration, objective, gradient_norm)
 
         dispatched = []
         dispatch = CallbackList.dispatch

@@ -638,6 +638,14 @@ class TestRosenbrock:
         g = objective.gradient(np.zeros((2, 1)))
         assert g.shape == (2, 1)
 
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (2,)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_keeps_the_shape_and_dtype_of_x(self, shape, dtype):
+        g = Rosenbrock().gradient(np.zeros(shape, dtype=dtype))
+        assert g.shape == shape
+        assert g.dtype == dtype
+        assert g.ravel().tolist() == [-2.0, 0.0]
+
     def test_wrong_size_is_diagnostic(self):
         with pytest.raises(Diagnostic, match="2-D"):
             Rosenbrock().evaluate(np.zeros(3))

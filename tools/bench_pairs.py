@@ -21,7 +21,9 @@ the parent's by more than the metric's relative ``bound``.  ``--trace-seeds``
 adds traced pairs, summarised apart under ``trace1``.  A traced run also
 reports each self-time metric's share of its solve (``<metric>.share``):
 seconds from one traced pair move with the host's speed, while a share moves
-only when that layer's part of the solve does.
+only when that layer's part of the solve does.  The run ends by printing a
+verdict: one line per trace mode and workload naming its end-to-end metrics
+that are beyond their bound and those that are claimable.
 """
 
 from __future__ import annotations
@@ -143,6 +145,23 @@ def summarize(runs, better, bounds=None):
     return summary
 
 
+def verdict(summary):
+    """One line per trace mode and workload of ``summary``: its end-to-end
+    metrics (those with ``beyond_bound``) that are beyond their bound, and
+    those that are claimable."""
+    lines = []
+    for trace, workloads in summary.items():
+        for workload, entry in workloads.items():
+            bounded = {n: m for n, m in entry["metrics"].items() if "beyond_bound" in m}
+            beyond = [name for name, metric in bounded.items() if metric["beyond_bound"]]
+            claimable = [name for name, metric in bounded.items() if metric["claimable"]]
+            lines.append(
+                f"{trace} {workload}: beyond_bound {', '.join(beyond) or 'none'}; "
+                f"claimable {', '.join(claimable) or 'none'}"
+            )
+    return lines
+
+
 def metric_directions(benchmark):
     """Metric name -> ``"lower"`` or ``"higher"`` from a BENCHMARK.json object."""
     return {
@@ -251,6 +270,7 @@ def main(argv=None):
         "runs": runs,
     }
     args.output.write_text(json.dumps(record, indent=1) + "\n")
+    print("\n".join(verdict(record["summary"])))
 
 
 if __name__ == "__main__":
