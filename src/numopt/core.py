@@ -18,23 +18,27 @@ gradient.  ``check_requirements`` turns a shortfall into a ``Diagnostic``
 that names the missing methods, and ``ObjectiveAdapter`` binds each call to
 the objective's own method or its inferred form.
 
-The adapter is also the handle of one run: it holds the run's callbacks,
-start time and call counts, and counts and reports each step
-(``step_taken``), so no optimizer keeps a step counter.  It is the one
-sender of the run's events: each is built and dispatched only when a
-callback listens, the run's own and SGD's epoch events through
+The adapter is the contract's one gate: a value or gradient the objective
+returns is admitted by the rule that admits x0 and data
+(``_as_float_array``), so it is never parsed or truncated, and anything
+else is refused with a ``Diagnostic`` naming ``Type.method``.  It is also
+the one object of one run: a ``CallbackList`` itself, it holds the run's
+callbacks and stop request, its start time and call counts, and counts and
+reports each step (``step_taken``), so no optimizer keeps a step counter.
+It is the one sender of the run's events: each is built and dispatched
+only when a callback listens, the run's own and SGD's epoch events through
 ``announce``, the three whose fields may cost something behind the same
 test inline.  It is the stop gate too: once a callback has returned
 TERMINATE, it refuses every further objective call, and ``with adapter:``
 ends the optimizer's loop at its last completed step with
 ``CALLBACK_REQUESTED``.
 
-The run's events, ``CallbackDecision`` and the ``CallbackList`` that
-dispatches them are defined here, beside the adapter that sends them;
-``numopt.callbacks`` exports them with the stock callbacks.  So are
-``Diagnostic``, the one exception for a broken contract or a refused
-option, and the one option rule, ``_check_options``, which every module
-reads from here.
+The run's events, ``CallbackDecision`` and ``CallbackList``, whose
+``dispatch`` is the one dispatcher, are defined here, beside the adapter
+that sends them; ``numopt.callbacks`` exports them with the stock
+callbacks.  So are ``Diagnostic``, the one exception for a broken contract
+or a refused option, and the one option rule, ``_check_options``, which
+every module reads from here.
 """
 
 from __future__ import annotations
@@ -76,13 +80,24 @@ class Diagnostic(ValueError):
     """
 
 
-# Each admitted range, written as its refusal shows it.
+def _flag(value):
+    """The range of a flag: a bool, NumPy's included.  Anything else is
+    refused by its type, as a range refuses a string, so 1 or "no" is never
+    read as a truth value."""
+    if type(value) not in (bool, np.bool_):
+        raise TypeError
+    return True
+
+
+# Each admitted range, written as its refusal shows it; a flag's is _FLAG.
+_FLAG = "True or False"
 _ADMITTED = {
     "> 0": lambda value: value > 0,
     ">= 0": lambda value: value >= 0,
     ">= 1": lambda value: value >= 1,
     "in (0, 1)": lambda value: 0 < value < 1,
     "in [0, 1)": lambda value: 0 <= value < 1,
+    _FLAG: _flag,
 }
 
 
@@ -96,8 +111,9 @@ def _check_options(*options, unset=()):
     range's message.  A value the range cannot compare, a string or None, is
     refused with a message naming its type, never parsed.  A count must then
     be an integer by ``operator.index``: NumPy integers pass, and a float is
-    refused, not truncated.  A name in ``unset`` may be None, which means
-    chosen at run time.
+    refused, not truncated.  A flag's range is ``"True or False"``, which
+    refuses anything but a bool by its type.  A name in ``unset`` may be
+    None, which means chosen at run time.
     """
     for name, value, admitted, *counts in options:
         if value is None and name in unset:
@@ -108,7 +124,7 @@ def _check_options(*options, unset=()):
             if counts:
                 operator.index(value)
         except TypeError:
-            kind = "an integer" if counts else "a number"
+            kind = _FLAG if admitted == _FLAG else "an integer" if counts else "a number"
             got = f"{value!r} of type {type(value).__name__}"
             raise Diagnostic(f"{name} must be {kind}, got {got}") from None
 
@@ -178,14 +194,15 @@ class EndEpoch:
 class CallbackList:
     """The callbacks of one run plus a sticky termination flag.
 
+    ``ObjectiveAdapter`` is a ``CallbackList``: the run's one object holds
+    its callbacks itself, and no other numopt module builds one.
     ``callbacks`` is any iterable of callables, a generator included; one
     callback not in a list, None, or an item that is not callable is
     refused with a Diagnostic naming the offending type, so a run with a
     malformed argument stops before its first event.  Once any dispatch
-    sees TERMINATE, ``terminate_requested`` stays True and the run's
-    ``ObjectiveAdapter`` refuses every further objective call.  Empty lists
-    are free: the adapter builds and sends an event only when ``callbacks``
-    is non-empty.
+    sees TERMINATE, ``terminate_requested`` stays True and the adapter
+    refuses every further objective call.  Empty lists are free: the
+    adapter builds and sends an event only when ``callbacks`` is non-empty.
     """
 
     def __init__(self, callbacks=()):
@@ -232,7 +249,7 @@ class CallbackList:
 
 def _as_float_array(values, name):
     """``values`` as a float32 or float64 array: the one admission rule for
-    parameters and data.
+    parameters, data, and the values and gradients an objective returns.
 
     Booleans, integers and real floats are admitted: float32 and float64
     keep their dtype and are not copied, the others become float64.
@@ -249,6 +266,10 @@ def _as_float_array(values, name):
     if a.dtype not in (np.float32, np.float64):
         return a.astype(np.float64)
     return a
+
+
+# The types whose value float() converts exactly as the rule would.
+_FLOATS = (float, np.float64, np.float32)
 
 
 def as_parameters(x0):
@@ -364,31 +385,39 @@ class _StopRequested(Exception):
     """The adapter's refusal of an objective call after a TERMINATE."""
 
 
-class ObjectiveAdapter:
-    """Uniform front for an objective, and the handle of one run: inference,
-    call and step counting, event reporting.
+class ObjectiveAdapter(CallbackList):
+    """Uniform front for an objective, and the one object of one run:
+    inference, call and step counting, admission of what the objective
+    returns, and the run's callbacks.
 
-    Optimizers only ever talk to the adapter.  ``__init__`` binds each call
-    once: to the objective's own method, to its inferred form, or to a
-    ``Diagnostic`` naming what is missing, and takes the run's start time,
-    ``started``.  ``iterations`` starts at 0 and counts the completed steps
-    that the loop reports with ``step_taken``, whether or not a callback
-    listens.  Each objective call is counted and reported to ``events``,
-    the run's ``CallbackList`` (an empty one when None is given); after a
-    termination request it is refused with ``_StopRequested``, the only
-    error that ``with adapter:`` swallows.  Values become floats and
-    gradients take the dtype of ``x``.  Events are built only when a
-    callback listens, so an unobserved run pays nothing for them: the
+    Optimizers only ever talk to the adapter.  ``__init__`` first checks
+    ``callbacks`` as ``CallbackList`` does, whose ``callbacks``,
+    ``terminate_requested`` and ``dispatch`` the adapter holds itself; then
+    it binds each call once: to the objective's own method, to its inferred
+    form, or to a ``Diagnostic`` naming what is missing, and takes the run's
+    start time, ``started``.  ``iterations`` starts at 0 and counts the
+    completed steps that the loop reports with ``step_taken``, whether or
+    not a callback listens.  Each objective call is counted and reported;
+    after a termination request it is refused with ``_StopRequested``, the
+    only error that ``with adapter:`` swallows.
+
+    What the objective returns passes the rule that admits x0 and data,
+    ``_as_float_array``: a value must be one real number and becomes a
+    float, a gradient must be real numbers of x's shape and takes x's dtype.
+    Anything else, a complex number, a string, None, a ragged sequence or an
+    integer beyond 64 bits, is refused with a ``Diagnostic`` naming
+    ``Type.method``; it is never parsed or truncated.  Events are built only
+    when a callback listens, so an unobserved run pays nothing for them: the
     optimizers send theirs through ``announce``, which makes that test.
 
     Counting rules: a part-window call of ``count`` parts costs ``count``
     evaluations (or gradients); a fused call costs one of each.
     """
 
-    def __init__(self, objective, events=None):
+    def __init__(self, objective, callbacks=()):
+        super().__init__(callbacks)
         self.objective = objective
         self.capabilities = caps = ObjectiveCapabilities.of(objective)
-        self.events = CallbackList() if events is None else events
         self.evaluate_calls = 0
         self.gradient_calls = 0
         self.iterations = 0
@@ -437,9 +466,9 @@ class ObjectiveAdapter:
         returns ``terminate_requested``.  Fields are computed before the
         test, so only cheap ones are passed: an event with a costly field
         keeps its own guard, as ``step_taken`` does."""
-        if self.events.callbacks:
-            self.events.dispatch(kind(*fields))
-        return self.events.terminate_requested
+        if self.callbacks:
+            self.dispatch(kind(*fields))
+        return self.terminate_requested
 
     def step_taken(self, objective, gradient=None, norm=None):
         """Count a completed step in ``iterations``, then send its ``StepTaken``,
@@ -448,10 +477,10 @@ class ObjectiveAdapter:
         not computed twice; else ``gradient``'s max-abs norm, computed only
         for the event; else None."""
         self.iterations += 1
-        if self.events.callbacks:
+        if self.callbacks:
             if norm is None and gradient is not None:
                 norm = _max_abs_norm(gradient)
-            self.events.dispatch(StepTaken(self.iterations, objective, norm))
+            self.dispatch(StepTaken(self.iterations, objective, norm))
 
     @property
     def num_parts(self):
@@ -496,32 +525,39 @@ class ObjectiveAdapter:
 
     def _admit(self, evaluations, gradients):
         """Refuse the call after a termination request, else count it."""
-        if self.events.terminate_requested:
+        if self.terminate_requested:
             raise _StopRequested
         self.evaluate_calls += evaluations
         self.gradient_calls += gradients
 
     def _reported_value(self, value, method):
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            got = f"shape {value.shape}" if hasattr(value, "shape") else type(value).__name__
-            name = f"{type(self.objective).__name__}.{method}"
-            raise Diagnostic(f"{name} returned a value of {got}, not a scalar") from None
-        if self.events.callbacks:
-            self.events.dispatch(EvaluateCalled(value))
+        # A float pays one type test; anything else passes the one rule.
+        if type(value) not in _FLOATS:
+            value = self._returned(value, method, "value", ())
+        value = float(value)
+        if self.callbacks:
+            self.dispatch(EvaluateCalled(value))
         return value
 
     def _reported_gradient(self, g, x, method):
-        g = np.asarray(g, dtype=x.dtype)
-        if g.shape != x.shape:
-            raise Diagnostic(
-                f"{type(self.objective).__name__}.{method} returned gradient of shape "
-                f"{g.shape} for parameters of shape {x.shape}"
-            )
-        if self.events.callbacks:
-            self.events.dispatch(GradientCalled(_max_abs_norm(g)))
+        # An array of x's dtype and shape pays a type, a dtype and a shape
+        # test; anything else passes the one rule, then takes x's dtype.
+        if type(g) is not np.ndarray or g.dtype is not x.dtype or g.shape != x.shape:
+            g = self._returned(g, method, "gradient", x.shape).astype(x.dtype, copy=False)
+        if self.callbacks:
+            self.dispatch(GradientCalled(_max_abs_norm(g)))
         return g
+
+    def _returned(self, returned, method, kind, shape):
+        """What ``method`` returned, admitted by the rule for x0 and data
+        (``_as_float_array``), so that it is never parsed or truncated, and
+        refused unless it has ``shape``: () for a value, x's for a gradient."""
+        name = f"{type(self.objective).__name__}.{method}"
+        a = _as_float_array(returned, f"the {kind} {name} returned")
+        if a.shape != shape:
+            got = f"a {kind} of type {type(returned).__name__} and shape {a.shape}"
+            raise Diagnostic(f"{name} returned {got}, not of shape {shape}")
+        return a
 
 
 def _max_abs_norm(g):

@@ -1,18 +1,20 @@
 """Run setup, teardown and the stop rules: the parts every optimizer is built from.
 
 ``prepare_run``, ``finish_run`` and ``progress_stop`` are public.  A run's
-one handle is the ``ObjectiveAdapter`` that ``prepare_run`` returns beside
-the parameters: the loop calls the objective and reports each step
-(``step_taken``, which counts it in ``adapter.iterations``) through it, and
-``finish_run`` reads the callbacks, the start time, the step count and the
-call counts from it; no optimizer keeps a step counter of its own.  The
-run's BeginOptimization and EndOptimization go out through
-``adapter.announce``, so an unobserved run builds neither.  The
-iteration cap (``_cap_stop``, tested on ``adapter.iterations``) and the
-gradient-norm stop (``_gradient_stop``) are stated here once and read by
-every bundled optimizer; the norm itself is ``core._max_abs_norm``.
-``_gradient_stop`` returns the norm it tested beside its reason, and the
-loop hands it to ``step_taken``, so an observed step computes it once.
+one object is the ``ObjectiveAdapter`` that ``prepare_run`` returns beside
+the parameters: it holds the run's callbacks and its stop request itself,
+the loop calls the objective and reports each step (``step_taken``, which
+counts it in ``adapter.iterations``) through it, and ``finish_run`` reads
+the stop request, the start time, the step count and the call counts from
+it; no optimizer keeps a step counter of its own, and no module but
+``core`` builds a ``CallbackList``.  The run's BeginOptimization and
+EndOptimization go out through ``adapter.announce``, so an unobserved run
+builds neither.  The iteration cap (``_cap_stop``, tested on
+``adapter.iterations``) and the gradient-norm stop (``_gradient_stop``)
+are stated here once and read by every bundled optimizer; the norm itself
+is ``core._max_abs_norm``.  ``_gradient_stop`` returns the norm it tested
+beside its reason, and the loop hands it to ``step_taken``, so an observed
+step computes it once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import time
 
 from ..core import (
     BeginOptimization,
-    CallbackList,
     EndOptimization,
     ObjectiveAdapter,
     OptimizationResult,
@@ -39,12 +40,12 @@ def prepare_run(objective, x0, callbacks, requires, consumer):
 
     The capability check happens before any objective call, so an unusable
     pairing fails fast with a Diagnostic instead of mid-run, and so does a
-    malformed ``callbacks`` argument (``CallbackList``).  Returns the
-    working parameter array and the run's adapter, which has already
-    announced BeginOptimization.
+    malformed ``callbacks`` argument, which the adapter checks first.
+    Returns the working parameter array and the run's adapter, which holds
+    the callbacks and has already announced BeginOptimization.
     """
     x = as_parameters(x0)
-    adapter = ObjectiveAdapter(objective, events=CallbackList(callbacks))
+    adapter = ObjectiveAdapter(objective, callbacks)
     diagnostic = check_requirements(adapter.capabilities, requires, consumer)
     if diagnostic is not None:
         raise diagnostic
@@ -88,7 +89,7 @@ def finish_run(adapter, final_objective, termination):
     The request is read before EndOptimization is announced, so a TERMINATE
     answered to that event changes no result.
     """
-    if adapter.events.terminate_requested:
+    if adapter.terminate_requested:
         termination = TerminationReason.CALLBACK_REQUESTED
     adapter.announce(EndOptimization)
     return OptimizationResult(

@@ -17,7 +17,14 @@ from typing import Protocol
 
 import numpy as np
 
-from ..core import BeginEpoch, EndEpoch, ObjectiveCapabilities, TerminationReason, _check_options
+from ..core import (
+    BeginEpoch,
+    Diagnostic,
+    EndEpoch,
+    ObjectiveCapabilities,
+    TerminationReason,
+    _check_options,
+)
 from ._common import _cap_stop, finish_run, prepare_run
 
 __all__ = ["UpdatePolicy", "VanillaUpdate", "MomentumUpdate", "AdamUpdate", "SGD"]
@@ -152,7 +159,10 @@ class SGD:
     mean objective.  Stops when the epoch-mean objective changes by less
     than ``tolerance`` between consecutive complete epochs, at
     ``max_iterations`` steps (0 means no cap), or on callback request.
-    Runs are deterministic given ``seed``.
+    Runs are deterministic given ``seed``.  ``shuffle`` is True or False,
+    NumPy's bools included, and ``update`` is any object with callable
+    ``initialize`` and ``step`` (``UpdatePolicy``); both are checked when
+    the optimizer is built.
     """
 
     step_size: float = 0.01
@@ -171,8 +181,15 @@ class SGD:
             ("batch_size", self.batch_size, ">= 1", int),
             ("max_iterations", self.max_iterations, ">= 0", int),
             ("tolerance", self.tolerance, ">= 0"),
+            ("shuffle", self.shuffle, "True or False"),
             ("seed", self.seed, ">= 0", int),
         )
+        # Checked here, not by the first run, which would end in an
+        # AttributeError after BeginOptimization.
+        for method in ("initialize", "step"):
+            if not callable(getattr(self.update, method, None)):
+                kind = type(self.update).__name__
+                raise Diagnostic(f"update must have callable initialize and step, got {kind}")
 
     def optimize(self, objective, x0, callbacks=()):
         """Minimize ``objective`` from ``x0``; returns (parameters, result).

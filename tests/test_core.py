@@ -15,7 +15,6 @@ import numopt.callbacks
 import numopt.optimizers
 from numopt import (
     CallbackDecision,
-    CallbackList,
     Diagnostic,
     EvaluateCalled,
     ObjectiveAdapter,
@@ -302,9 +301,7 @@ def stop_after_first_evaluate(event):
 
 class TestStopGate:
     def test_with_block_ends_at_the_refused_call(self):
-        adapter = ObjectiveAdapter(
-            FullObjective(), events=CallbackList([stop_after_first_evaluate])
-        )
+        adapter = ObjectiveAdapter(FullObjective(), callbacks=[stop_after_first_evaluate])
         reached = []
         with adapter as entered:
             assert entered is adapter
@@ -343,7 +340,7 @@ class TestStepCount:
         # A norm the loop passes is reported without reading any gradient;
         # without one, the gradient's max-abs norm; without either, None.
         events = []
-        adapter = ObjectiveAdapter(FullObjective(), events=numopt.CallbackList([events.append]))
+        adapter = ObjectiveAdapter(FullObjective(), callbacks=[events.append])
         adapter.step_taken(5.0, norm=0.25)
         adapter.step_taken(4.0, np.array([-10.0, 2.0]))
         adapter.step_taken(3.0, np.array([-10.0, 2.0]), norm=0.5)

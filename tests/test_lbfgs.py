@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from numopt import (
     LBFGS,
     CallbackDecision,
-    CallbackList,
     Diagnostic,
     EvaluateCalled,
     LbfgsMemory,
@@ -486,7 +485,7 @@ class TestBacktrackingLineSearch:
             if isinstance(event, EvaluateCalled):
                 return CallbackDecision.TERMINATE
 
-        adapter = ObjectiveAdapter(Counting(), events=CallbackList([stop_on_evaluate]))
+        adapter = ObjectiveAdapter(Counting(), callbacks=[stop_on_evaluate])
         with adapter:
             backtracking_line_search(
                 adapter, np.array([1.0]), 1.0, np.array([2.0]), np.array([-1.0]), LBFGS()

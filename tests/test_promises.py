@@ -5,13 +5,17 @@ counts are exact, ``x0`` is never mutated, and a float32 start gives a
 float32 result, also when the objective computes in float64, and an
 objective may return a gradient array that it reuses.  A start that
 is not real numbers, or a ``callbacks`` argument that is not an iterable
-of callables, is refused before any call, and every termination
-reason and ``final_objective`` is true of the run it ends.  The compass
-search from ``demos/custom_optimizer.py``, built from public names only,
-runs in every grid beside the bundled optimizers.
+of callables, is refused before any call; a value or gradient that is not
+real numbers of the right shape is refused at the call that returned it,
+and any other kind gives the run of the floats it holds; and every
+termination reason and ``final_objective`` is true of the run it ends.
+The compass search from ``demos/custom_optimizer.py``, built from public
+names only, runs in every grid beside the bundled optimizers.
 """
 
+import re
 import runpy
+import warnings
 from dataclasses import astuple, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -46,6 +50,7 @@ from numopt import (
     VanillaUpdate,
 )
 from numopt.bench import BenchSpec
+from numopt.core import _METHODS
 from numopt.optimizers.lbfgs import LbfgsMemory
 from numopt.problems import (
     LinearRegression,
@@ -347,6 +352,231 @@ def test_malformed_callbacks_are_refused_before_any_event_or_call(name, callback
     assert seen == []
 
 
+def truncated(v):
+    """``v`` with its fraction dropped; NaN and infinities stay as they are."""
+    return float(np.trunc(v))
+
+
+def whole(make):
+    """``make`` for an integral float that a 64-bit integer holds exactly;
+    a NaN, an infinity or a larger float is returned as it is."""
+    return lambda f: make(f) if abs(f) < 2**62 else f
+
+
+def whole_array(make):
+    """``make`` for an integral float array that 64-bit integers hold exactly."""
+    return lambda f: make(f) if np.all(np.abs(f) < 2**62) else f
+
+
+# What an objective may return in place of a float value or a float array
+# gradient.  An admitted kind is a pair (float form, kind): the float form
+# is the number or array the kind stands for, and the kind holds it exactly,
+# so a run given the kind must give the float form's run bit for bit.  A
+# refused kind is one function: the first call that returns it must end the
+# run with a Diagnostic naming Type.method, without a warning.
+VALUE_KINDS = {
+    "float": (float, float),
+    "numpy float64": (float, np.float64),
+    "numpy float32": (lambda v: float(np.float32(v)), np.float32),
+    "int": (truncated, whole(int)),
+    "numpy int64": (truncated, whole(np.int64)),
+    "bool": (lambda v: float(v > 1.0), bool),
+    "numpy bool": (lambda v: float(v > 1.0), np.bool_),
+    "0-d array": (float, np.array),
+    "0-d float32 array": (
+        lambda v: float(np.float32(v)), lambda f: np.array(f, dtype=np.float32)
+    ),
+}
+REFUSED_VALUES = {
+    "complex": complex,
+    "numpy complex128": np.complex128,
+    "str": str,
+    "bytes": lambda v: str(v).encode(),
+    "None": lambda v: None,
+    "list": lambda v: [v],
+    "1-d array": lambda v: np.array([v, v]),
+    "ragged": lambda v: [[v], [v, v]],
+    "huge int": lambda v: 10**400,
+}
+GRADIENT_KINDS = {
+    "array": (lambda g: g, lambda f: f),
+    "float32 array": (
+        lambda g: g.astype(np.float32).astype(g.dtype), lambda f: f.astype(np.float32)
+    ),
+    "list of floats": (lambda g: g, lambda f: f.tolist()),
+    "list of numpy floats": (lambda g: g, list),
+    "list of 0-d arrays": (lambda g: g, lambda f: [np.array(v) for v in f]),
+    "int array": (np.trunc, whole_array(lambda f: f.astype(np.int64))),
+    "list of ints": (np.trunc, whole_array(lambda f: [int(v) for v in f])),
+    "bool array": (lambda g: (g > 0).astype(g.dtype), lambda f: f > 0.5),
+    "list of bools": (lambda g: (g > 0).astype(g.dtype), lambda f: (f > 0.5).tolist()),
+}
+REFUSED_GRADIENTS = {
+    "complex": lambda g: g + 1j,
+    "complex with no imaginary part": lambda g: g.astype(np.complex128),
+    "number strings": lambda g: [str(v) for v in g],
+    "letters": lambda g: ["a"] * len(g),
+    "bytes": lambda g: [str(v).encode() for v in g],
+    "None": lambda g: None,
+    "object array": lambda g: g.astype(object),
+    "ragged": lambda g: [[v] for v in g[:-1]] + [[g[-1], g[-1]]],
+    "huge ints": lambda g: [10**400] * len(g),
+    "0-d array": lambda g: np.array(g[0]),
+}
+
+
+class Returning:
+    """``inner`` with every value it returns passed through ``value`` and
+    every gradient through ``gradient``.  ``first`` holds, per side, the
+    outer objective's call count when that side first returned."""
+
+    def __init__(self, inner, value, gradient):
+        self.inner, self.value, self.gradient_of = inner, value, gradient
+        self.outer = None
+        self.first = {"value": None, "gradient": None}
+
+    def _returned(self, side, convert, result):
+        if self.first[side] is None:
+            self.first[side] = self.outer.calls
+        return convert(result)
+
+    @property
+    def num_parts(self):
+        return self.inner.num_parts
+
+    def evaluate(self, x):
+        return self._returned("value", self.value, self.inner.evaluate(x))
+
+    def gradient(self, x):
+        return self._returned("gradient", self.gradient_of, self.inner.gradient(x))
+
+    def evaluate_parts(self, x, first, count):
+        return self._returned("value", self.value, self.inner.evaluate_parts(x, first, count))
+
+    def gradient_parts(self, x, first, count):
+        gradient = self.inner.gradient_parts(x, first, count)
+        return self._returned("gradient", self.gradient_of, gradient)
+
+
+def returning_run(name, value, gradient, fused, offset, dtype, seed):
+    """(objective, optimizer, x0): ``name``'s optimizer of the promise grid
+    on Rosenbrock, or on least squares by parts, with every value passed
+    through ``value`` and every gradient through ``gradient``."""
+    optimizer = OPTIMIZERS[name](seed)
+    if optimizer.requires.part_gradient:
+        counting, inner, x0 = CountingParts, SeparableLinearRegression(X, Y), offset[[0, 1, 0]]
+    else:
+        counting, inner = CountingFused if fused else CountingFull, Rosenbrock()
+        x0 = np.array([-1.2, 1.0]) + offset
+    objective = counting(Returning(inner, value, gradient))
+    objective.inner.outer = objective
+    return objective, optimizer, x0.astype(dtype)
+
+
+def every_field(x, result):
+    """Every field of a run but the elapsed time."""
+    return x.tobytes(), x.dtype, x.shape, *astuple(replace(result, elapsed_seconds=0))
+
+
+def returned_as(kind):
+    """The function that returns an admitted kind: its float form, held by
+    the kind."""
+    form, held = kind
+    return lambda result: held(form(result))
+
+
+# The optimizers of the promise grid that ask for gradients.
+GRADIENT_USERS = [
+    name
+    for name, factory in OPTIMIZERS.items()
+    if factory(0).requires.gradient or factory(0).requires.part_gradient
+]
+SIDES = {
+    "value": (VALUE_KINDS, REFUSED_VALUES),
+    "gradient": (GRADIENT_KINDS, REFUSED_GRADIENTS),
+}
+
+
+@pytest.mark.parametrize(
+    "side, kind",
+    [(side, kind) for side, tables in SIDES.items() for table in tables for kind in table],
+)
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(
+    data=st.data(),
+    fused=st.booleans(),
+    offset=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)).map(np.array),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+def test_what_an_objective_returns_is_admitted_by_one_rule(
+    side, kind, data, fused, offset, dtype, seed
+):
+    admitted, refused = SIDES[side]
+    name = data.draw(st.sampled_from(sorted(OPTIMIZERS) if side == "value" else GRADIENT_USERS))
+    # The other side returns one of its admitted kinds.
+    other_kinds = SIDES["gradient" if side == "value" else "value"][0]
+    other = other_kinds[data.draw(st.sampled_from(sorted(other_kinds)))]
+
+    def returning(this, that):
+        value, gradient = (this, that) if side == "value" else (that, this)
+        return returning_run(name, value, gradient, fused, offset, dtype, seed)
+
+    if kind in admitted:
+        floats = returning(admitted[kind][0], other[0])
+        kinds = returning(returned_as(admitted[kind]), returned_as(other))
+        runs = []
+        for objective, optimizer, x0 in (floats, kinds):
+            with np.errstate(all="ignore"):
+                runs.append(every_field(*optimizer.optimize(objective, x0)))
+        np.testing.assert_equal(runs[1], runs[0])  # NaN equals NaN
+        return
+    objective, optimizer, x0 = returning(refused[kind], returned_as(other))
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(Diagnostic) as raised:
+            optimizer.optimize(objective, x0)
+    # Refused at the first call that returned the kind, by a message that
+    # names the objective's type and method.
+    assert objective.calls == objective.inner.first[side] is not None
+    methods = "|".join(_METHODS.values())
+    assert re.search(rf"\b{type(objective).__name__}\.({methods})\b", str(raised.value))
+
+
+# Six returns reproduced with L-BFGS on Rosenbrock from (-1.2, 1): the two
+# strings were parsed and the run converged, the two complex kinds were
+# truncated with a ComplexWarning per call and the run converged, and the
+# letters and the huge int escaped as NumPy's ValueError and Python's
+# OverflowError.
+@pytest.mark.parametrize(
+    "side, kind, got",
+    [
+        ("value", "str", "dtype <U18"),
+        ("gradient", "number strings", "dtype <U18"),
+        ("gradient", "complex", "dtype complex128"),
+        ("value", "numpy complex128", "dtype complex128"),
+        ("gradient", "letters", "dtype <U1"),
+        ("value", "huge int", "dtype object"),
+    ],
+)
+def test_the_reproduced_returns_are_refused_by_name(side, kind, got):
+    value, gradient = float, lambda g: g
+    if side == "value":
+        value = REFUSED_VALUES[kind]
+    else:
+        gradient = REFUSED_GRADIENTS[kind]
+    objective = CountingFull(Returning(Rosenbrock(), value, gradient))
+    objective.inner.outer = objective
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Diagnostic) as raised:
+            LBFGS().optimize(objective, [-1.2, 1.0])
+    method = "evaluate" if side == "value" else "gradient"
+    message = f"the {side} CountingFull.{method} returned must be real numbers, got {got}"
+    assert str(raised.value) == message
+    assert objective.calls == objective.inner.first[side] == 1 + (side == "gradient")
+
+
 SGD_POLICIES = {"sgd": VanillaUpdate, "momentum": MomentumUpdate, "adam": AdamUpdate}
 STOPPING = ["gd", "lbfgs", *SGD_POLICIES, "annealing", "compass"]
 
@@ -440,84 +670,98 @@ def test_every_stop_reason_is_true_of_its_run(
             assert 0 <= previous - last <= ftol * max(1.0, abs(previous))
 
 
-# Every option with an admitted range: (owner, option, its NaN message, whether
-# it counts).  The range test runs first, so NaN, which compares false with
-# everything, gets the range's message; a string is refused with a message
-# naming its type, never parsed; and a count must then be an integer, so a
-# float is refused at construction, not truncated partway through a run.
+# Every option with an admitted range: (owner, option, its NaN message, the
+# kind its type refusal names).  The range test runs first, so NaN, which
+# compares false with everything, gets the range's message; a string is
+# refused with a message naming its type, never parsed; and a count must then
+# be an integer, so a float is refused at construction, not truncated partway
+# through a run.  A flag admits a bool alone, NumPy's included, and refuses
+# anything else, NaN and 1 included, by its type.
+NUMBER, COUNT, FLAG = "a number", "an integer", "True or False"
 OPTIONS = [
-    (GradientDescent, "step_size", "step_size must be > 0, got nan", False),
-    (GradientDescent, "max_iterations", "max_iterations must be >= 0, got nan", True),
-    (GradientDescent, "min_gradient_norm", "min_gradient_norm must be >= 0, got nan", False),
+    (GradientDescent, "step_size", "step_size must be > 0, got nan", NUMBER),
+    (GradientDescent, "max_iterations", "max_iterations must be >= 0, got nan", COUNT),
+    (GradientDescent, "min_gradient_norm", "min_gradient_norm must be >= 0, got nan", NUMBER),
     (GradientDescent, "min_objective_improvement",
-     "min_objective_improvement must be >= 0, got nan", False),
-    (LBFGS, "memory_size", "memory_size must be >= 1, got nan", True),
-    (LBFGS, "max_iterations", "max_iterations must be >= 0, got nan", True),
-    (LBFGS, "min_gradient_norm", "min_gradient_norm must be >= 0, got nan", False),
-    (LBFGS, "min_objective_improvement", "min_objective_improvement must be >= 0, got nan", False),
-    (LBFGS, "armijo_constant", "armijo_constant must be in (0, 1), got nan", False),
-    (LBFGS, "backtrack_factor", "backtrack_factor must be in (0, 1), got nan", False),
-    (LBFGS, "max_line_search_trials", "max_line_search_trials must be >= 1, got nan", True),
-    (LbfgsMemory, "memory_size", "memory_size must be >= 1, got nan", True),
-    (SGD, "step_size", "step_size must be > 0, got nan", False),
-    (SGD, "batch_size", "batch_size must be >= 1, got nan", True),
-    (SGD, "max_iterations", "max_iterations must be >= 0, got nan", True),
-    (SGD, "tolerance", "tolerance must be >= 0, got nan", False),
-    (SGD, "seed", "seed must be >= 0, got nan", True),
-    (MomentumUpdate, "momentum", "momentum must be in [0, 1), got nan", False),
-    (AdamUpdate, "beta1", "beta1 must be in [0, 1), got nan", False),
-    (AdamUpdate, "beta2", "beta2 must be in [0, 1), got nan", False),
-    (AdamUpdate, "epsilon", "epsilon must be > 0, got nan", False),
-    (SimulatedAnnealing, "initial_temperature", "initial_temperature must be > 0, got nan", False),
-    (SimulatedAnnealing, "cooling_factor", "cooling_factor must be in (0, 1), got nan", False),
+     "min_objective_improvement must be >= 0, got nan", NUMBER),
+    (LBFGS, "memory_size", "memory_size must be >= 1, got nan", COUNT),
+    (LBFGS, "max_iterations", "max_iterations must be >= 0, got nan", COUNT),
+    (LBFGS, "min_gradient_norm", "min_gradient_norm must be >= 0, got nan", NUMBER),
+    (LBFGS, "min_objective_improvement", "min_objective_improvement must be >= 0, got nan", NUMBER),
+    (LBFGS, "armijo_constant", "armijo_constant must be in (0, 1), got nan", NUMBER),
+    (LBFGS, "backtrack_factor", "backtrack_factor must be in (0, 1), got nan", NUMBER),
+    (LBFGS, "max_line_search_trials", "max_line_search_trials must be >= 1, got nan", COUNT),
+    (LbfgsMemory, "memory_size", "memory_size must be >= 1, got nan", COUNT),
+    (SGD, "step_size", "step_size must be > 0, got nan", NUMBER),
+    (SGD, "batch_size", "batch_size must be >= 1, got nan", COUNT),
+    (SGD, "max_iterations", "max_iterations must be >= 0, got nan", COUNT),
+    (SGD, "tolerance", "tolerance must be >= 0, got nan", NUMBER),
+    (SGD, "shuffle", "shuffle must be True or False, got nan of type float", FLAG),
+    (SGD, "seed", "seed must be >= 0, got nan", COUNT),
+    (MomentumUpdate, "momentum", "momentum must be in [0, 1), got nan", NUMBER),
+    (AdamUpdate, "beta1", "beta1 must be in [0, 1), got nan", NUMBER),
+    (AdamUpdate, "beta2", "beta2 must be in [0, 1), got nan", NUMBER),
+    (AdamUpdate, "epsilon", "epsilon must be > 0, got nan", NUMBER),
+    (SimulatedAnnealing, "initial_temperature", "initial_temperature must be > 0, got nan", NUMBER),
+    (SimulatedAnnealing, "cooling_factor", "cooling_factor must be in (0, 1), got nan", NUMBER),
     (SimulatedAnnealing, "moves_per_temperature",
-     "moves_per_temperature must be >= 1, got nan", True),
-    (SimulatedAnnealing, "move_scale", "move_scale must be > 0, got nan", False),
-    (SimulatedAnnealing, "min_temperature", "min_temperature must be > 0, got nan", False),
-    (SimulatedAnnealing, "max_iterations", "max_iterations must be >= 0, got nan", True),
-    (SimulatedAnnealing, "seed", "seed must be >= 0, got nan", True),
-    (EarlyStopping, "patience", "patience must be >= 1, got nan", True),
-    (EarlyStopping, "min_delta", "min_delta must be >= 0, got nan", False),
-    (ProgressPrinter, "period", "period must be >= 1, got nan", True),
-    (TimeLimit, "limit_seconds", "limit_seconds must be > 0, got nan", False),
-    (BenchSpec, "runs", "--runs must be >= 1, got nan", True),
-    (BenchSpec, "d", "--d must be >= 1, got nan", True),
-    (BenchSpec, "n", "--n must be >= 1, got nan", True),
-    (BenchSpec, "max_iterations", "--max-iterations must be >= 0, got nan", True),
-    (BenchSpec, "seed", "--seed must be >= 0, got nan", True),
-    (BenchSpec, "noise_scale", "--noise must be >= 0, got nan", False),
+     "moves_per_temperature must be >= 1, got nan", COUNT),
+    (SimulatedAnnealing, "move_scale", "move_scale must be > 0, got nan", NUMBER),
+    (SimulatedAnnealing, "min_temperature", "min_temperature must be > 0, got nan", NUMBER),
+    (SimulatedAnnealing, "max_iterations", "max_iterations must be >= 0, got nan", COUNT),
+    (SimulatedAnnealing, "seed", "seed must be >= 0, got nan", COUNT),
+    (EarlyStopping, "patience", "patience must be >= 1, got nan", COUNT),
+    (EarlyStopping, "min_delta", "min_delta must be >= 0, got nan", NUMBER),
+    (ProgressPrinter, "period", "period must be >= 1, got nan", COUNT),
+    (TimeLimit, "limit_seconds", "limit_seconds must be > 0, got nan", NUMBER),
+    (BenchSpec, "runs", "--runs must be >= 1, got nan", COUNT),
+    (BenchSpec, "d", "--d must be >= 1, got nan", COUNT),
+    (BenchSpec, "n", "--n must be >= 1, got nan", COUNT),
+    (BenchSpec, "max_iterations", "--max-iterations must be >= 0, got nan", COUNT),
+    (BenchSpec, "seed", "--seed must be >= 0, got nan", COUNT),
+    (BenchSpec, "noise_scale", "--noise must be >= 0, got nan", NUMBER),
 ]
 
 
-@pytest.mark.parametrize("owner, option, message, counts", OPTIONS)
-def test_every_option_refuses_nan_strings_and_non_integer_counts(owner, option, message, counts):
+@pytest.mark.parametrize("owner, option, message, kind", OPTIONS)
+def test_every_option_refuses_nan_strings_and_non_integer_counts(owner, option, message, kind):
     name = message.split(" must be ")[0]
     with pytest.raises(Diagnostic) as raised:
         owner(**{option: float("nan")})
     assert str(raised.value) == message
-    kind = "an integer" if counts else "a number"
     with pytest.raises(Diagnostic) as raised:
         owner(**{option: "3"})
     assert str(raised.value) == f"{name} must be {kind}, got '3' of type str"
-    if counts:
+    if kind == COUNT:
         for value in (2.5, 2.0):
             with pytest.raises(Diagnostic) as raised:
                 owner(**{option: value})
             assert str(raised.value) == f"{name} must be an integer, got {value!r} of type float"
         assert getattr(owner(**{option: np.int64(3)}), option) == 3
+    if kind == FLAG:
+        for value in (1, 0, None, "no"):
+            with pytest.raises(Diagnostic) as raised:
+                owner(**{option: value})
+            got = f"{value!r} of type {type(value).__name__}"
+            assert str(raised.value) == f"{name} must be True or False, got {got}"
+        for value in (True, False, np.True_, np.False_):
+            assert getattr(owner(**{option: value}), option) is value
 
 
-# A new numeric field cannot land without a row above, and a row counts
-# exactly when its field is an integer.
+# A new numeric or flag field cannot land without a row above, and a row's
+# kind is its field's: a flag for a bool, a count for an integer.
 @pytest.mark.parametrize(
     "owner",
     [GradientDescent, LBFGS, SGD, MomentumUpdate, AdamUpdate, SimulatedAnnealing, BenchSpec],
 )
 def test_the_option_table_lists_every_numeric_field(owner):
+    kinds = {bool: FLAG, int: COUNT, float: NUMBER}
     numeric = {}
     for name, hint in get_type_hints(owner).items():
         types = {hint, *get_args(hint)}
-        if types & {int, float}:
-            numeric[name] = int in types
-    listed = {option: counts for cls, option, _, counts in OPTIONS if cls is owner}
+        for field_type, kind in kinds.items():
+            if field_type in types:
+                numeric[name] = kind
+                break
+    listed = {option: kind for cls, option, _, kind in OPTIONS if cls is owner}
     assert listed == numeric

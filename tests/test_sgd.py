@@ -482,6 +482,19 @@ class TestSgdLoop:
         with pytest.raises(Diagnostic, match="tolerance"):
             SGD(tolerance=-1.0)
 
+    class StepOnly:
+        def step(self, state, gradient, step_size):
+            return -gradient
+
+    # Refused when SGD is built: a policy without these methods used to end
+    # its first run in an AttributeError after BeginOptimization.
+    @pytest.mark.parametrize("update", ["adam", None, StepOnly()])
+    def test_an_update_without_initialize_and_step_is_refused(self, update):
+        kind = type(update).__name__
+        with pytest.raises(Diagnostic) as raised:
+            SGD(update=update)
+        assert str(raised.value) == f"update must have callable initialize and step, got {kind}"
+
 
 class TwoParts6:
     """Six parts in two windows of three; values depend only on the window."""
