@@ -499,7 +499,13 @@ class ObjectiveAdapter(CallbackList):
 
     def _own_fused(self, x):
         self._admit(1, 1)
-        value, g = self.objective.evaluate_with_gradient(x)
+        returned = self.objective.evaluate_with_gradient(x)
+        try:
+            value, g = returned
+        except (TypeError, ValueError):  # not iterable, or not of length 2
+            name = f"{type(self.objective).__name__}.evaluate_with_gradient"
+            kind = type(returned).__name__
+            raise Diagnostic(f"{name} returned a {kind}, not a (value, gradient) pair") from None
         value = self._reported_value(value, "evaluate_with_gradient")
         return value, self._reported_gradient(g, x, "evaluate_with_gradient")
 

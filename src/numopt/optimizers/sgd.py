@@ -185,11 +185,16 @@ class SGD:
             ("seed", self.seed, ">= 0", int),
         )
         # Checked here, not by the first run, which would end in an
-        # AttributeError after BeginOptimization.
-        for method in ("initialize", "step"):
-            if not callable(getattr(self.update, method, None)):
-                kind = type(self.update).__name__
-                raise Diagnostic(f"update must have callable initialize and step, got {kind}")
+        # AttributeError after BeginOptimization, or, for a policy class,
+        # whose methods are unbound, in a TypeError.
+        update = self.update
+        if isinstance(update, type):
+            kind = f"the class {update.__name__} (pass an instance, {update.__name__}())"
+        elif all(callable(getattr(update, method, None)) for method in ("initialize", "step")):
+            return
+        else:
+            kind = type(update).__name__
+        raise Diagnostic(f"update must have callable initialize and step, got {kind}")
 
     def optimize(self, objective, x0, callbacks=()):
         """Minimize ``objective`` from ``x0``; returns (parameters, result).

@@ -81,43 +81,98 @@ class _ColumnData:
             ) from None
 
 
+# Column blocks of about this many bytes of X: a block's residual and gradient
+# products then read it from cache, where each product over a window that does
+# not fit streams all of it from memory.
+_BLOCK_BYTES = 1 << 20
+
+
+def _blocked(X, residual, y=None, flat=None):
+    """(residual, gradient 2 X residual) of the window X, y in column blocks
+    of about _BLOCK_BYTES, the gradient summed block by block.
+
+    Given no residual, each block makes its share X_b.T flat - y_b in the pass
+    that makes its gradient product, so X is read once.  Blocks are whole
+    16-column groups and none is one column wide, so that the residual has
+    the bits of the window's one product: OpenBLAS's dgemv rounds a
+    product's last m % 4 outputs apart from the rest, and NumPy sends a
+    one-column product to a dot.
+    """
+    n = X.shape[1]
+    width = max(1, _BLOCK_BYTES // (16 * X.shape[0] * X.itemsize)) * 16
+    edges = [0, *range(width, n - 1, width), n]
+    pieces, g = [], None
+    for start, stop in zip(edges, edges[1:]):
+        block = X[:, start:stop]
+        if residual is None:
+            r = block.T @ flat - y[start:stop]
+            pieces.append(r)
+        else:
+            r = residual[start:stop]
+        part = block @ r
+        if g is None:
+            g = part
+        else:
+            g += part
+    return (np.concatenate(pieces) if residual is None else residual), 2.0 * g
+
+
 class _LeastSquares(_ColumnData):
     """||X_w.T phi - y_w||^2 over the column window w = [first, first+count),
     and its gradient; full calls are the window [0, n)."""
 
     _kept = None
+    _after_gradient = False
 
-    def _residual(self, phi, first, count):
-        """(X window, residual X_w.T phi - y_w, phi's shape) for the window [first, first+count).
+    def _residual(self, phi, first, count, gradient):
+        """(X window, residual X_w.T phi - y_w, gradient or None, phi's shape)
+        for the window [first, first+count); ``gradient`` says which call asks.
 
-        A call at the point, window and data of the call before it takes that
-        call's X window and residual and drops them, so a value and a gradient
-        at one point cost two products with X, not three.  Any other call checks
-        and cuts its window, computes its own residual and keeps both for the
-        next.  The key is the window and its bounds' types, phi's dtype and
-        bytes, and X and y by identity; a hit is therefore a window that was
-        checked before, and a float window never hits an equal integer one.
+        A call at the point, window and data of the call before it takes what
+        that call kept and drops it: a value the residual, a gradient the
+        gradient if one was made, else the residual.  Any other call checks and
+        cuts its window and keeps its residual for the next.  The key is the
+        window and its bounds' types, phi's dtype and bytes, and X and y by
+        identity; a hit is therefore a window that was checked before, and a
+        float window never hits an equal integer one.
+
+        A window wider than one block makes the residual in the gradient's
+        pass (``_blocked``) when a gradient is asked for or the call before
+        this one was a gradient call, so a value then keeps its gradient too;
+        else it makes the residual in one product, as a one-block window
+        always does.  A float32 product, of float32 X and phi, is never made
+        in blocks: OpenBLAS's sgemv rounds an output by the product's length.
         """
         phi = self._parameters(phi)
         flat = phi.ravel()
         key = (first, count, type(first), type(count), flat.dtype.str, flat.tobytes())
         kept = self._kept
+        after_gradient, self._after_gradient = self._after_gradient, gradient
         if kept is not None and kept[0] is self.X and kept[1] is self.y and kept[2] == key:
             self._kept = None
-            return kept[3], kept[4], phi.shape
+            return kept[3], kept[4], kept[5], phi.shape
         X, y = self._columns(first, count)
-        residual = X.T @ flat - y
-        self._kept = (self.X, self.y, key, X, residual)
-        return X, residual, phi.shape
+        if (
+            X.nbytes > _BLOCK_BYTES
+            and (gradient or after_gradient)
+            and np.result_type(X, flat) == np.float64
+        ):
+            residual, g = _blocked(X, None, y, flat)
+        else:
+            residual, g = X.T @ flat - y, None
+        self._kept = (self.X, self.y, key, X, residual, None if gradient else g)
+        return X, residual, g, phi.shape
 
     def _value(self, phi, first, count):
-        _, residual, _ = self._residual(phi, first, count)
+        residual = self._residual(phi, first, count, False)[1]
         # A 1-D product, not one with X: ndarray.dot skips matmul's ufunc dispatch.
         return float(residual.dot(residual))
 
     def _gradient(self, phi, first, count):
-        X, residual, shape = self._residual(phi, first, count)
-        return (2.0 * (X @ residual)).reshape(shape)
+        X, residual, g, shape = self._residual(phi, first, count, True)
+        if g is None:
+            g = 2.0 * (X @ residual) if X.nbytes <= _BLOCK_BYTES else _blocked(X, residual)[1]
+        return g.reshape(shape)
 
 
 class LinearRegression(_LeastSquares):
@@ -127,8 +182,13 @@ class LinearRegression(_LeastSquares):
     enough for every gradient-based optimizer here, and the annealer needs
     just the first.  The two still share work: a call at the same point as
     the call before it reuses that call's residual X.T phi - y, keyed on
-    phi's dtype and bytes and on X and y by identity.  X and y are read as
-    constants: replace them, do not write into them.
+    phi's dtype and bytes and on X and y by identity.  An X wider than
+    1 MiB is read in column blocks, and a gradient is made in the residual's
+    pass, when a gradient is asked for or, for a value, when the call
+    before it was a gradient call; the value keeps that gradient for the
+    next call.  Values keep the one product's bits; such a gradient is
+    summed block by block.  X and y are read as constants: replace them,
+    do not write into them.
     """
 
     def evaluate(self, phi):
@@ -146,8 +206,11 @@ class SeparableLinearRegression(_LeastSquares):
     ``LinearRegression.evaluate`` exactly, so the inferred full objective is
     bit-identical to the direct one.  As there, a call at the same point and
     window as the call before it reuses that call's residual, keyed on the
-    window, phi's dtype and bytes, and X and y by identity.  X and y are read
-    as constants: replace them, do not write into them.
+    window, phi's dtype and bytes, and X and y by identity, and a window
+    wider than 1 MiB of X is read in column blocks; a window of at most
+    1 MiB, such as an SGD batch, makes one product for its residual and one
+    for its gradient.  X and y are read as constants: replace them, do not
+    write into them.
     """
 
     @property

@@ -209,3 +209,26 @@ def test_verdict_names_each_workloads_end_to_end_metrics_beyond_bound_and_claima
         "trace0 a: beyond_bound setup_s; claimable solve_rel.p50",
         "trace0 b: beyond_bound none; claimable none",
     ]
+
+
+def test_per_solve_counts_say_whether_every_pair_read_identical_values(bench_pairs):
+    # evals_per_solve differs on seeds 3 and 7 only; calls_per_solve never.
+    runs = []
+    for seed in range(10):
+        evals = 7.0 + (seed in (3, 7))
+        runs.append(run("w", seed, "parent", {"evals_per_solve": 7.0, "calls_per_solve": 14.0}))
+        runs.append(run("w", seed, "change", {"evals_per_solve": evals, "calls_per_solve": 14.0}))
+    runs.append(run("w", 11, "change", {"evals_per_solve": 9.0, "calls_per_solve": 1.0}))  # unpaired
+    runs += ten_pairs(PARENT, PARENT, metric="calls", workload="v")
+    summary = bench_pairs.summarize(runs, BETTER)
+    metrics = summary["trace0"]["w"]["metrics"]
+    assert metrics["evals_per_solve"]["identical"] is False
+    assert metrics["evals_per_solve"]["differing_seeds"] == [3, 7]
+    assert metrics["calls_per_solve"]["identical"] is True
+    assert metrics["calls_per_solve"]["differing_seeds"] == []
+    assert "identical" not in summary["trace0"]["v"]["metrics"]["calls"]
+    assert bench_pairs.verdict(summary) == [
+        "trace0 w: beyond_bound none; claimable none; identical calls_per_solve; "
+        "evals_per_solve differs on seeds 3, 7",
+        "trace0 v: beyond_bound none; claimable none",
+    ]

@@ -381,6 +381,23 @@ class TestNonScalarValues:
         with pytest.raises(Diagnostic, match=rf"VectorValued\.{method} .*shape \(2,\)"):
             call(ObjectiveAdapter(VectorValued()), np.zeros(1))
 
+    @pytest.mark.parametrize(
+        "returned, kind",
+        [(5.0, "float"), (None, "NoneType"), ((5.0, np.zeros(1), 1.0), "tuple")],
+        ids=["float", "none", "triple"],
+    )
+    def test_a_fused_call_that_returns_no_pair_is_diagnosed(self, returned, kind):
+        # Unpacked unchecked, these escaped as a raw TypeError or ValueError.
+        class NoPair:
+            def evaluate_with_gradient(self, x):
+                return returned
+
+        with pytest.raises(Diagnostic) as raised:
+            ObjectiveAdapter(NoPair()).evaluate_with_gradient(np.zeros(1))
+        assert str(raised.value) == (
+            f"NoPair.evaluate_with_gradient returned a {kind}, not a (value, gradient) pair"
+        )
+
     def test_inferred_parts_sum_is_diagnosed(self):
         class PartsOnly:
             num_parts = 2

@@ -1,5 +1,6 @@
 """Objective formulas against hand values, finite differences, and shape rules."""
 
+import functools
 import math
 import warnings
 
@@ -24,6 +25,7 @@ from numopt.problems import (
     LogisticRegression,
     Rosenbrock,
     SeparableLinearRegression,
+    _blocked,
     generate_noisy_linear,
     load_csv,
 )
@@ -429,6 +431,196 @@ class TestOneProductPerCall:
         _, result = optimizer.optimize(objective, np.zeros(20))
         assert result.iterations == 100
         assert counting.products == 2 * result.iterations
+
+
+@functools.cache
+def blocked_data(x_dtype, y_dtype):
+    """Read-only X (20 x n, 3.2 MB) and y: four column blocks, each 1 MiB
+    rounded down to whole 16-column groups, and a shorter last one.  n is
+    20000 for float64 X (blocks of 6544 columns) and 40000 for float32 X
+    (13104)."""
+    rng = np.random.default_rng(27)
+    n = 20000 * 8 // np.dtype(x_dtype).itemsize
+    X = rng.uniform(-1, 1, (20, n)).astype(x_dtype)
+    y = rng.uniform(-1, 1, n).astype(y_dtype)
+    X.flags.writeable = y.flags.writeable = False
+    return X, y
+
+
+BLOCK = 6544  # columns of float64 X
+
+
+class BlockCase(ResidualCase):
+    """A least-squares problem over four column blocks, called through one window."""
+
+    def __init__(self, separable, x_dtype, y_dtype, phi_dtype, column, window=None):
+        self.X, self.y = blocked_data(x_dtype, y_dtype)
+        window = window or (0, self.X.shape[1])
+        self.cls = SeparableLinearRegression if separable else LinearRegression
+        self.window = window if separable else ()
+        rng = np.random.default_rng(5)
+        shape = (self.X.shape[0], 1) if column else self.X.shape[0]
+        self.points = [rng.uniform(-1, 1, shape).astype(phi_dtype) for _ in range(4)]
+        self.objective = self.cls(self.X, self.y)
+        self.objective.X = counting_view(self.objective.X)
+
+    def columns(self):
+        first, count = self.window or (0, self.X.shape[1])
+        return self.X[:, first : first + count], self.y[first : first + count]
+
+    def one_product_value(self, phi):
+        """The value from the window's one product, as a call with no gradient makes it."""
+        X, y = self.columns()
+        residual = X.T @ np.ravel(phi) - y
+        return float(residual.dot(residual))
+
+
+DTYPES = st.sampled_from([np.float32, np.float64])
+
+
+class TestBlockPass:
+    """Windows wider than one block read X in column blocks: the gradient in
+    the residual's pass, the values with the one product's bits."""
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        # Pairs with a float64 product: a float32 one is never made in blocks.
+        dtypes=st.sampled_from(
+            [(np.float64, np.float64), (np.float64, np.float32), (np.float32, np.float64)]
+        ),
+        y_dtype=DTYPES,
+        data=st.data(),
+    )
+    def test_a_residual_made_in_blocks_is_the_one_products(self, dtypes, y_dtype, data):
+        # A value hides an ulp of one residual entry; the residual does not.
+        x_dtype, phi_dtype = dtypes
+        X, y = blocked_data(x_dtype, y_dtype)
+        first = data.draw(st.integers(0, 2000), label="first")
+        count = data.draw(st.integers(2 * 16, X.shape[1] - first), label="count")
+        X, y = X[:, first : first + count], y[first : first + count]
+        phi = np.random.default_rng(count).uniform(-1, 1, 20).astype(phi_dtype)
+        residual = X.T @ phi - y
+        assert _blocked(X, None, y, phi)[0].tobytes() == residual.tobytes()
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        separable=st.booleans(),
+        x_dtype=DTYPES,
+        y_dtype=DTYPES,
+        phi_dtype=DTYPES,
+        column=st.booleans(),
+        data=st.data(),
+    )
+    def test_values_keep_the_one_products_bits_on_every_path(
+        self, separable, x_dtype, y_dtype, phi_dtype, column, data
+    ):
+        n = blocked_data(x_dtype, y_dtype)[0].shape[1]
+        first = data.draw(st.integers(0, 2000), label="first")
+        count = data.draw(st.integers(1, n - first), label="count")
+        case = BlockCase(separable, x_dtype, y_dtype, phi_dtype, column, (first, count))
+        p, q, r, s = case.points
+        values = {
+            "first call": (p, case.value(p)),
+            "after a gradient": (p, (case.gradient(p), case.value(p))[1]),
+            "kept by a gradient's pass": (q, (case.gradient(q), case.value(q))[1]),
+            "after a gradient elsewhere": (s, (case.gradient(r), case.value(s))[1]),
+            "after a value": (q, case.value(q)),
+        }
+        for path, (point, value) in values.items():
+            assert value == case.one_product_value(point), path
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        separable=st.booleans(),
+        x_dtype=DTYPES,
+        y_dtype=DTYPES,
+        phi_dtype=DTYPES,
+        column=st.booleans(),
+        data=st.data(),
+    )
+    def test_a_gradient_has_the_same_bytes_whichever_way_it_was_reached(
+        self, separable, x_dtype, y_dtype, phi_dtype, column, data
+    ):
+        n = blocked_data(x_dtype, y_dtype)[0].shape[1]
+        first = data.draw(st.integers(0, 2000), label="first")
+        count = data.draw(st.integers(1, n - first), label="count")
+        case = BlockCase(separable, x_dtype, y_dtype, phi_dtype, column, (first, count))
+        p, q, _, _ = case.points
+        fresh = case.gradient(p, case.fresh())
+        after_value = case.fresh()
+        case.value(p, after_value)
+        from_residual = case.gradient(p, after_value)
+        after_gradient = case.fresh()
+        case.gradient(q, after_gradient)
+        case.value(p, after_gradient)
+        kept = case.gradient(p, after_gradient)
+        for g in (from_residual, kept):
+            assert g.dtype == fresh.dtype and g.shape == fresh.shape == np.shape(p)
+            assert g.tobytes() == fresh.tobytes()
+        X, y = case.columns()
+        if X.nbytes <= 1 << 20:  # one block: the single product's gradient
+            assert fresh.tobytes() == (2.0 * (X @ (X.T @ p.ravel() - y))).reshape(p.shape).tobytes()
+
+    @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("phi_dtype", [np.float32, np.float64])
+    def test_gradients_match_the_formula_to_a_few_ulps(self, x_dtype, phi_dtype):
+        case = BlockCase(False, x_dtype, x_dtype, phi_dtype, False)
+        for phi in case.points:
+            g = case.gradient(phi)
+            residual = case.X.T @ phi - case.y
+            exact = 2 * (case.X.astype(np.longdouble) @ residual.astype(np.longdouble))
+            scale = 2 * (np.abs(case.X).astype(np.longdouble) @ np.abs(residual))
+            assert np.all(np.abs(g - exact) <= 4 * np.finfo(g.dtype).eps * scale)
+
+    def test_a_value_after_a_value_makes_one_product(self):
+        case = BlockCase(False, np.float64, np.float64, np.float64, False)
+        for phi in case.points:
+            case.value(phi)
+        assert case.products == 4
+
+    def test_the_fused_pass_makes_two_products_per_block(self):
+        case = BlockCase(False, np.float64, np.float64, np.float64, False)
+        p, q, r, s = case.points
+        case.gradient(p)  # a miss: residual and gradient in each of four blocks
+        assert case.products == 8
+        case.value(q)  # after a gradient: the same pass, its gradient kept
+        assert case.products == 16
+        g = case.gradient(q)  # the kept gradient
+        assert case.products == 16
+        case.value(r)  # after a gradient again
+        case.value(s)  # after a value: one product
+        assert case.products == 25
+        case.assert_fresh_gradient(g, q)
+
+    def test_a_float32_product_is_never_fused(self):
+        # OpenBLAS's sgemv rounds a product's outputs by the product's length,
+        # so blocks would not give the one product's residual.
+        case = BlockCase(False, np.float32, np.float32, np.float32, False)
+        p, q, _, _ = case.points
+        case.gradient(p)  # one product for the residual, four for the gradient
+        assert case.products == 5
+        value = case.value(q)  # after a gradient, still one product
+        assert case.products == 6
+        assert value == case.one_product_value(q)
+
+    def test_a_last_block_of_one_column_joins_the_block_before(self):
+        case = BlockCase(True, np.float64, np.float64, np.float64, False, (3, 2 * BLOCK + 1))
+        p, q, _, _ = case.points
+        case.gradient(p)
+        assert case.products == 4  # two blocks, not three
+        assert case.value(q) == case.one_product_value(q)
+        case.assert_fresh_gradient(case.gradient(q), q)
+
+    def test_a_kept_gradient_is_handed_over_once(self):
+        case = BlockCase(False, np.float64, np.float64, np.float64, False)
+        p, q, _, _ = case.points
+        case.gradient(p)
+        case.value(q)
+        first = case.gradient(q)
+        first[:] = 0.0
+        second = case.gradient(q)
+        assert case.products == 24
+        case.assert_fresh_gradient(second, q)
 
 
 class TestLogisticRegression:

@@ -488,9 +488,13 @@ class TestSgdLoop:
 
     # Refused when SGD is built: a policy without these methods used to end
     # its first run in an AttributeError after BeginOptimization.
-    @pytest.mark.parametrize("update", ["adam", None, StepOnly()])
+    @pytest.mark.parametrize("update", ["adam", None, StepOnly(), AdamUpdate, StepOnly])
     def test_an_update_without_initialize_and_step_is_refused(self, update):
         kind = type(update).__name__
+        if isinstance(update, type):
+            # A policy class has both methods, unbound: its run used to end
+            # in a TypeError after BeginOptimization.
+            kind = f"the class {update.__name__} (pass an instance, {update.__name__}())"
         with pytest.raises(Diagnostic) as raised:
             SGD(update=update)
         assert str(raised.value) == f"update must have callable initialize and step, got {kind}"

@@ -17,13 +17,18 @@ direction ``BENCHMARK.json`` declares.  A metric is ``claimable`` when the
 change read better in at least nine tenths of the pairs and its median is
 better than the parent's by more than the parent's quartile spread; an
 end-to-end metric is ``beyond_bound`` when the change's median is worse than
-the parent's by more than the metric's relative ``bound``.  ``--trace-seeds``
-adds traced pairs, summarised apart under ``trace1``.  A traced run also
+the parent's by more than the metric's relative ``bound``.  The per-solve
+counts ``evals_per_solve`` and ``calls_per_solve`` also say whether every
+pair read identical values (``identical``) and list the seeds whose pair did
+not (``differing_seeds``): a change that moves no decision of any optimizer
+leaves them equal seed by seed, whatever its effect on the last bits.
+``--trace-seeds`` adds traced pairs, summarised apart under ``trace1``.  A traced run also
 reports each self-time metric's share of its solve (``<metric>.share``):
 seconds from one traced pair move with the host's speed, while a share moves
 only when that layer's part of the solve does.  The run ends by printing a
 verdict: one line per trace mode and workload naming its end-to-end metrics
-that are beyond their bound and those that are claimable.
+that are beyond their bound, those that are claimable, and whether its
+per-solve counts were identical in every pair.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ DESCRIPTION = (
     "quartiles over pairs of each side, and how many pairs the change read better. Traced runs "
     "also give each self-time metric's share of the solve (shares, and <metric>.share in trace1)."
 )
+
+
+# Per-solve counts compared pair by pair for identity, not only in the median.
+IDENTICAL_COUNTS = ("evals_per_solve", "calls_per_solve")
 
 
 def quantile(values, fraction):
@@ -98,8 +107,9 @@ def summarize(runs, better, bounds=None):
     name to its relative bound.  A pair is the two sides' runs of one
     workload, trace mode and seed; a metric missing from ``better`` counts
     lower as better.  Ties count for neither side.  Only metrics in
-    ``bounds`` get ``beyond_bound``.  Traced runs add their self-time shares
-    (``self_time_shares``) to their metrics.
+    ``bounds`` get ``beyond_bound``, and only ``IDENTICAL_COUNTS`` get
+    ``identical`` and ``differing_seeds``.  Traced runs add their self-time
+    shares (``self_time_shares``) to their metrics.
     """
     bounds = bounds or {}
     paired = {}
@@ -112,7 +122,8 @@ def summarize(runs, better, bounds=None):
         paired.setdefault(key, {}).setdefault(run["seed"], {})[run["side"]] = result
     summary = {}
     for (trace, workload), seeds in paired.items():
-        pairs = [sides for _, sides in sorted(seeds.items()) if len(sides) == 2]
+        paired_seeds = [seed for seed, sides in sorted(seeds.items()) if len(sides) == 2]
+        pairs = [seeds[seed] for seed in paired_seeds]
         entry = {
             count: {side: sum(p[side][count] for p in pairs) for side in ("parent", "change")}
             for count in ("failed", "attempted")
@@ -140,6 +151,10 @@ def summarize(runs, better, bounds=None):
             }
             if metric in bounds:
                 summary_of_metric["beyond_bound"] = worsening > bounds[metric] * abs(parent_median)
+            if metric in IDENTICAL_COUNTS:
+                differing = [s for s, p, c in zip(paired_seeds, parent, change) if p != c]
+                summary_of_metric["identical"] = not differing
+                summary_of_metric["differing_seeds"] = differing
             entry["metrics"][metric] = summary_of_metric
         summary.setdefault(trace, {})[workload] = entry
     return summary
@@ -147,18 +162,28 @@ def summarize(runs, better, bounds=None):
 
 def verdict(summary):
     """One line per trace mode and workload of ``summary``: its end-to-end
-    metrics (those with ``beyond_bound``) that are beyond their bound, and
-    those that are claimable."""
+    metrics (those with ``beyond_bound``) that are beyond their bound, those
+    that are claimable, and, when it has them, which per-solve counts read
+    identical in every pair and on which seeds each other one differed."""
     lines = []
     for trace, workloads in summary.items():
         for workload, entry in workloads.items():
             bounded = {n: m for n, m in entry["metrics"].items() if "beyond_bound" in m}
             beyond = [name for name, metric in bounded.items() if metric["beyond_bound"]]
             claimable = [name for name, metric in bounded.items() if metric["claimable"]]
-            lines.append(
+            line = (
                 f"{trace} {workload}: beyond_bound {', '.join(beyond) or 'none'}; "
                 f"claimable {', '.join(claimable) or 'none'}"
             )
+            counts = {n: m for n, m in entry["metrics"].items() if "identical" in m}
+            identical = [name for name, metric in counts.items() if metric["identical"]]
+            if identical:
+                line += f"; identical {', '.join(identical)}"
+            for name, metric in counts.items():
+                if not metric["identical"]:
+                    seeds = ", ".join(map(str, metric["differing_seeds"]))
+                    line += f"; {name} differs on seeds {seeds}"
+            lines.append(line)
     return lines
 
 
