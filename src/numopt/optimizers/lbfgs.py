@@ -213,8 +213,10 @@ def backtracking_line_search(adapter, x, value, gradient, direction, options):
     ``options`` is the ``LBFGS`` whose ``armijo_constant`` c1,
     ``backtrack_factor`` b and ``max_line_search_trials`` the search reads.
     Tries steps 1, b, b^2, ... and accepts the first with
-    f(x + a d) <= f(x) + c1 a g.d.  A NaN trial value is rejected like any
-    insufficient decrease.  Failures are reported in the result, not raised:
+    f(x + a d) <= f(x) + c1 a g.d and f(x + a d) < inf.  A NaN or +inf trial
+    value is rejected like any insufficient decrease, so a run whose values
+    are +inf everywhere, where inf <= inf + c1 a g.d holds, ends where it
+    started.  Failures are reported in the result, not raised:
     LINE_SEARCH_FAILURE after ``max_line_search_trials`` rejections, and
     STEP_SIZE_UNDERFLOW when the next trial step would fall below
     ``MIN_STEP``.  Each trial costs one objective evaluation through
@@ -238,7 +240,7 @@ def backtracking_line_search(adapter, x, value, gradient, direction, options):
             return LineSearchResult(step, value, TerminationReason.STEP_SIZE_UNDERFLOW)
         point = x + direction if step == 1.0 else x + step * direction
         trial_value = adapter.evaluate(point)
-        if trial_value <= value + options.armijo_constant * step * slope:
+        if trial_value <= value + options.armijo_constant * step * slope and trial_value < math.inf:
             return LineSearchResult(step, trial_value, None, point)
         step *= options.backtrack_factor
     return LineSearchResult(step, value, TerminationReason.LINE_SEARCH_FAILURE)

@@ -145,7 +145,7 @@ class _LeastSquares(_ColumnData):
         """
         phi = self._parameters(phi)
         flat = phi.ravel()
-        key = (first, count, type(first), type(count), flat.dtype.str, flat.tobytes())
+        key = (first, count, type(first), type(count), flat.dtype, flat.tobytes())
         kept = self._kept
         after_gradient, self._after_gradient = self._after_gradient, gradient
         if kept is not None and kept[0] is self.X and kept[1] is self.y and kept[2] == key:

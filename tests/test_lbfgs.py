@@ -398,6 +398,17 @@ class AlwaysNan:
         return np.ones_like(x)
 
 
+class InfEverywhere:
+    """+inf everywhere, with Rosenbrock's gradient: inf <= inf + c1 a g.d holds
+    at every trial, so only the line search's finiteness test rejects one."""
+
+    def evaluate(self, x):
+        return float("inf")
+
+    def gradient(self, x):
+        return Rosenbrock().gradient(x)
+
+
 class TestBacktrackingLineSearch:
     def test_unit_step_accepted_when_it_satisfies_armijo(self):
         adapter = ObjectiveAdapter(Quadratic())
@@ -453,6 +464,16 @@ class TestBacktrackingLineSearch:
         assert found.failure == TerminationReason.STEP_SIZE_UNDERFLOW
         assert found.point is None
         assert adapter.evaluate_calls == 67
+
+    def test_inf_trials_rejected_from_an_inf_start(self):
+        adapter = ObjectiveAdapter(InfEverywhere())
+        x = np.array([1.0])
+        found = backtracking_line_search(
+            adapter, x, float("inf"), np.array([2.0]), np.array([-1.0]), LBFGS()
+        )
+        assert found.failure == TerminationReason.LINE_SEARCH_FAILURE
+        assert found.point is None
+        assert adapter.evaluate_calls == 50
 
     def test_non_descent_direction_fails_without_evaluating(self):
         adapter = ObjectiveAdapter(Quadratic())
@@ -605,6 +626,15 @@ class TestLbfgsOptimize:
         assert result.iterations == 0
         assert x[0] == 1.0
         assert result.final_objective == 1.0
+
+    def test_an_objective_inf_everywhere_ends_where_it_started(self):
+        x0 = np.array([-1.2, 1.0])
+        x, result = LBFGS().optimize(InfEverywhere(), x0)
+        assert result.termination == TerminationReason.LINE_SEARCH_FAILURE
+        assert result.iterations == 0
+        assert x.tobytes() == x0.tobytes()
+        assert result.final_objective == float("inf")
+        assert (result.evaluate_calls, result.gradient_calls) == (51, 1)
 
     def test_nan_gradient_ends_the_run_without_spending_trials(self):
         # The first step lands where the gradient is NaN; the NaN pair is

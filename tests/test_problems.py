@@ -347,6 +347,18 @@ class TestResidualReuse:
         assert case.products == 3
         case.assert_fresh_gradient(g, swapped)
 
+    def test_equal_values_hit_in_native_order_and_miss_byte_swapped(self, case):
+        case.value(case.phi)
+        g = case.gradient(case.phi.copy())
+        assert case.products == 2
+        case.assert_fresh_gradient(g, case.phi)
+        case.value(case.phi)
+        swapped = case.phi.astype(case.phi.dtype.newbyteorder())
+        assert np.array_equal(swapped, case.phi)
+        g = case.gradient(swapped)
+        assert case.products == 5
+        case.assert_fresh_gradient(g, swapped)
+
     @pytest.mark.parametrize("replaced", ["X", "y"])
     def test_replaced_data_is_seen(self, case, replaced):
         case.value(case.phi)

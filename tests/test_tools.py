@@ -1,0 +1,95 @@
+"""The comparison tools as a whole: bench_pairs' quartiles, and how
+tools/bench_pairs.py and tools/identity_grid.py end when stopped by SIGTERM."""
+
+import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
+from contextlib import suppress
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOLS / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def test_a_single_value_is_its_own_median_and_quartiles():
+    assert bench_pairs.spread([3.5]) == {"median": 3.5, "q1": 3.5, "q3": 3.5, "n": 1}
+
+
+def test_quartiles_interpolate_linearly_between_ordered_values():
+    values = [15.0, 10.0, 19.0, 11.0, 12.0, 17.0, 13.0, 14.0, 16.0, 18.0]
+    assert bench_pairs.spread(values) == {"median": 14.5, "q1": 12.25, "q3": 16.75, "n": 10}
+
+
+def test_quartiles_are_numpys_default_percentiles():
+    values = list(np.random.default_rng(28).lognormal(size=7))
+    spread = bench_pairs.spread(values)
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    assert [spread["q1"], spread["median"], spread["q3"]] == pytest.approx(
+        [q1, median, q3], rel=1e-15
+    )
+
+
+def stop_once_made(tool, args, made, tmp_path):
+    """Run ``tool`` in a session of its own with its temporary directory
+    under ``tmp_path``, send it SIGTERM once the path ``made`` (a glob in
+    that directory) exists, and return its exit status, what is left in the
+    directory and whether any process of its group is still there."""
+    temporary = tmp_path / "tmp"
+    temporary.mkdir()
+    process = subprocess.Popen(
+        [sys.executable, str(TOOLS / tool), *args],
+        cwd=ROOT,
+        env={**os.environ, "TMPDIR": str(temporary)},
+        stdout=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while not any(temporary.glob(made)):
+            assert process.poll() is None, f"{tool} ended before making {made}"
+            assert time.monotonic() < deadline, f"{tool} made no {made}"
+            time.sleep(0.002)
+        process.send_signal(signal.SIGTERM)
+        status = process.wait(timeout=120)
+        try:
+            os.killpg(process.pid, 0)
+            left_running = True
+        except ProcessLookupError:
+            left_running = False
+        return status, sorted(path.name for path in temporary.iterdir()), left_running
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(process.pid, signal.SIGKILL)
+        process.wait(timeout=60)
+
+
+def test_a_stopped_identity_grid_kills_its_grid_subprocess_and_removes_its_copy(tmp_path):
+    # The copied script exists just before the grid subprocess starts on it.
+    made = "identity-grid-*/tools/identity_grid.py"
+    status, left, left_running = stop_once_made(
+        "identity_grid.py", ["--against", "HEAD"], made, tmp_path
+    )
+    assert status == 128 + signal.SIGTERM
+    assert left == []
+    assert not left_running
+
+
+def test_a_bench_pairs_run_stopped_while_copying_removes_its_trees(tmp_path):
+    # The change's tree is made after the parent's, and copied file by file.
+    args = ["--parent", "HEAD", "--seeds", "1", "--output", str(tmp_path / "BENCH.json")]
+    status, left, left_running = stop_once_made(
+        "bench_pairs.py", args, "bench-pairs-*/change", tmp_path
+    )
+    assert status == 128 + signal.SIGTERM
+    assert left == []
+    assert not left_running
+    assert not (tmp_path / "BENCH.json").exists()

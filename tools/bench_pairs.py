@@ -6,29 +6,33 @@
 Run from the root of the repository.  Both sides run from fresh copies in a
 temporary directory: the parent is ``git archive <ref>`` and the change is
 every file of the working tree that git tracks or would track, uncommitted
-edits included.  The command, the workloads and the run length are
+edits included.  Neither copy is a git checkout, so every ``env.git_sha`` is
+null.  The command, the workloads and the run length are
 ``BENCHMARK.json``'s.  The command runs on each workload and seed, one
 process at a time, once per side, alternating which side runs first from
 seed to seed so that a drift of the host's speed falls on both sides alike.
-The output file holds every run (the JSON line the command prints last and
-its ``env`` record) and a summary: per metric, each side's median and
-quartiles over the seeds and how many pairs the change read better, in the
-direction ``BENCHMARK.json`` declares.  A metric is ``claimable`` when the
-change read better in at least nine tenths of the pairs and its median is
-better than the parent's by more than the parent's quartile spread; an
-end-to-end metric is ``beyond_bound`` when the change's median is worse than
-the parent's by more than the metric's relative ``bound``.  The per-solve
-counts ``evals_per_solve`` and ``calls_per_solve`` also say whether every
-pair read identical values (``identical``) and list the seeds whose pair did
-not (``differing_seeds``): a change that moves no decision of any optimizer
-leaves them equal seed by seed, whatever its effect on the last bits.
-``--trace-seeds`` adds traced pairs, summarised apart under ``trace1``.  A traced run also
-reports each self-time metric's share of its solve (``<metric>.share``):
-seconds from one traced pair move with the host's speed, while a share moves
-only when that layer's part of the solve does.  The run ends by printing a
-verdict: one line per trace mode and workload naming its end-to-end metrics
-that are beyond their bound, those that are claimable, and whether its
-per-solve counts were identical in every pair.
+The output file holds this text as its ``description``, every run (the JSON
+line the command prints last and its ``env`` record) and a summary: per
+metric, each side's median and quartiles over the seeds and how many pairs
+the change read better, in the direction ``BENCHMARK.json`` declares.  A
+metric is ``claimable`` when the change read better in at least nine tenths
+of the pairs and its median is better than the parent's by more than the
+parent's quartile spread; an end-to-end metric is ``beyond_bound`` when the
+change's median is worse than the parent's by more than the metric's
+relative ``bound``.  The per-solve counts ``evals_per_solve`` and
+``calls_per_solve`` also say whether every pair read identical values
+(``identical``) and list the seeds whose pair did not (``differing_seeds``):
+a change that moves no decision of any optimizer leaves them equal seed by
+seed, whatever its effect on the last bits.  ``--trace-seeds`` adds traced
+pairs, summarised apart under ``trace1``.  A traced run also reports each
+self-time metric's share of its solve (``shares`` in its run entry,
+``<metric>.share`` in the summary): seconds from one traced pair move with
+the host's speed, while a share moves only when that layer's part of the
+solve does.  The run ends by printing a verdict: one line per trace mode and
+workload naming its end-to-end metrics that are beyond their bound, those
+that are claimable, and whether its per-solve counts were identical in every
+pair.  A run stopped by SIGTERM exits with status 143, its benchmark process
+killed and its copies removed.
 """
 
 from __future__ import annotations
@@ -36,42 +40,27 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import signal
+import statistics
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DESCRIPTION = (
-    "Paired perfbench runs of the parent commit and of the working tree, one process at a "
-    "time, alternating which side runs first from pair to pair. Each side ran from a fresh "
-    "copy (git archive of the parent; the working tree's tracked and untracked, not ignored, "
-    "files for the change), so every env.git_sha is null. Each run entry holds the JSON line "
-    "the benchmark's command prints last and its env record. Summary: per metric the median and "
-    "quartiles over pairs of each side, and how many pairs the change read better. Traced runs "
-    "also give each self-time metric's share of the solve (shares, and <metric>.share in trace1)."
-)
 
 
 # Per-solve counts compared pair by pair for identity, not only in the median.
 IDENTICAL_COUNTS = ("evals_per_solve", "calls_per_solve")
 
 
-def quantile(values, fraction):
-    """Linearly interpolated quantile of ``values`` (NumPy's default method)."""
-    ordered = sorted(values)
-    position = fraction * (len(ordered) - 1)
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
-
-
 def spread(values):
-    return {
-        "median": quantile(values, 0.5),
-        "q1": quantile(values, 0.25),
-        "q3": quantile(values, 0.75),
-        "n": len(values),
-    }
+    """Median and quartiles of ``values``, linearly interpolated (NumPy's
+    default method); a single value is its own median and quartiles."""
+    q1, median, q3 = (
+        statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    )
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
 def self_time_shares(metrics):
@@ -256,6 +245,7 @@ def main(argv=None):
     parser.add_argument("--trace-workloads", default="", help="comma-separated; default: all")
     parser.add_argument("--output", required=True, type=Path)
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [workload["name"] for workload in benchmark["workloads"]]
@@ -285,7 +275,7 @@ def main(argv=None):
 
     host = "{nproc} {machine} CPUs, BLAS {blas} on {blas_threads} thread(s)"
     record = {
-        "description": DESCRIPTION,
+        "description": __doc__,
         "parent_sha": parent_sha,
         "host": host.format(**runs[0]["env"]),
         "seeds": {"trace0": args.seeds, "trace1": args.trace_seeds},

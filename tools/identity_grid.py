@@ -20,7 +20,8 @@ The grid imports ``numopt`` from the ``src`` beside this script's directory
 and the compass search from the ``demos`` there.  With ``--against``, run
 from inside a git repository, the same grid also runs in a subprocess on the
 ``src`` and ``demos`` of ``git archive REF``; each optimizer whose hash
-differs is named, and the exit status is then 1.
+differs is named, and the exit status is then 1.  A run stopped by SIGTERM
+exits with status 143, its subprocess killed and its copy removed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import argparse
 import hashlib
 import runpy
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -191,6 +193,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="REF", help="git ref to compare with")
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     here = grid_hashes(rows())
     for name, digest in here.items():
         print(f"{digest}  {name}")
