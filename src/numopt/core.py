@@ -14,9 +14,13 @@ Nothing is registered or subclassed; presence of the methods is the contract.
 ``ObjectiveCapabilities.of`` reports what an object provides.  Two inference
 rules, stated once in ``_with_inference``, say what can be built from that:
 the full value from the parts, and the fused call from evaluate and
-gradient.  ``check_requirements`` turns a shortfall into a ``Diagnostic``
-that names the missing methods, and ``ObjectiveAdapter`` binds each call to
-the objective's own method or its inferred form.
+gradient.  A run infers once: ``ObjectiveAdapter`` keeps the result as its
+``available`` record and binds each call from it, to the objective's own
+method or its inferred form.  One missing-method rule, ``_shortfall``,
+turns a shortfall against such a record into a ``Diagnostic`` that names
+the missing methods; it reads the adapter's record when a run checks an
+optimizer's ``requires`` and when a call is refused, and
+``check_requirements``, the public probe, infers and then applies it.
 
 The adapter is the contract's one gate: a value or gradient the objective
 returns is admitted by the rule that admits x0 and data
@@ -46,7 +50,7 @@ from __future__ import annotations
 import operator
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 
@@ -342,32 +346,18 @@ class ObjectiveCapabilities:
 
 def _with_inference(caps):
     """``caps`` plus what the two inference rules build: the full value from
-    the parts, and the fused call from evaluate and gradient.  Both
-    ``check_requirements`` and ``ObjectiveAdapter`` read the rules here."""
+    the parts, and the fused call from evaluate and gradient.  A run reads
+    the rules here once, when its ``ObjectiveAdapter`` is built, and
+    ``check_requirements`` once per probe."""
     evaluate = caps.evaluate or caps.part_evaluate
-    # Built field by field: dataclasses.replace costs twice as much, and a run
-    # infers twice, in check_requirements and in the adapter.
-    return ObjectiveCapabilities(
-        evaluate=evaluate,
-        gradient=caps.gradient,
-        evaluate_with_gradient=caps.evaluate_with_gradient or (evaluate and caps.gradient),
-        part_evaluate=caps.part_evaluate,
-        part_gradient=caps.part_gradient,
-        num_parts=caps.num_parts,
-    )
+    fused = caps.evaluate_with_gradient or (evaluate and caps.gradient)
+    return replace(caps, evaluate=evaluate, evaluate_with_gradient=fused)
 
 
-def check_requirements(provided, required, consumer="optimizer"):
-    """Return None when every required capability is available, else a Diagnostic.
-
-    ``provided`` and ``required`` are ``ObjectiveCapabilities``; a True flag in
-    ``required`` means ``consumer`` will call that method.  Requirements are
-    satisfiable either directly or through the two inference rules (full value
-    from parts, fused call from separate evaluate and gradient).  The returned
-    Diagnostic names each missing method and the consumer that wants it; it is
-    returned, not raised, so callers can probe without try/except.
-    """
-    available = _with_inference(provided)
+def _shortfall(available, required, consumer):
+    """The one missing-method rule: None when ``available`` has every flag set
+    in ``required``, else a Diagnostic naming each missing method and
+    ``consumer``.  ``available`` already holds what inference builds."""
     missing = [
         method + (" (with num_parts)" if flag.startswith("part_") else "")
         for flag, method in _METHODS.items()
@@ -379,6 +369,21 @@ def check_requirements(provided, required, consumer="optimizer"):
         f"{consumer} requires {', '.join(missing)}, which the objective neither "
         f"provides nor allows to be inferred"
     )
+
+
+def check_requirements(provided, required, consumer="optimizer"):
+    """Return None when every required capability is available, else a Diagnostic.
+
+    ``provided`` and ``required`` are ``ObjectiveCapabilities``; a True flag in
+    ``required`` means ``consumer`` will call that method.  Requirements are
+    satisfiable either directly or through the two inference rules (full value
+    from parts, fused call from separate evaluate and gradient).  The returned
+    Diagnostic names each missing method and the consumer that wants it; it is
+    returned, not raised, so callers can probe without try/except.  This is
+    the public probe: it infers from ``provided``, then applies the rule that
+    a run applies to its adapter's ``available`` record (``_shortfall``).
+    """
+    return _shortfall(_with_inference(provided), required, consumer)
 
 
 class _StopRequested(Exception):
@@ -393,11 +398,14 @@ class ObjectiveAdapter(CallbackList):
     Optimizers only ever talk to the adapter.  ``__init__`` first checks
     ``callbacks`` as ``CallbackList`` does, whose ``callbacks``,
     ``terminate_requested`` and ``dispatch`` the adapter holds itself; then
-    it binds each call once: to the objective's own method, to its inferred
-    form, or to a ``Diagnostic`` naming what is missing, and takes the run's
-    start time, ``started``.  ``iterations`` starts at 0 and counts the
-    completed steps that the loop reports with ``step_taken``, whether or
-    not a callback listens.  Each objective call is counted and reported;
+    it infers once, keeping ``available``: what the objective provides plus
+    what the two inference rules build, ``num_parts`` included.  It binds
+    each call once from that record: to the objective's own method, to its
+    inferred form, or to a refusal that names what is missing by the rule
+    ``prepare_run`` applies to the same record (``_shortfall``), and takes
+    the run's start time, ``started``.  ``iterations`` starts at 0 and
+    counts the completed steps that the loop reports with ``step_taken``,
+    whether or not a callback listens.  Each objective call is counted and reported;
     after a termination request it is refused with ``_StopRequested``, the
     only error that ``with adapter:`` swallows.
 
@@ -417,12 +425,12 @@ class ObjectiveAdapter(CallbackList):
     def __init__(self, objective, callbacks=()):
         super().__init__(callbacks)
         self.objective = objective
-        self.capabilities = caps = ObjectiveCapabilities.of(objective)
+        caps = ObjectiveCapabilities.of(objective)
+        self.available = available = _with_inference(caps)
         self.evaluate_calls = 0
         self.gradient_calls = 0
         self.iterations = 0
         self.started = time.perf_counter()
-        available = _with_inference(caps)
         # Plain functions, called with the adapter: bound methods stored on
         # it would make each adapter a reference cycle that outlives its run.
         cls = type(self)
@@ -484,7 +492,7 @@ class ObjectiveAdapter(CallbackList):
 
     @property
     def num_parts(self):
-        n = self.capabilities.num_parts
+        n = self.available.num_parts
         if n is None:
             raise Diagnostic(f"{type(self.objective).__name__} is not separable")
         return n
@@ -525,9 +533,8 @@ class ObjectiveAdapter(CallbackList):
         )
 
     def _refuse(self, *args, flag):
-        required = ObjectiveCapabilities(**{flag: True})
         consumer = f"the adapter of {type(self.objective).__name__}"
-        raise check_requirements(self.capabilities, required, consumer)
+        raise _shortfall(self.available, ObjectiveCapabilities(**{flag: True}), consumer)
 
     def _admit(self, evaluations, gradients):
         """Refuse the call after a termination request, else count it."""

@@ -28,8 +28,8 @@ from ..core import (
     OptimizationResult,
     TerminationReason,
     _max_abs_norm,
+    _shortfall,
     as_parameters,
-    check_requirements,
 )
 
 __all__ = ["prepare_run", "finish_run", "progress_stop"]
@@ -40,13 +40,15 @@ def prepare_run(objective, x0, callbacks, requires, consumer):
 
     The capability check happens before any objective call, so an unusable
     pairing fails fast with a Diagnostic instead of mid-run, and so does a
-    malformed ``callbacks`` argument, which the adapter checks first.
-    Returns the working parameter array and the run's adapter, which holds
+    malformed ``callbacks`` argument, which the adapter checks first.  The
+    check reads the record the adapter inferred when it was built
+    (``adapter.available``) by the one missing-method rule, so a run infers
+    once.  Returns the working parameter array and the run's adapter, which holds
     the callbacks and has already announced BeginOptimization.
     """
     x = as_parameters(x0)
     adapter = ObjectiveAdapter(objective, callbacks)
-    diagnostic = check_requirements(adapter.capabilities, requires, consumer)
+    diagnostic = _shortfall(adapter.available, requires, consumer)
     if diagnostic is not None:
         raise diagnostic
     adapter.announce(BeginOptimization)

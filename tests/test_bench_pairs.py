@@ -232,3 +232,20 @@ def test_per_solve_counts_say_whether_every_pair_read_identical_values(bench_pai
         "evals_per_solve differs on seeds 3, 7",
         "trace0 v: beyond_bound none; claimable none",
     ]
+
+
+@pytest.mark.parametrize("seeds", ["", "5-3", ","])
+def test_a_schedule_with_no_run_is_refused_before_any_copy(
+    bench_pairs, monkeypatch, tmp_path, capsys, seeds
+):
+    def copy(*args):
+        raise AssertionError("a tree was copied")
+
+    monkeypatch.setattr(bench_pairs, "copy_parent", copy)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", copy)
+    output = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exited:
+        bench_pairs.main(["--seeds", seeds, "--output", str(output)])
+    assert exited.value.code == 2
+    assert "name no run" in capsys.readouterr().err
+    assert not output.exists()

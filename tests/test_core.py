@@ -14,12 +14,15 @@ import numopt
 import numopt.callbacks
 import numopt.optimizers
 from numopt import (
+    LBFGS,
+    SGD,
     CallbackDecision,
     Diagnostic,
     EvaluateCalled,
+    GradientDescent,
     ObjectiveAdapter,
     ObjectiveCapabilities,
-    SGD,
+    SimulatedAnnealing,
     as_parameters,
     check_requirements,
     finite_difference_gradient,
@@ -291,6 +294,49 @@ class TestAdapterInference:
         g = adapter.gradient(np.zeros(1, dtype=np.float32))
         assert g.dtype == np.float32
         assert_allclose(g, [-10.0])
+
+
+class TestOneInferencePerRun:
+    """A run infers its capabilities once, when its adapter is built; the
+    requirement check and every refused call read that record."""
+
+    @pytest.fixture
+    def inferences(self, monkeypatch):
+        seen = []
+        infer = numopt.core._with_inference
+
+        def counted(caps):
+            seen.append(caps)
+            return infer(caps)
+
+        monkeypatch.setattr(numopt.core, "_with_inference", counted)
+        return seen
+
+    @pytest.mark.parametrize(
+        "optimizer",
+        [
+            LBFGS(max_iterations=3),
+            GradientDescent(max_iterations=3),
+            SGD(batch_size=1, max_iterations=3),
+            SimulatedAnnealing(max_iterations=3),
+        ],
+        ids=lambda optimizer: type(optimizer).__name__,
+    )
+    def test_a_run_infers_once(self, optimizer, inferences):
+        part_wise = optimizer.requires.part_gradient
+        optimizer.optimize(PartsOnlyObjective() if part_wise else FullObjective(), np.zeros(1))
+        assert len(inferences) == 1
+
+    def test_a_refused_call_infers_nothing(self, inferences):
+        adapter = ObjectiveAdapter(PartsOnlyObjective())
+        del inferences[:]
+        with pytest.raises(Diagnostic) as raised:
+            adapter.gradient(np.zeros(1))
+        assert str(raised.value) == (
+            "the adapter of PartsOnlyObjective requires gradient, which the objective "
+            "neither provides nor allows to be inferred"
+        )
+        assert inferences == []
 
 
 def stop_after_first_evaluate(event):

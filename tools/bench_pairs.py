@@ -32,7 +32,8 @@ solve does.  The run ends by printing a verdict: one line per trace mode and
 workload naming its end-to-end metrics that are beyond their bound, those
 that are claimable, and whether its per-solve counts were identical in every
 pair.  A run stopped by SIGTERM exits with status 143, its benchmark process
-killed and its copies removed.
+killed and its copies removed; seeds that name no run are refused with
+status 2 before anything is copied.
 """
 
 from __future__ import annotations
@@ -252,6 +253,8 @@ def main(argv=None):
     trace_workloads = args.trace_workloads.split(",") if args.trace_workloads else workloads
     schedule = [(w, s, 0) for w in workloads for s in parse_seeds(args.seeds)]
     schedule += [(w, s, 1) for w in trace_workloads for s in parse_seeds(args.trace_seeds)]
+    if not schedule:
+        parser.error(f"--seeds {args.seeds!r} and --trace-seeds {args.trace_seeds!r} name no run")
     parent_sha = subprocess.run(
         ["git", "rev-parse", args.parent], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()

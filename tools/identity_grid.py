@@ -171,7 +171,8 @@ def grid_hashes(grid):
 
 def hashes_at(ref):
     """``grid_hashes`` on the ``src`` and ``demos`` of ``git archive ref``,
-    from a copy of this script run beside them in a subprocess."""
+    from a copy of this script run beside them in a subprocess, whose
+    standard error is the tool's."""
     with tempfile.TemporaryDirectory(prefix="identity-grid-") as scratch:
         archive = subprocess.run(
             ["git", "archive", "--format=tar", ref, "src", "demos"],
@@ -183,17 +184,37 @@ def hashes_at(ref):
         script = Path(scratch) / "tools" / Path(__file__).name
         script.parent.mkdir()
         shutil.copy(__file__, script)
-        listed = subprocess.run(
-            [sys.executable, str(script)], cwd=scratch, check=True, capture_output=True, text=True
-        ).stdout
+        # A SIGTERM that ended the tool inside Popen, after its fork, would
+        # leave the grid running with no one to kill it: it is held until
+        # the grid is started and owned here, then acted on.
+        held = []
+        signal.signal(signal.SIGTERM, lambda signum, frame: held.append(signum))
+        command = [sys.executable, str(script)]
+        with subprocess.Popen(command, cwd=scratch, stdout=subprocess.PIPE, text=True) as grid:
+            try:
+                signal.signal(signal.SIGTERM, stop)
+                if held:
+                    stop(held[0], None)
+                listed = grid.communicate()[0]
+            except BaseException:
+                grid.kill()
+                raise
+        if grid.returncode:
+            raise subprocess.CalledProcessError(grid.returncode, command)
     return {name: digest for digest, name in (line.split() for line in listed.splitlines())}
+
+
+def stop(signum, frame):
+    """The SIGTERM handler: exit with status 143, so that the running child
+    is killed and the temporary tree removed on the way out."""
+    sys.exit(128 + signum)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="REF", help="git ref to compare with")
     args = parser.parse_args(argv)
-    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    signal.signal(signal.SIGTERM, stop)
     here = grid_hashes(rows())
     for name, digest in here.items():
         print(f"{digest}  {name}")
