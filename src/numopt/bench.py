@@ -147,13 +147,8 @@ def run_bench(spec, clock=time.perf_counter):
     """
     loaded = None
     if spec.dataset is not None:
-        X, y = load_csv(spec.dataset)
-        if spec.problem == "logistic":
-            labels = np.unique(y)
-            if not np.all(np.isin(labels, (0.0, 1.0))):
-                raise Diagnostic(f"--dataset {spec.dataset}: logistic labels must be 0/1")
-        loaded = (X, y)
-        d, n = X.shape
+        loaded = load_csv(spec.dataset)
+        d, n = loaded[0].shape
         spec = replace(spec, d=d, n=n)
     run_seconds = []
     final_objectives = []

@@ -85,6 +85,19 @@ class TestRunBench:
         assert (spec.d, spec.n) == (99, 99)
         assert len(record.final_objectives) == 2
 
+    def test_bad_logistic_labels_are_refused_by_the_objective_before_any_timed_run(
+        self, tmp_path
+    ):
+        path = tmp_path / "data.csv"
+        path.write_text("a,y\n0.5,1.0\n-0.3,2.0\n")
+
+        def clock():
+            raise AssertionError("a run was timed")
+
+        spec = small_spec(problem="logistic", dataset=str(path))
+        with pytest.raises(Diagnostic, match=r"^LogisticRegression labels must all be 0 or 1"):
+            run_bench(spec, clock=clock)
+
     def test_validation_rejects_bad_spec(self):
         with pytest.raises(Diagnostic, match="--runs"):
             run_bench(small_spec(runs=0))
@@ -249,7 +262,8 @@ class TestMain:
         path.write_text("a,y\n0.5,2.0\n-0.3,0.7\n")
         code = main(["--dataset", str(path), "--problem", "logistic", "--runs", "1"])
         assert code == 2
-        assert "0/1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "LogisticRegression labels must all be 0 or 1, got values [0.7 2. ]" in err
 
     def test_dataset_run_succeeds(self, tmp_path, capsys):
         path = tmp_path / "data.csv"

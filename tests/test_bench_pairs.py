@@ -249,3 +249,22 @@ def test_a_schedule_with_no_run_is_refused_before_any_copy(
     assert exited.value.code == 2
     assert "name no run" in capsys.readouterr().err
     assert not output.exists()
+
+
+def test_a_trace_workload_benchmark_json_does_not_define_is_refused_before_any_copy(
+    bench_pairs, monkeypatch, tmp_path, capsys
+):
+    def copy(*args):
+        raise AssertionError("a tree was copied")
+
+    monkeypatch.setattr(bench_pairs, "copy_parent", copy)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", copy)
+    output = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exited:
+        bench_pairs.main([
+            "--seeds", "1", "--trace-seeds", "2",
+            "--trace-workloads", "lbfgs-linear,lbfgs-rosenbrok", "--output", str(output),
+        ])
+    assert exited.value.code == 2
+    assert "BENCHMARK.json defines no lbfgs-rosenbrok" in capsys.readouterr().err
+    assert not output.exists()

@@ -1,5 +1,6 @@
-"""The comparison tools as a whole: bench_pairs' quartiles, and how
-tools/bench_pairs.py and tools/identity_grid.py end when stopped by SIGTERM."""
+"""The comparison tools as a whole: bench_pairs' quartiles, how the child
+processes of tools/bench_pairs.py and tools/identity_grid.py end when the tool
+is stopped by SIGTERM, and the standard error of the processes they start."""
 
 import importlib.util
 import os
@@ -38,6 +39,15 @@ def test_quartiles_are_numpys_default_percentiles():
     )
 
 
+def any_left_running(session):
+    """Whether any process of the session (and process group) ``session`` is there."""
+    try:
+        os.killpg(session, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def stop_once_made(tool, args, made, tmp_path):
     """Run ``tool`` in a session of its own with its temporary directory
     under ``tmp_path``, send it SIGTERM once the path ``made`` (a glob in
@@ -60,12 +70,8 @@ def stop_once_made(tool, args, made, tmp_path):
             time.sleep(0.002)
         process.send_signal(signal.SIGTERM)
         status = process.wait(timeout=120)
-        try:
-            os.killpg(process.pid, 0)
-            left_running = True
-        except ProcessLookupError:
-            left_running = False
-        return status, sorted(path.name for path in temporary.iterdir()), left_running
+        left = sorted(path.name for path in temporary.iterdir())
+        return status, left, any_left_running(process.pid)
     finally:
         with suppress(ProcessLookupError):
             os.killpg(process.pid, signal.SIGKILL)
@@ -93,3 +99,86 @@ def test_a_bench_pairs_run_stopped_while_copying_removes_its_trees(tmp_path):
     assert left == []
     assert not left_running
     assert not (tmp_path / "BENCH.json").exists()
+
+
+def run_once_apart(command, tmp_path, prelude=""):
+    """Run ``bench_pairs.run_once`` with ``command`` as the benchmark's
+    command, after the Python statements ``prelude``, in a process and
+    session of its own; return its exit status, its standard error and
+    whether any process of its session is left."""
+    script = f"""
+import importlib.util, os, signal, subprocess, sys
+spec = importlib.util.spec_from_file_location("bench_pairs", {str(TOOLS / "bench_pairs.py")!r})
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+{prelude}
+bench_pairs.run_once(".", {{"command": {command!r}, "run_seconds": 1}}, "w", 1, 0)
+"""
+    # A file, not a pipe: a child left running would hold a pipe open.
+    errors = tmp_path / "stderr"
+    with errors.open("w") as stderr:
+        process = subprocess.Popen(
+            [sys.executable, "-c", script],
+            cwd=ROOT,
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+            start_new_session=True,
+        )
+    try:
+        status = process.wait(timeout=60)
+        return status, errors.read_text(), any_left_running(process.pid)
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(process.pid, signal.SIGKILL)
+        process.wait(timeout=60)
+
+
+# SIGTERM is sent right after Popen's fork and exec, before Popen returns
+# the child to anyone who could kill it.  The script installs no handler:
+# run must hold the signal itself.
+SIGTERM_AFTER_FORK = """
+execute_child = subprocess.Popen._execute_child
+def signalled(self, *args):
+    execute_child(self, *args)
+    os.kill(os.getpid(), signal.SIGTERM)
+subprocess.Popen._execute_child = signalled
+"""
+
+
+def test_a_sigterm_right_after_the_fork_exits_143_and_kills_the_run(tmp_path):
+    sleeper = [sys.executable, "-c", "import time; time.sleep(60)"]
+    status, _, left_running = run_once_apart(sleeper, tmp_path, SIGTERM_AFTER_FORK)
+    assert status == 128 + signal.SIGTERM
+    assert not left_running
+
+
+def test_a_failed_run_shows_its_standard_error_and_raises(tmp_path):
+    # The message names the workload from the arguments, so it is not in the
+    # command that CalledProcessError's own message repeats.
+    failing = [sys.executable, "-c", "import sys; sys.exit(f'perfbench: no {sys.argv[1:3]}')"]
+    status, errors, left_running = run_once_apart(failing, tmp_path)
+    assert status == 1
+    assert "perfbench: no ['--workload', 'w']" in errors
+    assert "subprocess.CalledProcessError" in errors
+    assert not left_running
+
+
+@pytest.mark.parametrize(
+    "tool, args",
+    [
+        ("sloc.py", ["--against", "NOSUCHREF"]),
+        ("identity_grid.py", ["--against", "NOSUCHREF"]),
+        ("bench_pairs.py", ["--parent", "NOSUCHREF", "--seeds", "1", "--output", os.devnull]),
+    ],
+)
+def test_a_failed_git_call_shows_gits_message(tool, args):
+    failed = subprocess.run(
+        [sys.executable, str(TOOLS / tool), *args],
+        cwd=ROOT,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert failed.returncode == 1
+    shown = failed.stderr.split("Traceback")[0]
+    assert "fatal: " in shown and "NOSUCHREF" in shown

@@ -31,20 +31,24 @@ the host's speed, while a share moves only when that layer's part of the
 solve does.  The run ends by printing a verdict: one line per trace mode and
 workload naming its end-to-end metrics that are beyond their bound, those
 that are claimable, and whether its per-solve counts were identical in every
-pair.  A run stopped by SIGTERM exits with status 143, its benchmark process
-killed and its copies removed; seeds that name no run are refused with
-status 2 before anything is copied.
+pair.  The standard error of git and of each run is the tool's, and a
+failed one ends the tool.  A run stopped by SIGTERM exits with status 143,
+its benchmark process killed and its copies removed; seeds that name no run,
+and a ``--trace-workloads`` name that ``BENCHMARK.json`` does not define, are
+refused with status 2 before anything is copied.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import shutil
 import signal
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -200,22 +204,47 @@ def parse_seeds(text):
     return seeds
 
 
-def copy_parent(ref, destination):
-    archive = subprocess.run(
-        ["git", "archive", "--format=tar", ref], cwd=ROOT, check=True, capture_output=True
-    )
-    destination.mkdir()
-    subprocess.run(["tar", "-x", "-C", str(destination)], input=archive.stdout, check=True)
+def stop(signum, frame):
+    """The SIGTERM handler: exit with status 128 + ``signum`` (143), so that
+    the running child is killed and the temporary tree removed on the way out."""
+    sys.exit(128 + signum)
+
+
+def run(command, cwd=ROOT):
+    """``command``'s standard output, as bytes, run in ``cwd`` with its
+    standard error the tool's; a failed command raises ``CalledProcessError``.
+
+    A SIGTERM that ended the tool inside ``Popen``, after its fork, would
+    leave the child running with no one to kill it: it is held until the
+    child is started and owned here, then acted on through ``stop``.
+    """
+    held = []
+    signal.signal(signal.SIGTERM, lambda signum, frame: held.append(signum))
+    with subprocess.Popen(command, cwd=cwd, stdout=subprocess.PIPE) as child:
+        try:
+            signal.signal(signal.SIGTERM, stop)
+            if held:
+                stop(held[0], None)
+            output = child.communicate()[0]
+        except BaseException:
+            child.kill()
+            raise
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, command, output)
+    return output
+
+
+def copy_parent(ref, destination, *paths):
+    """Extract ``git archive ref`` into ``destination``: only ``paths``
+    when any are given."""
+    archive = run(["git", "archive", "--format=tar", ref, *paths])
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(destination, filter="data")
 
 
 def copy_working_tree(destination):
-    listed = subprocess.run(
-        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-        cwd=ROOT,
-        check=True,
-        capture_output=True,
-    )
-    for name in filter(None, listed.stdout.decode().split("\0")):
+    listed = run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"])
+    for name in filter(None, listed.decode().split("\0")):
         source = ROOT / name
         if source.is_file():
             target = destination / name
@@ -225,15 +254,12 @@ def copy_working_tree(destination):
 
 def run_once(root, benchmark, workload, seed, trace):
     """One run of the benchmark's command in ``root``: (result, env)."""
-    completed = subprocess.run(
+    output = run(
         [*benchmark["command"], "--workload", workload, "--seed", str(seed),
          "--seconds", str(benchmark["run_seconds"]), "--trace", str(trace)],
-        cwd=root,
-        check=True,
-        capture_output=True,
-        text=True,
+        root,
     )
-    lines = completed.stdout.splitlines()
+    lines = output.decode().splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     return json.loads(lines[-1]), env
 
@@ -246,18 +272,19 @@ def main(argv=None):
     parser.add_argument("--trace-workloads", default="", help="comma-separated; default: all")
     parser.add_argument("--output", required=True, type=Path)
     args = parser.parse_args(argv)
-    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [workload["name"] for workload in benchmark["workloads"]]
     trace_workloads = args.trace_workloads.split(",") if args.trace_workloads else workloads
+    unknown = [name for name in trace_workloads if name not in workloads]
+    if unknown:
+        parser.error(f"--trace-workloads: BENCHMARK.json defines no {', '.join(unknown)}")
     schedule = [(w, s, 0) for w in workloads for s in parse_seeds(args.seeds)]
     schedule += [(w, s, 1) for w in trace_workloads for s in parse_seeds(args.trace_seeds)]
     if not schedule:
         parser.error(f"--seeds {args.seeds!r} and --trace-seeds {args.trace_seeds!r} name no run")
-    parent_sha = subprocess.run(
-        ["git", "rev-parse", args.parent], cwd=ROOT, check=True, capture_output=True, text=True
-    ).stdout.strip()
+    signal.signal(signal.SIGTERM, stop)
+    parent_sha = run(["git", "rev-parse", args.parent]).decode().strip()
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:

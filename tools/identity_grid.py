@@ -31,7 +31,6 @@ import hashlib
 import runpy
 import shutil
 import signal
-import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -39,10 +38,12 @@ from itertools import product
 from pathlib import Path
 from typing import NamedTuple
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+TOOLS = Path(__file__).resolve().parent
+ROOT = TOOLS.parent
+sys.path[:0] = [str(ROOT / "src"), str(TOOLS)]
 
 import numpy as np  # noqa: E402
+from bench_pairs import copy_parent, run, stop  # noqa: E402
 
 from numopt import (  # noqa: E402
     LBFGS,
@@ -171,43 +172,16 @@ def grid_hashes(grid):
 
 def hashes_at(ref):
     """``grid_hashes`` on the ``src`` and ``demos`` of ``git archive ref``,
-    from a copy of this script run beside them in a subprocess, whose
-    standard error is the tool's."""
+    from a copy of this script and of ``bench_pairs.py`` run beside them in
+    a subprocess, whose standard error is the tool's."""
     with tempfile.TemporaryDirectory(prefix="identity-grid-") as scratch:
-        archive = subprocess.run(
-            ["git", "archive", "--format=tar", ref, "src", "demos"],
-            cwd=ROOT,
-            check=True,
-            capture_output=True,
-        )
-        subprocess.run(["tar", "-x", "-C", scratch], input=archive.stdout, check=True)
+        copy_parent(ref, scratch, "src", "demos")
         script = Path(scratch) / "tools" / Path(__file__).name
         script.parent.mkdir()
+        shutil.copy(TOOLS / "bench_pairs.py", script.parent)
         shutil.copy(__file__, script)
-        # A SIGTERM that ended the tool inside Popen, after its fork, would
-        # leave the grid running with no one to kill it: it is held until
-        # the grid is started and owned here, then acted on.
-        held = []
-        signal.signal(signal.SIGTERM, lambda signum, frame: held.append(signum))
-        command = [sys.executable, str(script)]
-        with subprocess.Popen(command, cwd=scratch, stdout=subprocess.PIPE, text=True) as grid:
-            try:
-                signal.signal(signal.SIGTERM, stop)
-                if held:
-                    stop(held[0], None)
-                listed = grid.communicate()[0]
-            except BaseException:
-                grid.kill()
-                raise
-        if grid.returncode:
-            raise subprocess.CalledProcessError(grid.returncode, command)
+        listed = run([sys.executable, str(script)], scratch).decode()
     return {name: digest for digest, name in (line.split() for line in listed.splitlines())}
-
-
-def stop(signum, frame):
-    """The SIGTERM handler: exit with status 143, so that the running child
-    is killed and the temporary tree removed on the way out."""
-    sys.exit(128 + signum)
 
 
 def main(argv=None):

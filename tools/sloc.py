@@ -72,7 +72,7 @@ def python_files(paths):
 
 
 def git(*args):
-    return subprocess.run(["git", *args], capture_output=True, text=True, check=True).stdout
+    return subprocess.run(["git", *args], stdout=subprocess.PIPE, text=True, check=True).stdout
 
 
 def sizes_at(ref, paths):
