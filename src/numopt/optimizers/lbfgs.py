@@ -55,6 +55,13 @@ class LbfgsMemory:
     no refactorisation, because the trailing block of an upper-triangular
     inverse is the inverse of the trailing block.
 
+    ``clear`` drops the pairs but keeps gamma, the newest accepted pair's
+    s.y / y.y, as ``scale``: a cleared memory's direction is -gamma g, while
+    one that has accepted no pair gives exactly -g.  It zeroes the memory's
+    bank in place and keeps both banks, which an accepted push into the
+    spare bank overwrites wherever a direction reads, so a clear allocates
+    nothing; only a first pair of another size or dtype builds new banks.
+
     Every product here is ``ndarray.dot``, not ``@`` or ``np.dot``.  They
     run the same BLAS routine, so the bits agree, but at these sizes the
     call is the cost: with 10 pairs in 2 dimensions, ``@`` takes about
@@ -70,7 +77,9 @@ class LbfgsMemory:
         _check_options(("memory_size", memory_size, ">= 1", int))
         self.memory_size = memory_size
         self._count = 0
-        self._bank = None  # allocated by the first push
+        self._gamma = None  # set by the first accepted pair, kept by clear
+        self._width = None  # fixed by the first push after construction or clear
+        self._bank = None  # built by the first push, kept by clear
 
     def push(self, s, y):
         """Store the pair unless its curvature is too weak to trust.
@@ -80,14 +89,15 @@ class LbfgsMemory:
         """
         s_flat, y_flat = s.reshape(-1), y.reshape(-1)
         # The width is the first pair's size, then the memory's.
-        width = s_flat.size if self._bank is None else self._width
+        fixed = self._width
+        width = s_flat.size if fixed is None else fixed
         if s_flat.size != width or y_flat.size != width:
             raise Diagnostic(
                 f"this L-BFGS memory takes pairs of shape ({width},); "
                 f"got s of shape {s.shape} and y of shape {y.shape}"
             )
-        if self._bank is None:
-            self._allocate(width, np.result_type(s_flat, y_flat, 1.0))
+        if fixed is None:
+            self._fix(width, np.result_type(s_flat, y_flat, 1.0))
         curvature = float(s_flat.dot(y_flat))
         y_norm2 = float(y_flat.dot(y_flat))
         # Written so that a NaN curvature is refused too.
@@ -111,9 +121,13 @@ class LbfgsMemory:
         self._gamma = curvature / y_norm2
         return True
 
-    def _allocate(self, dim, dtype):
-        m = self.memory_size
+    def _fix(self, dim, dtype):
+        """Fix the pairs' size and dtype; new banks only if the old ones differ."""
         self._width = dim
+        bank = self._bank
+        if bank is not None and bank.rows.shape[1] == dim and bank.rows.dtype == dtype:
+            return
+        m = self.memory_size
         self._floor = max(CURVATURE_FLOOR, float(np.finfo(dtype).eps))
         self._bank, self._spare = _Bank(m, dim, dtype), _Bank(m, dim, dtype)
         self._column = np.zeros(2 * m, dtype)
@@ -123,8 +137,22 @@ class LbfgsMemory:
         self._weights_s, self._weights_y = self._weights[:m], self._weights[m:]
 
     def clear(self):
+        """Drop every pair and keep gamma, the newest accepted pair's s.y / y.y.
+
+        The memory's bank is zeroed in place, and both banks are kept; the
+        next pair fixes size and dtype again, and builds new banks only if
+        it differs from them in either.
+        """
         self._count = 0
-        self._bank = None
+        self._width = None
+        if self._bank is not None:
+            self._bank.zero()
+
+    @property
+    def scale(self):
+        """gamma, the newest accepted pair's s.y / y.y, kept across ``clear``;
+        None until a pair has been accepted."""
+        return self._gamma
 
     def __len__(self):
         return self._count
@@ -132,10 +160,12 @@ class LbfgsMemory:
     def direction(self, gradient):
         """Search direction -H.g, in compact form.
 
-        With no pairs stored H is the identity and the direction is exactly
-        -g.  Otherwise H is the L-BFGS inverse Hessian in the compact form of
-        Byrd, Nocedal & Schnabel (1994), written for S and Y holding the
-        pairs as rows: with a = S g, b = Y g and p2 = -R^-1 a,
+        With no pairs stored H is gamma I, the compact form with k = 0, so
+        the direction is -gamma g with gamma kept by ``clear``; a memory that
+        has never accepted a pair gives exactly -g.  Otherwise H is the
+        L-BFGS inverse Hessian in the compact form of Byrd, Nocedal &
+        Schnabel (1994), written for S and Y holding the pairs as rows: with
+        a = S g, b = Y g and p2 = -R^-1 a,
 
             H.g = gamma g + S^T p1 + gamma Y^T p2,
             p1  = R^-T ((D + gamma Y Y^T) R^-1 a - gamma b).
@@ -145,10 +175,13 @@ class LbfgsMemory:
         result has the gradient's dtype and shape, flat or column.  With pairs
         near the curvature floor and R badly conditioned, this form can lose
         more digits than the two-loop recursion, which keeps its running
-        vector explicit; on typical pairs the two agree to rounding.
+        vector explicit; on typical pairs the two agree to rounding.  Drawn
+        near-floor memories, float64 pairs with s.y / (|s| |y|) down to
+        1e-12 and float32 ones down to 1e-4, still gave finite downhill
+        directions.
         """
         if not self._count:
-            return -gradient
+            return -gradient if self._gamma is None else -self._gamma * gradient
         m, gamma, bank = self.memory_size, self._gamma, self._bank
         flat = gradient if gradient.ndim == 1 else gradient.reshape(-1)
         products = bank.rows.dot(flat)  # [a; b]
@@ -178,6 +211,7 @@ class _Bank:
         # D is the diagonal of a third layer, so one copy moves all three.
         small = np.zeros((3, m, m), dtype)
         self.rows = pairs.reshape(2 * m, dim)  # [S; Y]
+        self.small = small
         self.inverse_r, self.yty, self.d = small
         self.curvatures = self.d.diagonal()  # read-only view of D's diagonal
         # Read when this bank is the memory's and a push shifts it ...
@@ -187,6 +221,10 @@ class _Bank:
         self.s_new, self.y_new = pairs[:, -1]
         self.r_block, self.r_column = self.inverse_r[:-1, :-1], self.inverse_r[:-1, -1]
         self.yty_row, self.yty_column = self.yty[-1], self.yty[:, -1]
+
+    def zero(self):
+        self.rows.fill(0)
+        self.small.fill(0)
 
 
 # The name perfbench's tracer patches to time the direction.
@@ -255,9 +293,13 @@ class LBFGS:
     max(1, |f|).  Needs evaluate and gradient (a fused
     evaluate_with_gradient is used when present).
 
-    Whenever the curvature memory is empty (the first iteration and after a
-    restart), the steepest-descent direction is scaled to at most unit
-    2-norm, as in ensmallen; the line search still starts at step 1.
+    Until the run's first pair is accepted, the steepest-descent direction
+    is scaled to at most unit 2-norm, as in ensmallen.  A rejected pair
+    clears the memory, which allocates nothing and keeps the newest
+    accepted pair's gamma = s.y / y.y, so H0 = gamma I (Liu & Nocedal,
+    Math. Prog. 45, 1989; Nocedal & Wright, 2nd ed., eq. 7.20; ensmallen's
+    ``ChooseScalingFactor``) and the first trial after the restart is
+    x - gamma g.  The line search always starts at step 1.
     """
 
     memory_size: int = 10
@@ -298,9 +340,10 @@ class LBFGS:
             reason, _ = _gradient_stop(self, gradient)
             while reason is None:
                 direction = two_loop_direction(memory, gradient)
-                if len(memory) == 0:
-                    # Steepest descent carries no curvature scale; cap the first
-                    # trial step at unit length (Nocedal & Wright, 2nd ed., 3.5).
+                if memory.scale is None:
+                    # Before any pair, steepest descent carries no curvature scale;
+                    # cap the first trial step at unit length (Nocedal & Wright,
+                    # 2nd ed., 3.5).  After a restart the memory's gamma sizes it.
                     direction = direction / max(1.0, float(np.linalg.norm(direction.ravel())))
                 found = backtracking_line_search(adapter, x, value, gradient, direction, self)
                 if found.failure is not None:
@@ -312,7 +355,8 @@ class LBFGS:
                 if not memory.push(s, new_gradient - gradient):
                     # A rejected pair means the local quadratic model broke down
                     # (negative curvature along the step).  Steering by the old
-                    # history stalls in that situation, so restart it.
+                    # history stalls in that situation, so restart it; its
+                    # newest curvature scale gamma stays.
                     memory.clear()
                 reason, norm = _gradient_stop(self, new_gradient)
                 adapter.step_taken(found.value, norm=norm)

@@ -93,10 +93,11 @@ def _blocked(X, residual, y=None, flat=None):
 
     Given no residual, each block makes its share X_b.T flat - y_b in the pass
     that makes its gradient product, so X is read once.  Blocks are whole
-    16-column groups and none is one column wide, so that the residual has
-    the bits of the window's one product: OpenBLAS's dgemv rounds a
-    product's last m % 4 outputs apart from the rest, and NumPy sends a
-    one-column product to a dot.
+    16-column groups and none is one column wide, so that, with BLAS on one
+    thread, the residual has the bits of the window's one product:
+    OpenBLAS's dgemv rounds a product's last m % 4 outputs apart from the
+    rest, and NumPy sends a one-column product to a dot.  On more threads
+    a few entries can differ from it in the last bit.
     """
     n = X.shape[1]
     width = max(1, _BLOCK_BYTES // (16 * X.shape[0] * X.itemsize)) * 16
@@ -186,9 +187,9 @@ class LinearRegression(_LeastSquares):
     1 MiB is read in column blocks, and a gradient is made in the residual's
     pass, when a gradient is asked for or, for a value, when the call
     before it was a gradient call; the value keeps that gradient for the
-    next call.  Values keep the one product's bits; such a gradient is
-    summed block by block.  X and y are read as constants: replace them,
-    do not write into them.
+    next call.  With BLAS on one thread, values keep the one product's bits;
+    such a gradient is summed block by block.  X and y are read as
+    constants: replace them, do not write into them.
     """
 
     def evaluate(self, phi):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -18,6 +18,7 @@ from numopt import (
     backtracking_line_search,
     two_loop_direction,
 )
+from numopt.optimizers import lbfgs as lbfgs_module
 from numopt.problems import (
     LinearRegression,
     LogisticRegression,
@@ -34,16 +35,19 @@ class Quadratic:
         return 2.0 * x
 
 
-def dense_bfgs_direction(pairs, gradient):
+def dense_bfgs_direction(pairs, gradient, gamma=None):
     """Independent oracle: explicit inverse-Hessian recursion.
 
-    H starts as gamma*I with gamma from the newest pair, then applies
+    H starts as gamma*I, gamma by default s.y / y.y of the newest pair, then
+    applies
     H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T
-    oldest to newest.  The memory's direction must be -H g.
+    oldest to newest; with no pairs H stays gamma*I.  The memory's direction
+    must be -H g.
     """
     dim = gradient.size
-    s_new, y_new = pairs[-1]
-    gamma = float(s_new @ y_new) / float(y_new @ y_new)
+    if gamma is None:
+        s_new, y_new = pairs[-1]
+        gamma = float(s_new @ y_new) / float(y_new @ y_new)
     H = gamma * np.eye(dim)
     identity = np.eye(dim)
     for s, y in pairs:
@@ -172,6 +176,55 @@ def curved_pair(rng, dtype, dim=4):
     return s.astype(dtype), (2.0 * s + 0.1 * rng.uniform(-1, 1, dim)).astype(dtype)
 
 
+def stretched_pair(rng, hessian, stretch):
+    """A pair (s, H s) of the SPD matrix ``hessian``.
+
+    With stretch > 0, about half the pairs come near the curvature floor: s
+    is zero on some coordinates and y gains up to 10**stretch there, so s.y
+    stays exact while s.y / (|s| |y|) falls towards 10**-stretch.
+    """
+    dim = len(hessian)
+    s = rng.uniform(-1, 1, dim)
+    free = np.zeros(dim, bool)
+    if stretch and dim > 1 and rng.random() < 0.5:
+        free = rng.permutation(dim) < rng.integers(1, dim)
+    s[free] = 0.0
+    y = hessian @ s
+    y[free] += 10.0 ** rng.uniform(0, stretch) * rng.uniform(-1, 1, free.sum())
+    return s, y
+
+
+def drawn_memory(rng, memory_size, shape, dtype, stretch, before_clear, after_clear, refused):
+    """A memory given ``stretched_pair``s of one random SPD matrix in ``dtype``
+    and ``shape``, and cleared after the first ``before_clear`` of them; 0
+    clears it before any pair, which leaves it as new.
+
+    With ``refused``, each of the ``after_clear`` pairs pushed after the clear
+    is (s, -y), whose negative curvature the memory refuses.  Returns the
+    memory, the pairs it accepted since the clear and the newest accepted
+    pair's s.y / y.y, all in float64; that gamma is 1.0 while no pair has
+    been accepted.
+    """
+    dim = shape[0]
+    root = rng.uniform(-1, 1, (dim, dim))
+    hessian = root @ root.T + dim * np.eye(dim)
+    memory = LbfgsMemory(memory_size)
+    stored, gamma = [], 1.0
+    for index in range(before_clear + after_clear):
+        if index == before_clear:
+            memory.clear()
+            stored.clear()
+        s, y = stretched_pair(rng, hessian, stretch)
+        if refused and index >= before_clear:
+            y = -y
+        s, y = s.astype(dtype), y.astype(dtype)
+        if memory.push(s.reshape(shape), y.reshape(shape)):
+            s, y = s.astype(np.float64), y.astype(np.float64)
+            stored.append((s, y))
+            gamma = float(s @ y) / float(y @ y)
+    return memory, stored, gamma
+
+
 class TestDoubleBufferedMemory:
     """The memory keeps its arrays in two banks and makes the spare one its own
     on each accepted push; no bank may show through where it should not."""
@@ -238,6 +291,73 @@ class TestDoubleBufferedMemory:
         assert np.array_equal(memory.direction(g), before)
 
 
+class TestClearKeepsTheScale:
+    """``clear`` drops the pairs but keeps gamma, the newest accepted pair's
+    s.y / y.y, and zeroes its bank in place: a cleared memory's direction is
+    -gamma g, and the next pair of the same size and dtype builds no bank."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4,), (4, 1)])
+    def test_a_cleared_memory_gives_minus_gamma_g(self, dtype, shape):
+        rng = np.random.default_rng(53)
+        memory = LbfgsMemory(3)
+        assert memory.scale is None
+        for _ in range(5):
+            s, y = curved_pair(rng, dtype)
+            assert memory.push(s, y)
+        gamma = float(s.dot(y)) / float(y.dot(y))
+        memory.clear()
+        assert len(memory) == 0
+        assert memory.scale == gamma
+        g = rng.uniform(-1, 1, 4).astype(dtype).reshape(shape)
+        direction = memory.direction(g)
+        assert direction.dtype == dtype
+        assert direction.shape == shape
+        assert_array_equal(direction, -gamma * g)
+        # A refused pair leaves the memory empty and its scale as it was.
+        assert not memory.push(s, -y)
+        assert memory.scale == gamma
+        assert_array_equal(memory.direction(g), -gamma * g)
+
+    @pytest.mark.parametrize(
+        "dim, dtype, banks_built",
+        [(4, np.float64, 0), (3, np.float64, 2), (4, np.float32, 2)],
+        ids=["same", "another-size", "another-dtype"],
+    )
+    def test_the_first_pair_after_a_clear_fixes_size_and_dtype(
+        self, monkeypatch, dim, dtype, banks_built
+    ):
+        # Only a pair of another size or dtype builds banks after a clear.
+        # Either way the memory then gives the directions of a new memory
+        # given the same pairs, and refuses a pair of another size.
+        built = []
+
+        class CountedBank(lbfgs_module._Bank):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(lbfgs_module, "_Bank", CountedBank)
+        rng = np.random.default_rng(59)
+        memory = LbfgsMemory(3)
+        for _ in range(5):
+            assert memory.push(*curved_pair(rng, np.float64))
+        memory.clear()
+        before = len(built)
+        fresh = LbfgsMemory(3)
+        gradients = [rng.uniform(-1, 1, dim).astype(dtype) for _ in range(3)]
+        for pair_dtype in (dtype, np.float64):
+            pair = curved_pair(rng, pair_dtype, dim)
+            assert memory.push(*pair) and fresh.push(*pair)
+            for g in gradients:
+                direction = memory.direction(g)
+                assert direction.dtype == dtype
+                assert_array_equal(direction, fresh.direction(g))
+        assert len(built) - before == banks_built + 2  # the fresh memory's two
+        with pytest.raises(Diagnostic, match=rf"\({dim},\)"):
+            memory.push(np.ones(dim + 1), np.ones(dim + 1))
+
+
 class TestTwoLoopDirection:
     def test_empty_memory_is_negated_gradient_bitwise(self):
         g = np.array([3.0, -1.0])
@@ -283,52 +403,51 @@ class TestTwoLoopDirection:
         dtype=st.sampled_from([np.float32, np.float64]),
         stretch=st.integers(0, 12),
         seed=st.integers(0, 2**32 - 1),
+        # Drawn examples accept pairs after the clear; the @examples refuse
+        # them all, after accepted pairs and with none accepted at all.
+        refuse_after_clear=st.just(False),
     )
+    @example(3, 4, 2, 1, False, np.float64, 0, 7, True)
+    @example(3, 4, 2, 1, True, np.float32, 0, 7, True)
+    @example(3, 4, 0, 1, False, np.float64, 0, 7, True)
     def test_matches_dense_bfgs_oracle_past_capacity(
-        self, memory_size, dim, pairs_before_clear, pairs_past_capacity, column, dtype, stretch, seed
+        self,
+        memory_size,
+        dim,
+        pairs_before_clear,
+        pairs_past_capacity,
+        column,
+        dtype,
+        stretch,
+        seed,
+        refuse_after_clear,
     ):
         # More pairs than the memory holds, after a clear at a drawn point:
         # the direction must match the oracle over the pairs still stored,
-        # in the gradient's dtype and shape.
+        # with gamma from the newest pair accepted, before the clear if none
+        # came after it, in the gradient's dtype and shape.
         #
-        # With stretch > 0, about half the pairs come near the curvature
-        # floor: s is zero on some coordinates and y gains up to 10**stretch
-        # there, so s.y stays exact while s.y / (|s| |y|) falls towards
-        # 10**-stretch.  Stretched further than 10**4, float32 pairs give
-        # non-finite directions here and in the two-loop recursion alike,
-        # so float32 stops there.
+        # Stretched further than 10**4 (see stretched_pair), float32 pairs
+        # give non-finite directions here and in the two-loop recursion
+        # alike, so float32 stops there.
         if dtype == np.float32:
             stretch = min(stretch, 4)
         rng = np.random.default_rng(seed)
-        root = rng.uniform(-1, 1, (dim, dim))
-        hessian = root @ root.T + dim * np.eye(dim)
         shape = (dim, 1) if column else (dim,)
-        memory = LbfgsMemory(memory_size)
-        stored = []
-        for index in range(pairs_before_clear + memory_size + pairs_past_capacity):
-            if index == pairs_before_clear:
-                memory.clear()
-                stored.clear()
-            s = rng.uniform(-1, 1, dim)
-            free = np.zeros(dim, bool)
-            if stretch and dim > 1 and rng.random() < 0.5:
-                free = rng.permutation(dim) < rng.integers(1, dim)
-            s[free] = 0.0
-            y = hessian @ s
-            y[free] += 10.0 ** rng.uniform(0, stretch) * rng.uniform(-1, 1, free.sum())
-            s, y = s.astype(dtype), y.astype(dtype)
-            if memory.push(s.reshape(shape), y.reshape(shape)):
-                stored.append((s.astype(np.float64), y.astype(np.float64)))
+        memory, stored, gamma = drawn_memory(
+            rng, memory_size, shape, dtype, stretch,
+            pairs_before_clear, memory_size + pairs_past_capacity, refuse_after_clear,
+        )
         g = rng.uniform(-1, 1, dim).astype(dtype)
         direction = two_loop_direction(memory, g.reshape(shape))
         assert direction.dtype == dtype
         assert direction.shape == shape
         kept = stored[-memory_size:]
-        expected = dense_bfgs_direction(kept, g.astype(np.float64))
+        expected = dense_bfgs_direction(kept, g.astype(np.float64), gamma)
         eps = np.finfo(dtype).eps
         scale = eps / np.finfo(np.float64).eps
         atol = 1e-13 * scale
-        if stretch:
+        if stretch and kept:
             # Near the floor every float evaluation of H.g, the oracle's
             # included, loses digits in proportion to 1 / min cos(s, y).
             # Over 20000 such draws per dtype the compact form's normwise
@@ -338,6 +457,34 @@ class TestTwoLoopDirection:
             min_cos = min(float(s @ y) / np.linalg.norm(s) / np.linalg.norm(y) for s, y in kept)
             atol = max(atol, 1e4 * eps / min_cos * np.max(np.abs(expected)))
         assert_allclose(direction.ravel(), expected, rtol=1e-11 * scale, atol=atol)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        memory_size=st.sampled_from([1, 3, 10]),
+        dim=st.integers(2, 9),
+        pairs_before_clear=st.integers(0, 12),
+        pairs_after_clear=st.integers(1, 22),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        stretch=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_near_floor_directions_are_finite_and_downhill(
+        self, memory_size, dim, pairs_before_clear, pairs_after_clear, dtype, stretch, seed
+    ):
+        # Near the curvature floor the compact form loses more digits than
+        # the two-loop recursion; the direction must still be finite and
+        # downhill by the line search's own slope, float64 pairs stretched
+        # to 10**12 and float32 pairs to 10**4.
+        if dtype == np.float32:
+            stretch = min(stretch, 4)
+        rng = np.random.default_rng(seed)
+        memory, _, _ = drawn_memory(
+            rng, memory_size, (dim,), dtype, stretch, pairs_before_clear, pairs_after_clear, False
+        )
+        g = rng.uniform(-1, 1, dim).astype(dtype)
+        direction = memory.direction(g)
+        assert np.all(np.isfinite(direction))
+        assert float(g.dot(direction)) < 0.0
 
     def test_direction_is_descent(self):
         rng = np.random.default_rng(5)
@@ -700,7 +847,9 @@ class WeightedQuadratic:
 
 
 class TestUnitSteepestDescent:
-    """With empty memory the direction -g is scaled to at most unit 2-norm."""
+    """Until the run's first pair is accepted, the direction -g is scaled to at
+    most unit 2-norm.  After a restart the memory's gamma sizes it instead
+    (``TestRestartStep``)."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_regression_takes_one_trial_per_line_search(self, seed):
@@ -736,6 +885,49 @@ class TestUnitSteepestDescent:
         assert result.evaluate_calls == 2  # x0 plus one accepted trial
         assert np.linalg.norm(x - x0) <= 1.0 + 4 * np.finfo(np.float64).eps
         assert_allclose(x - x0, -g0 / np.linalg.norm(g0), rtol=1e-12)
+
+
+class TestRestartStep:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_first_trial_after_a_restart_is_x_minus_gamma_g(self, monkeypatch, dtype):
+        # The memory's pushes and clears are recorded through its class, so
+        # gamma, s.y / y.y of the newest pair accepted before each clear, is
+        # computed here from the pairs.  The clear comes after the gradient
+        # at the accepted x; the next call is the restart's first trial.
+        objective = RecordingRosenbrock()
+        accepted, restarts = [], []
+        push, clear = LbfgsMemory.push, LbfgsMemory.clear
+
+        def recorded_push(memory, s, y):
+            stored = push(memory, s, y)
+            if stored:
+                accepted.append((s.ravel().copy(), y.ravel().copy()))
+            return stored
+
+        def recorded_clear(memory):
+            restarts.append((len(objective.calls), accepted[-1] if accepted else None))
+            clear(memory)
+
+        monkeypatch.setattr(LbfgsMemory, "push", recorded_push)
+        monkeypatch.setattr(LbfgsMemory, "clear", recorded_clear)
+        checked = 0
+        for seed in range(20):
+            objective.calls.clear()
+            accepted.clear()
+            restarts.clear()
+            LBFGS().optimize(objective, np.random.default_rng(seed).uniform(-2, 2, 2).astype(dtype))
+            for index, pair in restarts:
+                if pair is None or index == len(objective.calls):
+                    continue
+                kind, x, _ = objective.calls[index - 1]
+                assert kind == "gradient"
+                s, y = pair
+                gamma = float(s.dot(y)) / float(y.dot(y))
+                kind, trial, _ = objective.calls[index]
+                assert kind == "evaluate"
+                assert trial.tobytes() == (x - gamma * Rosenbrock().gradient(x)).tobytes()
+                checked += 1
+        assert checked >= 3
 
 
 class ScaledQuadratic:
@@ -822,8 +1014,8 @@ GOLDEN_RUNS = [
     ("rosenbrock-3", np.float32, 20, 24, 21, "GRADIENT_NORM_TOLERANCE", [
         "0x1.0000000000000p+0", "0x1.0000000000000p+0",
     ]),
-    ("rosenbrock-4", np.float32, 27, 39, 28, "GRADIENT_NORM_TOLERANCE", [
-        "0x1.0000020000000p+0", "0x1.0000040000000p+0",
+    ("rosenbrock-4", np.float32, 25, 31, 26, "GRADIENT_NORM_TOLERANCE", [
+        "0x1.fffffe0000000p-1", "0x1.fffffc0000000p-1",
     ]),
     ("rosenbrock-5", np.float32, 20, 24, 21, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
         "0x1.0000000000000p+0", "0x1.fffffe0000000p-1",
@@ -860,8 +1052,8 @@ GOLDEN_RUNS = [
     ("rosenbrock-3", np.float64, 20, 25, 21, "GRADIENT_NORM_TOLERANCE", [
         "0x1.00000000f66bcp+0", "0x1.00000001b1e49p+0",
     ]),
-    ("rosenbrock-4", np.float64, 27, 39, 28, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
-        "0x1.000000be21792p+0", "0x1.00000120026b2p+0",
+    ("rosenbrock-4", np.float64, 25, 31, 26, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
+        "0x1.fffff90c10526p-1", "0x1.fffff182ab038p-1",
     ]),
     ("rosenbrock-5", np.float64, 20, 24, 21, "GRADIENT_NORM_TOLERANCE", [
         "0x1.ffffff6219f8ap-1", "0x1.fffffec3d9f93p-1",
@@ -909,3 +1101,16 @@ def test_golden_lbfgs_numerics(
     assert x.shape == x0.shape
     expected = np.array([float.fromhex(h) for h in x_hex], dtype=dtype).reshape(x0.shape)
     assert_array_equal(x, expected)
+
+
+def test_rosenbrock_call_totals_over_300_starts():
+    # LBFGS() on Rosenbrock from 300 seeded starts: total evaluate and
+    # gradient calls.  A change that moves any solve's call count fails here;
+    # like the golden table, it must say so and renew the totals on purpose.
+    evaluations = gradients = 0
+    for seed in range(1, 301):
+        x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, 2)
+        _, result = LBFGS().optimize(Rosenbrock(), x0)
+        evaluations += result.evaluate_calls
+        gradients += result.gradient_calls
+    assert (evaluations, gradients) == (10078, 8659)
