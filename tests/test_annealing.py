@@ -149,6 +149,11 @@ def bumpy(x):
 
 
 class TestMoveStream:
+    """Each move reads its three uniforms of the seeded stream (the coordinate,
+    the offset and the acceptance gate); a capped run is the prefix of a longer
+    one at two moves_per_temperature values and for any block size; offsets lie
+    in [-w, w) and reach every coordinate."""
+
     def run(self, max_iterations, moves_per_temperature=None, seed=4):
         recording, recorder = Recording(bumpy), TraceRecorder()
         best, result = SimulatedAnnealing(

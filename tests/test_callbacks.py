@@ -54,6 +54,9 @@ def step(k, f=1.0, g=None):
 
 
 class TestDispatch:
+    """How CallbackList.dispatch combines its callbacks' answers and treats a
+    callback that raises."""
+
     def test_empty_list_continues(self):
         assert CallbackList([]).dispatch(step(1)) is False
 
@@ -100,6 +103,9 @@ class TestDispatch:
         ],
     )
     def test_list_dispatch_decides_delivers_and_warns(self, decisions):
+        """dispatch returns True exactly when a callback asked to terminate,
+        still delivers to every callback after a TERMINATE, and raises one
+        RuntimeWarning per raising callback."""
         delivered = []
 
         def make(position, decision):
@@ -132,6 +138,10 @@ class TestDispatch:
 
 
 class TestEventFields:
+    """Each event built positionally (StepTaken, EvaluateCalled,
+    GradientCalled, BeginEpoch, EndEpoch) keeps its field order and stays
+    frozen."""
+
     # The adapter and SGD build these events positionally, so a reordered
     # field would silently swap what an event carries.
     @pytest.mark.parametrize(
@@ -169,6 +179,11 @@ C, T = CallbackDecision.CONTINUE, CallbackDecision.TERMINATE
 
 
 class TestDecisions:
+    """Each stock callback returns the CallbackDecision member itself (is) for
+    every event kind, and only the member TERMINATE stops a run: a callback
+    returning "terminate", "TERMINATE", 1 or True runs each optimizer exactly
+    as an idle one."""
+
     @pytest.mark.parametrize(
         "name, expected",
         [
@@ -252,6 +267,8 @@ class TestEarlyStopping:
             EarlyStopping(min_delta=-0.1)
 
     def test_reused_stopper_starts_each_run_afresh(self):
+        """An EarlyStopping passed to a second run stops it where a fresh one
+        would."""
         # Without the reset on BeginOptimization, the second run inherits
         # the first run's best value and stops after a few steps.
         x0 = [-1.2, 1.0]
@@ -345,6 +362,8 @@ class TestTraceRecorder:
         assert_allclose(recorder.trace[0][1], (1.0 - 2 * 0.1) ** 2, rtol=1e-12)
 
     def test_reused_recorder_starts_each_run_afresh(self):
+        """A TraceRecorder reused for a second run holds what a fresh one holds
+        and leaves the first run's list as it was."""
         # Without the new list on BeginOptimization, the second run's pairs
         # are appended to the first run's and its iterations restart at 1.
         shared = TraceRecorder()
@@ -473,6 +492,13 @@ STEPPING_RUNS = {
 
 
 class TestIdleObservation:
+    """An unobserved run builds no event.  Each optimizer, the compass search
+    of demos/custom_optimizer.py included, builds a StepTaken once per step
+    with a callback and never without one.  Counting CallbackList.dispatch, an
+    unobserved run dispatches no event at all, while an observed one sees
+    BeginOptimization first, EndOptimization last and, for SGD only, BeginEpoch
+    and EndEpoch in order."""
+
     @pytest.mark.parametrize("name", sorted(STEPPING_RUNS))
     @pytest.mark.parametrize("observed", [False, True], ids=["idle", "observed"])
     def test_step_events_are_built_only_when_observed(self, monkeypatch, name, observed):
@@ -516,6 +542,10 @@ class TestIdleObservation:
     @pytest.mark.parametrize("name", sorted(STEPPING_RUNS))
     @pytest.mark.parametrize("observed", [False, True], ids=["idle", "observed"])
     def test_each_gradient_norm_is_computed_once_per_reader(self, monkeypatch, name, observed):
+        """Counting core._max_abs_norm: one call per gradient call on an idle
+        gradient-descent or L-BFGS run and two on an observed one (its stop
+        test, whose value StepTaken reports, and GradientCalled); two per
+        observed SGD step and none idle."""
         # GD and L-BFGS test every gradient's max-abs norm for their stop and
         # hand that value to StepTaken; GradientCalled computes its own.  So
         # they compute one norm per gradient call idle and two observed.  SGD's

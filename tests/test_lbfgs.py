@@ -59,6 +59,8 @@ def dense_bfgs_direction(pairs, gradient, gamma=None):
 
 class TestLbfgsMemory:
     def test_capacity_evicts_oldest(self):
+        """After five pairs, a memory of three gives the dense BFGS direction
+        of the last three."""
         # Each pair comes from its own SPD matrix, so the direction depends
         # on which pairs are kept: only the last three may shape it.
         rng = np.random.default_rng(5)
@@ -120,6 +122,7 @@ class TestLbfgsMemory:
             assert np.all(np.isfinite(two_loop_direction(memory, g)))
 
     def test_rho_is_reciprocal_curvature(self):
+        """One pair with y = 2s gives exactly -g/2 for every gradient g."""
         # One pair with y = 2 s: gamma = rho = 1/2 and H = I/2 on the whole
         # space, so every direction is exactly -g/2.
         memory = LbfgsMemory(2)
@@ -133,6 +136,7 @@ class TestLbfgsMemory:
             LbfgsMemory(0)
 
     def test_memory_owns_its_pairs(self):
+        """Writing to a pushed s or y does not change the next direction."""
         # push copies s and y, so writes to the pushed arrays leave the
         # memory's directions untouched.
         rng = np.random.default_rng(11)
@@ -159,6 +163,9 @@ class TestLbfgsMemory:
         ids=["another-size", "s-and-y-disagree"],
     )
     def test_pair_of_another_size_is_diagnostic(self, s, y, shapes):
+        """A pair of another size, or whose s and y disagree, raises a
+        Diagnostic naming the memory's width and both shapes, and the memory
+        keeps its pair."""
         memory = LbfgsMemory(3)
         memory.push(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
         with pytest.raises(Diagnostic, match=shapes):
@@ -422,6 +429,14 @@ class TestTwoLoopDirection:
         seed,
         refuse_after_clear,
     ):
+        """The compact-form direction matches an explicit dense BFGS recursion
+        over the pairs still stored, after more pairs than the memory holds
+        (memory 1, 3 and 10) and a clear() at a drawn point, with flat and
+        column gradients in float32 and float64, pairs near the curvature floor
+        (s.y / (|s| |y|) falling towards 1e-12) included.  The @examples clear
+        the memory and then refuse every pair, so the direction is -gamma g
+        with gamma from the last pair before the clear, or -g when no pair was
+        accepted."""
         # More pairs than the memory holds, after a clear at a drawn point:
         # the direction must match the oracle over the pairs still stored,
         # with gamma from the newest pair accepted, before the clear if none
@@ -471,6 +486,8 @@ class TestTwoLoopDirection:
     def test_near_floor_directions_are_finite_and_downhill(
         self, memory_size, dim, pairs_before_clear, pairs_after_clear, dtype, stretch, seed
     ):
+        """Memories drawn near the curvature floor, with and without a clear,
+        give a finite and downhill direction (g.d < 0) in float32 and float64."""
         # Near the curvature floor the compact form loses more digits than
         # the two-loop recursion; the direction must still be finite and
         # downhill by the line search's own slope, float64 pairs stretched
@@ -506,6 +523,9 @@ class TestTwoLoopDirection:
     def test_mixed_dtype_direction_has_the_gradient_dtype(
         self, memory_dtype, gradient_dtype, shape
     ):
+        """A float32 memory asked for the direction of a float64 gradient, and
+        the reverse, gives a direction of the gradient's dtype that agrees with
+        the direction of the same gradient in the memory's own dtype."""
         # The memory's products come out in the wider of the two dtypes;
         # the direction must still take the gradient's, and agree with the
         # direction of the same gradient in the memory's own dtype.
@@ -613,6 +633,9 @@ class TestBacktrackingLineSearch:
         assert adapter.evaluate_calls == 67
 
     def test_inf_trials_rejected_from_an_inf_start(self):
+        """A +inf trial is refused even from a +inf value, where the Armijo
+        test alone reads inf <= inf and holds: the search fails with no point
+        after its 50 trials."""
         adapter = ObjectiveAdapter(InfEverywhere())
         x = np.array([1.0])
         found = backtracking_line_search(
@@ -679,6 +702,9 @@ class RecordingRosenbrock(Rosenbrock):
 
 
 class TestAcceptedPoint:
+    """The gradient is taken at the very array whose value the line search
+    accepted."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("seed", range(5))
     def test_each_gradient_is_taken_at_the_array_just_accepted(self, dtype, seed):
@@ -775,6 +801,8 @@ class TestLbfgsOptimize:
         assert result.final_objective == 1.0
 
     def test_an_objective_inf_everywhere_ends_where_it_started(self):
+        """L-BFGS on an objective that is +inf everywhere ends with
+        LINE_SEARCH_FAILURE after no step, at x0 bitwise, reporting +inf."""
         x0 = np.array([-1.2, 1.0])
         x, result = LBFGS().optimize(InfEverywhere(), x0)
         assert result.termination == TerminationReason.LINE_SEARCH_FAILURE
@@ -888,6 +916,10 @@ class TestUnitSteepestDescent:
 
 
 class TestRestartStep:
+    """After a rejected pair restarts the memory, the first trial is x - gamma
+    g bitwise, gamma being s.y / y.y of the newest pair accepted before the
+    clear, on Rosenbrock runs whose pushes and clears are recorded."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_the_first_trial_after_a_restart_is_x_minus_gamma_g(self, monkeypatch, dtype):
         # The memory's pushes and clears are recorded through its class, so
@@ -1089,6 +1121,10 @@ GOLDEN_RUNS = [
 def test_golden_lbfgs_numerics(
     name, dtype, iterations, evaluate_calls, gradient_calls, termination, x_hex
 ):
+    """24 LBFGS() runs (10 Rosenbrock starts, a d=5 linear and a d=5 logistic
+    problem with ridge, each in float32 and float64) keep their iteration and
+    call counts exactly and their returned x bit for bit, so a change that
+    moves any bit of an L-BFGS run fails here."""
     objective, x0 = golden_problem(name, dtype)
     x, result = LBFGS().optimize(objective, x0)
     assert (result.iterations, result.evaluate_calls, result.gradient_calls) == (
@@ -1104,6 +1140,8 @@ def test_golden_lbfgs_numerics(
 
 
 def test_rosenbrock_call_totals_over_300_starts():
+    """The total evaluate and gradient calls of LBFGS() on Rosenbrock from 300
+    seeded starts stay as pinned."""
     # LBFGS() on Rosenbrock from 300 seeded starts: total evaluate and
     # gradient calls.  A change that moves any solve's call count fails here;
     # like the golden table, it must say so and renew the totals on purpose.

@@ -729,6 +729,8 @@ class TestLogisticRegression:
     )
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_labels_outside_zero_and_one_raise_with_their_distinct_values(self, bad, values, dtype):
+        """Labels of 0.5, 2.0 or NaN are refused with a Diagnostic listing the
+        distinct label values, in float32 and float64."""
         y = np.array([1.0, bad, 0.0, 1.0, bad], dtype=dtype)
         with pytest.raises(Diagnostic) as raised:
             LogisticRegression(np.ones((2, 5)), y)
@@ -900,6 +902,9 @@ class TestGenerateNoisyLinear:
     @pytest.mark.parametrize("d, n", [(1, 1), (1, 40), (6, 1), (5, 200), (30, 17)])
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_draws_are_the_uniform_reference_bitwise(self, d, n, seed):
+        """generate_noisy_linear's (X, y, phi_true) are, bit for bit, a
+        reference drawn with rng.uniform and rng.standard_normal from the same
+        seed."""
         rng = np.random.default_rng(seed)
         X = rng.uniform(-1.0, 1.0, size=(d, n))
         phi_true = rng.uniform(-1.0, 1.0, size=(d, 1))

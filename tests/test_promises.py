@@ -310,6 +310,10 @@ def reusing_buffers(objective):
 def test_a_reused_gradient_buffer_changes_no_result(
     name, problem, dtype, start, column, data_seed, seed
 ):
+    """An objective may return a gradient array that it reuses: every optimizer
+    of the promise grid, on each problem and on a wrapper with exactly its
+    methods whose gradient methods each return one array they overwrite, gives
+    the same x bytes, result fields and call counts."""
     runs = []
     for wrap in (lambda objective: objective, reusing_buffers):
         optimizer = OPTIMIZERS[name](seed)
@@ -512,6 +516,14 @@ SIDES = {
 def test_what_an_objective_returns_is_admitted_by_one_rule(
     side, kind, data, fused, offset, dtype, seed
 ):
+    """What an objective returns is admitted by one rule.  Over the promise
+    grid's optimizers, from flat starts in float32 and float64, the objective
+    returns each kind of value and gradient: Python and NumPy floats, ints and
+    bools, 0-d arrays, lists and arrays of each.  Each admitted kind gives the
+    run of the float numbers it holds, bit for bit; each refused kind (complex,
+    strings, bytes, None, object arrays, ragged sequences, huge ints, another
+    shape) ends the run at the call that returned it with a Diagnostic naming
+    Type.method and no warning."""
     admitted, refused = SIDES[side]
     name = data.draw(st.sampled_from(sorted(OPTIMIZERS) if side == "value" else GRADIENT_USERS))
     # The other side returns one of its admitted kinds.
@@ -560,6 +572,9 @@ def test_what_an_objective_returns_is_admitted_by_one_rule(
     ],
 )
 def test_the_reproduced_returns_are_refused_by_name(side, kind, got):
+    """Six returns that L-BFGS once parsed, truncated or let escape as a raw
+    error are each refused, with no warning, at the call that returned one,
+    by a Diagnostic whose exact message names Type.method and the dtype."""
     value, gradient = float, lambda g: g
     if side == "value":
         value = REFUSED_VALUES[kind]
@@ -637,6 +652,19 @@ class LastObserved:
 def test_every_stop_reason_is_true_of_its_run(
     name, problem, dtype, cap, step, gtol, ftol, size, shuffle, start, seed
 ):
+    """Every termination reason and final_objective is true of its run.
+    Gradient descent, L-BFGS, SGD with each policy, annealing and the compass
+    search run on least squares, logistic regression with ridge 0.3 and, where
+    the contract allows, Rosenbrock, in float32 and float64, with drawn caps,
+    steps, tolerances and starts, diverging runs included.  No run exceeds its
+    cap, and a MAX_ITERATIONS run reaches it exactly.  A
+    GRADIENT_NORM_TOLERANCE run's max-abs gradient at the returned point, from
+    a fresh adapter, is within min_gradient_norm.  A gradient-descent or L-BFGS
+    OBJECTIVE_IMPROVEMENT_TOLERANCE run's last step, read from a TraceRecorder
+    and f(x0), decreased f by a relative amount in [0, tolerance].
+    final_objective is as documented, NaN equal to NaN: f at the returned
+    parameters (for annealing, the best ones), and for SGD the latest EndEpoch
+    mean or StepTaken value."""
     optimizer = stopping_optimizer(name, cap, step, gtol, ftol, size, shuffle, seed)
     x0 = np.array(start, dtype=dtype)
     if problem == "rosenbrock":
@@ -725,6 +753,12 @@ OPTIONS = [
 
 @pytest.mark.parametrize("owner, option, message, kind", OPTIONS)
 def test_every_option_refuses_nan_strings_and_non_integer_counts(owner, option, message, kind):
+    """Every option is checked by one rule, from one table of (owner, option,
+    NaN message, kind) covering every optimizer, update-policy, callback and
+    BenchSpec option: each refuses NaN with its exact message and "3" with a
+    message naming its type; each count refuses 2.0 and 2.5 and takes
+    np.int64(3); each flag refuses 1, 0, None and "no" and takes Python's and
+    NumPy's bools."""
     name = message.split(" must be ")[0]
     with pytest.raises(Diagnostic) as raised:
         owner(**{option: float("nan")})
@@ -755,6 +789,8 @@ def test_every_option_refuses_nan_strings_and_non_integer_counts(owner, option, 
     [GradientDescent, LBFGS, SGD, MomentumUpdate, AdamUpdate, SimulatedAnnealing, BenchSpec],
 )
 def test_the_option_table_lists_every_numeric_field(owner):
+    """Every numeric or bool dataclass field of each option owner has a row in
+    OPTIONS, and each row's kind matches its field's type."""
     kinds = {bool: FLAG, int: COUNT, float: NUMBER}
     numeric = {}
     for name, hint in get_type_hints(owner).items():

@@ -108,6 +108,7 @@ class TestAdamUpdate:
 
     @pytest.mark.parametrize("beta1, beta2", [(0.9, 0.999), (0.5, 0.9), (0.0, 0.0)])
     def test_matches_the_textbook_formula(self, beta1, beta2):
+        """AdamUpdate follows Kingma & Ba's Algorithm 1 over 200 random steps."""
         # Kingma & Ba, Algorithm 1, with both bias corrections on the moments.
         rng = np.random.default_rng(12)
         policy = AdamUpdate(beta1=beta1, beta2=beta2)
@@ -146,6 +147,9 @@ class TestAdamUpdate:
         epsilon=st.sampled_from([1e-8, 1e-3, 0.7]),
     )
     def test_step_is_the_python_scalar_formula_bitwise(self, seed, dtype, shape, betas, epsilon):
+        """Over 50 steps, flat and column, in float32 and float64, AdamUpdate's
+        increment and moments have the bytes and dtype of the formula with
+        Python-float constants."""
         # The formula with beta1, beta2 and epsilon as Python floats, which
         # NumPy converts to the arrays' dtype on every call.
         beta1, beta2 = betas
@@ -250,6 +254,8 @@ class TestSgdLoop:
         assert recorder.windows == [(0, 32), (32, 32), (64, 32), (96, 4)]
 
     def test_float32_run_divides_each_window_by_its_size_in_float32(self):
+        """A float32 SGD run, short last window included, matches a loop that
+        divides each window's gradient by the Python int size."""
         # n=100 in windows of 32 leaves a short window of 4; two epochs
         # visit it twice.  The reference divides by the Python int.
         objective = SeparableLinearRegression(self.X.astype(np.float32), self.y.astype(np.float32))

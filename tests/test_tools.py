@@ -1,9 +1,13 @@
 """The comparison tools as a whole: bench_pairs' quartiles, how the child
 processes of tools/bench_pairs.py and tools/identity_grid.py end when the tool
-is stopped by SIGTERM, and the standard error of the processes they start."""
+is stopped by SIGTERM, and the standard error of the processes they start.
+
+The tools read git, so the tests that call git run them from a throwaway
+one-commit repository, and the suite passes outside a checkout too."""
 
 import importlib.util
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -39,6 +43,21 @@ def test_quartiles_are_numpys_default_percentiles():
     )
 
 
+@pytest.fixture(scope="module")
+def checkout(tmp_path_factory):
+    """A one-commit git repository holding copies of tools/, src/, demos/,
+    perfbench/ and BENCHMARK.json: what the tools copy, run and compare."""
+    root = tmp_path_factory.mktemp("checkout")
+    for name in ("tools", "src", "demos", "perfbench"):
+        ignore = shutil.ignore_patterns("__pycache__", "out")
+        shutil.copytree(ROOT / name, root / name, ignore=ignore)
+    shutil.copy(ROOT / "BENCHMARK.json", root)
+    git = ["git", "-c", "user.name=numopt", "-c", "user.email=numopt@example.invalid"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tools under test"]):
+        subprocess.run([*git, *args], cwd=root, check=True, stdout=subprocess.DEVNULL)
+    return root
+
+
 def any_left_running(session):
     """Whether any process of the session (and process group) ``session`` is there."""
     try:
@@ -48,16 +67,17 @@ def any_left_running(session):
     return True
 
 
-def stop_once_made(tool, args, made, tmp_path):
-    """Run ``tool`` in a session of its own with its temporary directory
-    under ``tmp_path``, send it SIGTERM once the path ``made`` (a glob in
-    that directory) exists, and return its exit status, what is left in the
-    directory and whether any process of its group is still there."""
+def stop_once_made(checkout, tool, args, made, tmp_path):
+    """Run ``tool`` from ``checkout`` in a session of its own with its
+    temporary directory under ``tmp_path``, send it SIGTERM once the path
+    ``made`` (a glob in that directory) exists, and return its exit status,
+    what is left in the directory and whether any process of its group is
+    still there."""
     temporary = tmp_path / "tmp"
     temporary.mkdir()
     process = subprocess.Popen(
-        [sys.executable, str(TOOLS / tool), *args],
-        cwd=ROOT,
+        [sys.executable, str(checkout / "tools" / tool), *args],
+        cwd=checkout,
         env={**os.environ, "TMPDIR": str(temporary)},
         stdout=subprocess.DEVNULL,
         start_new_session=True,
@@ -78,22 +98,24 @@ def stop_once_made(tool, args, made, tmp_path):
         process.wait(timeout=60)
 
 
-def test_a_stopped_identity_grid_kills_its_grid_subprocess_and_removes_its_copy(tmp_path):
+def test_a_stopped_identity_grid_kills_its_grid_subprocess_and_removes_its_copy(
+    checkout, tmp_path
+):
     # The copied script exists just before the grid subprocess starts on it.
     made = "identity-grid-*/tools/identity_grid.py"
     status, left, left_running = stop_once_made(
-        "identity_grid.py", ["--against", "HEAD"], made, tmp_path
+        checkout, "identity_grid.py", ["--against", "HEAD"], made, tmp_path
     )
     assert status == 128 + signal.SIGTERM
     assert left == []
     assert not left_running
 
 
-def test_a_bench_pairs_run_stopped_while_copying_removes_its_trees(tmp_path):
+def test_a_bench_pairs_run_stopped_while_copying_removes_its_trees(checkout, tmp_path):
     # The change's tree is made after the parent's, and copied file by file.
     args = ["--parent", "HEAD", "--seeds", "1", "--output", str(tmp_path / "BENCH.json")]
     status, left, left_running = stop_once_made(
-        "bench_pairs.py", args, "bench-pairs-*/change", tmp_path
+        checkout, "bench_pairs.py", args, "bench-pairs-*/change", tmp_path
     )
     assert status == 128 + signal.SIGTERM
     assert left == []
@@ -171,10 +193,10 @@ def test_a_failed_run_shows_its_standard_error_and_raises(tmp_path):
         ("bench_pairs.py", ["--parent", "NOSUCHREF", "--seeds", "1", "--output", os.devnull]),
     ],
 )
-def test_a_failed_git_call_shows_gits_message(tool, args):
+def test_a_failed_git_call_shows_gits_message(checkout, tool, args):
     failed = subprocess.run(
-        [sys.executable, str(TOOLS / tool), *args],
-        cwd=ROOT,
+        [sys.executable, str(checkout / "tools" / tool), *args],
+        cwd=checkout,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,
