@@ -152,17 +152,30 @@ class EndOptimization:
     pass
 
 
-@dataclass(frozen=True)
+# The three events an observed run builds per objective call or step write
+# their fields into __dict__ themselves: the generated frozen __init__ pays one
+# object.__setattr__ per field, on every objective call of an observed run.
+# A callback reads fields a little slower from a written __dict__, but a
+# StepTaken built, read as TraceRecorder reads it and freed took 0.58 us,
+# against 0.88 us generated (2-CPU Xeon, lower in 25 of 25 rounds).  Field
+# order, defaults, eq, hash, repr, replace and the refusal to assign are kept.
+@dataclass(frozen=True, init=False)
 class EvaluateCalled:
     value: float
 
+    def __init__(self, value):
+        self.__dict__["value"] = value
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class GradientCalled:
     norm: float
 
+    def __init__(self, norm):
+        self.__dict__["norm"] = norm
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class StepTaken:
     """One completed step; ``iteration`` counts steps from 1.
 
@@ -182,6 +195,12 @@ class StepTaken:
     iteration: int
     objective: float
     gradient_norm: float | None = None
+
+    def __init__(self, iteration, objective, gradient_norm=None):
+        fields = self.__dict__
+        fields["iteration"] = iteration
+        fields["objective"] = objective
+        fields["gradient_norm"] = gradient_norm
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ it; no optimizer keeps a step counter of its own, and no module but
 ``core`` builds a ``CallbackList``.  The run's BeginOptimization and
 EndOptimization go out through ``adapter.announce``, so an unobserved run
 builds neither.  The iteration cap (``_cap_stop``, tested on
-``adapter.iterations``) and the gradient-norm stop (``_gradient_stop``)
-are stated here once and read by every bundled optimizer; the norm itself
-is ``core._max_abs_norm``.  ``_gradient_stop`` returns the norm it tested
-beside its reason, and the loop hands it to ``step_taken``, so an observed
-step computes it once.
+``adapter.iterations``, and ``_steps_within_cap``, the steps left under it)
+and the gradient-norm stop (``_gradient_stop``) are stated here once and
+read by every bundled optimizer; the norm itself is ``core._max_abs_norm``.
+``_gradient_stop`` returns the norm it tested beside its reason, and the
+loop hands it to ``step_taken``, so an observed step computes it once.
 """
 
 from __future__ import annotations
@@ -70,6 +70,13 @@ def _cap_stop(options, iteration):
     (0 means no cap), else None."""
     capped = options.max_iterations and iteration >= options.max_iterations
     return TerminationReason.MAX_ITERATIONS if capped else None
+
+
+def _steps_within_cap(options, iteration, steps):
+    """How many of ``steps`` further steps from ``iteration`` stay within
+    ``options.max_iterations`` (0 means no cap): ``steps``, or fewer near it."""
+    cap = options.max_iterations
+    return min(steps, cap - iteration) if cap else steps
 
 
 def _gradient_stop(options, gradient):

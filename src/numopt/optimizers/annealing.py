@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import ObjectiveCapabilities, _check_options
-from ._common import _cap_stop, finish_run, prepare_run
+from ._common import _cap_stop, _steps_within_cap, finish_run, prepare_run
 
 __all__ = ["SimulatedAnnealing"]
 
@@ -44,6 +44,9 @@ class SimulatedAnnealing:
     size), the offset w * (2 u1 - 1), and u2 as the Metropolis gate, read
     only when the move worsens the value.  So a run capped at N moves makes
     the first N moves of any longer run with the same seed and settings.
+    The cap is tested once per temperature block: a block runs only the
+    moves left under ``max_iterations``, and the run ends MAX_ITERATIONS
+    after the block that reaches it.
     Moves with delta <= 0 are always accepted (ties included); NaN trial
     values are always rejected.  After ``moves_per_temperature`` moves the
     temperature is multiplied by ``cooling_factor``; once it falls below
@@ -89,9 +92,7 @@ class SimulatedAnnealing:
             value = best_value = adapter.evaluate(x)
             temperature = self.initial_temperature or 100.0 * abs(value) + 1.0
             while reason is None:
-                for _ in range(moves_per_temperature):
-                    if (reason := _cap_stop(self, adapter.iterations)) is not None:
-                        break
+                for _ in range(_steps_within_cap(self, adapter.iterations, moves_per_temperature)):
                     u_coordinate, u_offset, u_gate = next(uniforms)
                     # u < 1 and x.size < 2**53, so the product rounds below x.size.
                     j = int(u_coordinate * x.size)
@@ -111,6 +112,6 @@ class SimulatedAnnealing:
                         if value < best_value:
                             best_x, best_value = x, value
                     adapter.step_taken(value)
-                else:
-                    temperature *= self.cooling_factor
+                temperature *= self.cooling_factor
+                reason = _cap_stop(self, adapter.iterations)
         return best_x, finish_run(adapter, best_value, reason)

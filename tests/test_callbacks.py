@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import pickle
 import runpy
 import types
 import warnings
@@ -137,31 +138,59 @@ class TestDispatch:
         assert events.terminate_requested
 
 
+# Each event built positionally, with its field names in order.
+POSITIONAL_FIELDS = [
+    (StepTaken, ("iteration", "objective", "gradient_norm")),
+    (EvaluateCalled, ("value",)),
+    (GradientCalled, ("norm",)),
+    (BeginEpoch, ("epoch",)),
+    (EndEpoch, ("epoch", "mean_objective")),
+]
+
+
 class TestEventFields:
     """Each event built positionally (StepTaken, EvaluateCalled,
-    GradientCalled, BeginEpoch, EndEpoch) keeps its field order and stays
-    frozen."""
+    GradientCalled, BeginEpoch, EndEpoch) keeps its field order and its
+    defaults, stays frozen, and is a value: built by keyword it is equal and
+    hashes equal, it is unequal to an event of another kind with the same
+    fields, and its repr, a dataclasses.replace round-trip and a pickle
+    round-trip are those of a generated dataclass."""
 
     # The adapter and SGD build these events positionally, so a reordered
     # field would silently swap what an event carries.
     @pytest.mark.parametrize(
         "kind, names",
-        [
-            (StepTaken, ("iteration", "objective", "gradient_norm")),
-            (EvaluateCalled, ("value",)),
-            (GradientCalled, ("norm",)),
-            (BeginEpoch, ("epoch",)),
-            (EndEpoch, ("epoch", "mean_objective")),
-        ],
+        POSITIONAL_FIELDS,
         ids=lambda case: case.__name__ if isinstance(case, type) else None,
     )
     def test_positionally_built_events_keep_their_field_order(self, kind, names):
-        assert tuple(field.name for field in dataclasses.fields(kind)) == names
+        fields = dataclasses.fields(kind)
+        assert tuple(field.name for field in fields) == names
         values = [object() for _ in names]
         event = kind(*values)
         assert all(getattr(event, name) is value for name, value in zip(names, values))
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(event, names[0], None)
+
+        by_keyword = kind(**dict(zip(names, values)))
+        assert by_keyword == event and hash(by_keyword) == hash(event)
+        required = sum(field.default is dataclasses.MISSING for field in fields)
+        shortest = kind(*values[:required])
+        assert all(getattr(shortest, field.name) is field.default for field in fields[required:])
+        for other, other_names in POSITIONAL_FIELDS:
+            if other is not kind and len(other_names) == len(names):
+                assert other(*values) != event
+
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+        assert repr(event) == f"{kind.__name__}({shown})"
+        replaced = dataclasses.replace(event, **{names[0]: None})
+        assert getattr(replaced, names[0]) is None and replaced != event
+        assert dataclasses.replace(replaced, **{names[0]: values[0]}) == event
+
+        numbered = kind(*range(1, len(names) + 1))
+        unpickled = pickle.loads(pickle.dumps(numbered))
+        assert type(unpickled) is kind and unpickled == numbered
+        assert hash(unpickled) == hash(numbered)
 
 
 # One event of each kind, in the order a run could send them.

@@ -740,17 +740,23 @@ class TestLogisticRegression:
     @given(
         seed=st.integers(0, 2**32 - 1),
         dtype=st.sampled_from([np.float32, np.float64]),
+        phi_dtype=st.sampled_from([np.float32, np.float64]),
         d=st.integers(1, 6),
         n=st.integers(1, 60),
         ridge=st.sampled_from([0.0, 0.3, 1e-3]),
         scale=st.sampled_from([1e-3, 1.0, 30.0]),
         data=st.data(),
     )
-    def test_value_is_the_np_sum_formula_bitwise(self, seed, dtype, d, n, ridge, scale, data):
+    def test_value_is_the_np_sum_formula_bitwise(
+        self, seed, dtype, phi_dtype, d, n, ridge, scale, data
+    ):
+        """The value is the np.logaddexp(0.0, z) formula bit for bit, full and
+        part-wise, with phi's dtype drawn apart from X's: z = X.T phi takes the
+        promoted dtype, and so does the softplus zero."""
         rng = np.random.default_rng(seed)
         X = rng.uniform(-1, 1, (d, n)).astype(dtype)
         y = (rng.uniform(size=n) > 0.5).astype(dtype)
-        phi = (scale * rng.standard_normal(d)).astype(dtype)
+        phi = (scale * rng.standard_normal(d)).astype(phi_dtype)
         objective = LogisticRegression(X, y, ridge=ridge)
         first = data.draw(st.integers(0, n - 1), label="first")
         count = data.draw(st.integers(1, n - first), label="count")
