@@ -13,6 +13,10 @@ builds neither.  The iteration cap (``_cap_stop``, tested on
 ``adapter.iterations``, and ``_steps_within_cap``, the steps left under it)
 and the gradient-norm stop (``_gradient_stop``) are stated here once and
 read by every bundled optimizer; the norm itself is ``core._max_abs_norm``.
+Every optimizer reads the cap once per block of steps: SGD (a block is an
+epoch) and annealing (a temperature) run the block's ``_steps_within_cap``
+steps and test ``_cap_stop`` after it, and gradient descent and L-BFGS
+test it through ``progress_stop``, after each step, a block of one.
 ``_gradient_stop`` returns the norm it tested beside its reason, and the
 loop hands it to ``step_taken``, so an observed step computes it once.
 """

@@ -21,7 +21,7 @@ import numpy as np
 from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _check_options
 from ._common import _gradient_stop, finish_run, prepare_run, progress_stop
 
-__all__ = ["LbfgsMemory", "two_loop_direction", "backtracking_line_search", "LBFGS"]
+__all__ = ["LbfgsMemory", "backtracking_line_search", "LBFGS"]
 
 # Pairs with y.s at or below this relative threshold carry no usable
 # curvature and would poison the inverse-Hessian model.  A memory of a

@@ -25,7 +25,7 @@ from ..core import (
     TerminationReason,
     _check_options,
 )
-from ._common import _cap_stop, finish_run, prepare_run
+from ._common import _cap_stop, _steps_within_cap, finish_run, prepare_run
 
 __all__ = ["UpdatePolicy", "VanillaUpdate", "MomentumUpdate", "AdamUpdate", "SGD"]
 
@@ -159,6 +159,10 @@ class SGD:
     mean objective.  Stops when the epoch-mean objective changes by less
     than ``tolerance`` between consecutive complete epochs, at
     ``max_iterations`` steps (0 means no cap), or on callback request.
+    The cap is read once per epoch block: an epoch runs only the windows
+    left under ``max_iterations``, and a block short of a whole epoch ends
+    the run there, with no EndEpoch.  A cap reached on an epoch's last step
+    is decided at that epoch's end, where the tolerance wins a tie.
     Runs are deterministic given ``seed``.  ``shuffle`` is True or False,
     NumPy's bools included, and ``update`` is any object with callable
     ``initialize`` and ``step`` (``UpdatePolicy``); both are checked when
@@ -219,12 +223,9 @@ class SGD:
                 epoch += 1
                 adapter.announce(BeginEpoch, epoch)
                 order = rng.permutation(len(windows)) if self.shuffle else range(len(windows))
+                steps = _steps_within_cap(self, adapter.iterations, len(windows))
                 epoch_total = 0.0
-                for window in order:
-                    # Tested before the step: a cap reached by an epoch's last
-                    # step is decided at the epoch's end, below.
-                    if (reason := _cap_stop(self, adapter.iterations)) is not None:
-                        break
+                for window in order[:steps]:
                     first, count, size = windows[window]
                     batch_value = adapter.evaluate_parts(x, first, count)
                     gradient = adapter.gradient_parts(x, first, count) / size
@@ -232,17 +233,15 @@ class SGD:
                     epoch_total += batch_value
                     observed = batch_value / count
                     adapter.step_taken(observed, gradient)
-                else:
+                reason = _cap_stop(self, adapter.iterations)
+                if steps == len(windows):
                     # Epoch completed; the mean is over values observed at the
                     # iterates current when each window was visited.
-                    mean = epoch_total / n
-                    observed = mean
+                    mean = observed = epoch_total / n
                     # A stop request ends the run here, so that no epoch starts after it.
                     if adapter.announce(EndEpoch, epoch, mean):
                         break
                     if previous_mean is not None and abs(previous_mean - mean) < self.tolerance:
                         reason = TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE
-                    else:
-                        reason = _cap_stop(self, adapter.iterations)
                     previous_mean = mean
         return x, finish_run(adapter, observed, reason)

@@ -265,7 +265,8 @@ class LogisticRegression(_ColumnData):
 
     def _gradient(self, flat, X, y, share):
         z = X.T @ flat
-        g = X @ (np.exp(z - np.logaddexp(0.0, z)) - y)
+        zero = _ZEROS.get(z.dtype.char, 0.0)
+        g = X @ (np.exp(z - np.logaddexp(zero, z)) - y)
         if self.ridge:
             g = g + 2.0 * self.ridge * flat * share
         return g

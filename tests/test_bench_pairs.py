@@ -114,8 +114,10 @@ PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
         ([p - 4.0 for p in PARENT], False),  # 10/10, medians 4 apart: inside the spread
         ([p - 6.0 for p in PARENT[:8]] + [p + 1.0 for p in PARENT[8:]], False),  # 8/10
         ([p + 5.0 for p in PARENT], False),  # worse
+        ([PARENT[0] - 100.0], False),  # one pair, better by far
+        ([p - 100.0 for p in PARENT[:9]], False),  # nine pairs, all better by far
     ],
-    ids=["nine-of-ten", "within-spread", "eight-of-ten", "worse"],
+    ids=["nine-of-ten", "within-spread", "eight-of-ten", "worse", "one-pair", "nine-pairs"],
 )
 def test_claimable_needs_nine_tenths_of_pairs_and_medians_beyond_the_parents_spread(
     bench_pairs, change, claimable

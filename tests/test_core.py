@@ -598,7 +598,6 @@ class TestPublicSurface:
             "parse_progress_line",
             "prepare_run",
             "progress_stop",
-            "two_loop_direction",
         ]
 
     def test_optimizer_names(self):
@@ -616,7 +615,6 @@ class TestPublicSurface:
             "finish_run",
             "prepare_run",
             "progress_stop",
-            "two_loop_direction",
         ]
 
     def test_diagnostic_is_one_value_error_under_its_public_name(self):
@@ -682,4 +680,6 @@ class TestPublicSurface:
         assert defined == stock
 
     def test_two_loop_direction_is_the_memory_direction(self):
-        assert numopt.two_loop_direction is numopt.LbfgsMemory.direction
+        assert numopt.optimizers.lbfgs.two_loop_direction is numopt.LbfgsMemory.direction
+        assert not hasattr(numopt, "two_loop_direction")
+        assert not hasattr(numopt.optimizers, "two_loop_direction")

@@ -16,7 +16,6 @@ from numopt import (
     TerminationReason,
     TraceRecorder,
     backtracking_line_search,
-    two_loop_direction,
 )
 from numopt.optimizers import lbfgs as lbfgs_module
 from numopt.problems import (
@@ -74,7 +73,7 @@ class TestLbfgsMemory:
             pairs.append((s, y))
         assert len(memory) == 3
         g = rng.uniform(-1, 1, 4)
-        direction = two_loop_direction(memory, g)
+        direction = memory.direction(g)
         assert_allclose(direction, dense_bfgs_direction(pairs[-3:], g), rtol=1e-12, atol=1e-14)
         for older in (pairs[-4:], pairs):
             assert not np.allclose(direction, dense_bfgs_direction(older, g), rtol=1e-6)
@@ -119,7 +118,7 @@ class TestLbfgsMemory:
                 y = np.array([-s[1], s[0]]) * rng.uniform(0.5, 2.0) + 1e-8 * s
                 memory.push(s.astype(np.float32), y.astype(np.float32))
             g = rng.standard_normal(2).astype(np.float32)
-            assert np.all(np.isfinite(two_loop_direction(memory, g)))
+            assert np.all(np.isfinite(memory.direction(g)))
 
     def test_rho_is_reciprocal_curvature(self):
         """One pair with y = 2s gives exactly -g/2 for every gradient g."""
@@ -129,7 +128,7 @@ class TestLbfgsMemory:
         memory.push(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
         rng = np.random.default_rng(12)
         for g in [np.array([2.0, 0.0]), np.array([3.0, -1.0]), *rng.uniform(-1, 1, (5, 2))]:
-            assert_array_equal(two_loop_direction(memory, g), -0.5 * g)
+            assert_array_equal(memory.direction(g), -0.5 * g)
 
     def test_capacity_validated(self):
         with pytest.raises(Diagnostic, match="memory_size"):
@@ -148,11 +147,11 @@ class TestLbfgsMemory:
             assert memory.push(s, y)
             pushed.append((s, y))
         g = rng.uniform(-1, 1, 4)
-        before = two_loop_direction(memory, g)
+        before = memory.direction(g)
         for s, y in pushed:
             s *= -3.0
             y[0] = 1e6
-        assert np.array_equal(two_loop_direction(memory, g), before)
+        assert np.array_equal(memory.direction(g), before)
 
     @pytest.mark.parametrize(
         "s, y, shapes",
@@ -368,20 +367,20 @@ class TestClearKeepsTheScale:
 class TestTwoLoopDirection:
     def test_empty_memory_is_negated_gradient_bitwise(self):
         g = np.array([3.0, -1.0])
-        d = two_loop_direction(LbfgsMemory(5), g)
+        d = LbfgsMemory(5).direction(g)
         assert np.array_equal(d, [-3.0, 1.0])
         assert d is not g
 
     def test_empty_memory_preserves_dtype(self):
         g = np.array([3.0, -1.0], dtype=np.float32)
-        assert two_loop_direction(LbfgsMemory(5), g).dtype == np.float32
+        assert LbfgsMemory(5).direction(g).dtype == np.float32
 
     def test_one_pair_hand_example(self):
         # s=(1,0), y=(2,0), g=(2,0): gamma=1/2, the correction restores the
         # s direction, giving exactly (-1, 0).
         memory = LbfgsMemory(5)
         memory.push(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
-        d = two_loop_direction(memory, np.array([2.0, 0.0]))
+        d = memory.direction(np.array([2.0, 0.0]))
         assert_allclose(d, [-1.0, 0.0], atol=1e-15)
 
     def test_matches_dense_bfgs_oracle(self):
@@ -398,7 +397,7 @@ class TestTwoLoopDirection:
                     pairs.append((s, y))
             g = rng.uniform(-1, 1, dim)
             expected = dense_bfgs_direction(pairs, g)
-            assert_allclose(two_loop_direction(memory, g), expected, rtol=1e-11, atol=1e-13)
+            assert_allclose(memory.direction(g), expected, rtol=1e-11, atol=1e-13)
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(
@@ -454,7 +453,7 @@ class TestTwoLoopDirection:
             pairs_before_clear, memory_size + pairs_past_capacity, refuse_after_clear,
         )
         g = rng.uniform(-1, 1, dim).astype(dtype)
-        direction = two_loop_direction(memory, g.reshape(shape))
+        direction = memory.direction(g.reshape(shape))
         assert direction.dtype == dtype
         assert direction.shape == shape
         kept = stored[-memory_size:]
@@ -514,7 +513,7 @@ class TestTwoLoopDirection:
                 memory.push(s, y)
             g = rng.uniform(-1, 1, dim)
             if len(memory) and np.max(np.abs(g)) > 0:
-                assert float(two_loop_direction(memory, g) @ g) < 0.0
+                assert float(memory.direction(g) @ g) < 0.0
 
     @pytest.mark.parametrize(
         "memory_dtype, gradient_dtype", [(np.float32, np.float64), (np.float64, np.float32)]

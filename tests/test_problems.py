@@ -750,9 +750,9 @@ class TestLogisticRegression:
     def test_value_is_the_np_sum_formula_bitwise(
         self, seed, dtype, phi_dtype, d, n, ridge, scale, data
     ):
-        """The value is the np.logaddexp(0.0, z) formula bit for bit, full and
-        part-wise, with phi's dtype drawn apart from X's: z = X.T phi takes the
-        promoted dtype, and so does the softplus zero."""
+        """The value and the gradient are the np.logaddexp(0.0, z) formulas bit
+        for bit, full and part-wise, with phi's dtype drawn apart from X's:
+        z = X.T phi takes the promoted dtype, and so does the softplus zero."""
         rng = np.random.default_rng(seed)
         X = rng.uniform(-1, 1, (d, n)).astype(dtype)
         y = (rng.uniform(size=n) > 0.5).astype(dtype)
@@ -768,11 +768,25 @@ class TestLogisticRegression:
                 value += ridge * float(phi @ phi) * share
             return value
 
+        def gradient_formula(X, y, share):
+            z = X.T @ phi
+            g = X @ (np.exp(z - np.logaddexp(0.0, z)) - y)
+            return g + 2.0 * ridge * phi * share if ridge else g
+
         window = slice(first, first + count)
         assert objective.evaluate(phi) == formula(X, y, 1.0)
         assert objective.evaluate_parts(phi, first, count) == formula(
             X[:, window], y[window], count / n
         )
+        for gradient, expected in (
+            (objective.gradient(phi), gradient_formula(X, y, 1.0)),
+            (
+                objective.gradient_parts(phi, first, count),
+                gradient_formula(X[:, window], y[window], count / n),
+            ),
+        ):
+            assert gradient.dtype == expected.dtype
+            assert gradient.tobytes() == expected.tobytes()
 
     def test_inference_serves_full_interface(self):
         rng = np.random.default_rng(3)

@@ -370,6 +370,60 @@ class TestSgdLoop:
         assert result.iterations == 2 * epochs
         assert result.termination == TerminationReason.MAX_ITERATIONS
 
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(1, 40),
+        batch_size=st.integers(1, 8),
+        shuffle=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        update=st.sampled_from([VanillaUpdate, MomentumUpdate, AdamUpdate]),
+        data=st.data(),
+    )
+    def test_a_capped_run_is_an_uncapped_run_stopped_at_its_cap(
+        self, n, batch_size, shuffle, seed, update, data
+    ):
+        """A run capped at N steps, N up to three epochs, returns the bits,
+        counts and epoch and step events of an uncapped run that a callback
+        stops at its N-th StepTaken; its last event is EndEpoch exactly when
+        N ends an epoch."""
+        windows = -(-n // batch_size)
+        cap = data.draw(st.integers(1, 3 * windows), label="cap")
+        rng = np.random.default_rng(seed)
+        objective = SeparableLinearRegression(rng.standard_normal((2, n)), rng.standard_normal(n))
+        x0 = rng.standard_normal((2, 1))
+
+        def run(max_iterations, stop_at=None):
+            events = []
+
+            def record(event):
+                if isinstance(event, (StepTaken, BeginEpoch, EndEpoch)):
+                    events.append(repr(event))
+                if isinstance(event, StepTaken) and event.iteration == stop_at:
+                    return CallbackDecision.TERMINATE
+
+            x, result = SGD(
+                step_size=0.05,
+                batch_size=batch_size,
+                max_iterations=max_iterations,
+                tolerance=0.0,
+                shuffle=shuffle,
+                seed=seed,
+                update=update(),
+            ).optimize(objective, x0, callbacks=[record])
+            return x, result, events
+
+        x, capped, events = run(cap)
+        stopped_x, stopped, stopped_events = run(0, stop_at=cap)
+        assert x.tobytes() == stopped_x.tobytes()
+        assert events == stopped_events
+        assert events[-1].startswith("EndEpoch(") is (cap % windows == 0)
+        assert capped.final_objective == stopped.final_objective
+        for count in ("iterations", "evaluate_calls", "gradient_calls"):
+            assert getattr(capped, count) == getattr(stopped, count)
+        assert capped.iterations == cap
+        assert capped.termination is TerminationReason.MAX_ITERATIONS
+        assert stopped.termination is TerminationReason.CALLBACK_REQUESTED
+
     def test_the_tolerance_wins_a_tie_with_a_cap_on_the_same_epoch(self):
         # TwoParts6's epoch means are equal, so the tolerance is met at the
         # end of epoch 2, the step on which the cap of 4 is reached too.

@@ -15,11 +15,11 @@ The output file holds this text as its ``description``, every run (the JSON
 line the command prints last and its ``env`` record) and a summary: per
 metric, each side's median and quartiles over the seeds and how many pairs
 the change read better, in the direction ``BENCHMARK.json`` declares.  A
-metric is ``claimable`` when the change read better in at least nine tenths
-of the pairs and its median is better than the parent's by more than the
-parent's quartile spread; an end-to-end metric is ``beyond_bound`` when the
-change's median is worse than the parent's by more than the metric's
-relative ``bound``.  The per-solve counts ``evals_per_solve`` and
+metric is ``claimable`` when, of at least ten pairs, the change read better
+in at least nine tenths and its median is better than the parent's by more
+than the parent's quartile spread; an end-to-end metric is ``beyond_bound``
+when the change's median is worse than the parent's by more than the
+metric's relative ``bound``.  The per-solve counts ``evals_per_solve`` and
 ``calls_per_solve`` also say whether every pair read identical values
 (``identical``) and list the seeds whose pair did not (``differing_seeds``):
 a change that moves no decision of any optimizer leaves them equal seed by
@@ -57,6 +57,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Per-solve counts compared pair by pair for identity, not only in the median.
 IDENTICAL_COUNTS = ("evals_per_solve", "calls_per_solve")
+
+# The fewest pairs a claim rests on: one pair is always all of its pairs and
+# has no quartile spread, so it would be claimable whenever it read better.
+CLAIM_PAIRS = 10
 
 
 def spread(values):
@@ -140,7 +144,8 @@ def summarize(runs, better, bounds=None):
                 "median_change_rel": (
                     (change_median - parent_median) / parent_median if parent_median else None
                 ),
-                "claimable": 10 * better_pairs >= 9 * len(pairs)
+                "claimable": len(pairs) >= CLAIM_PAIRS
+                and 10 * better_pairs >= 9 * len(pairs)
                 and -worsening > parent_spread["q3"] - parent_spread["q1"],
             }
             if metric in bounds:
