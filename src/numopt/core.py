@@ -74,26 +74,19 @@ class Diagnostic(ValueError):
     Raised instead of letting an AttributeError or a shape error surface from
     deep inside an optimizer loop.  The message names the offending method,
     argument, option or requirement.  Every option follows one rule
-    (``_check_options``): its admitted range is tested first, so NaN gets
-    the range's message; a value the range cannot compare, such as a string,
-    is refused, never parsed; and a count must then be an integer.  It is a
-    ``ValueError``, so a refused option is one exception wherever it was
-    given: to an optimizer, an update policy, a callback or a data helper.
+    (``_check_options``): a bool is a flag and nothing else; the admitted
+    range is tested next, so NaN gets the range's message; a value the
+    range cannot compare, such as a string, is refused, never parsed; and a
+    count must then be an integer.  It is a ``ValueError``, so a refused
+    option is one exception wherever it was given: to an optimizer, an
+    update policy, a callback or a data helper.
     It is defined here, in the bottom layer, so every numopt module raises
     this one class.
     """
 
 
-def _flag(value):
-    """The range of a flag: a bool, NumPy's included.  Anything else is
-    refused by its type, as a range refuses a string, so 1 or "no" is never
-    read as a truth value."""
-    if type(value) not in (bool, np.bool_):
-        raise TypeError
-    return True
-
-
-# Each admitted range, written as its refusal shows it; a flag's is _FLAG.
+# Each admitted range, written as its refusal shows it; a flag's is _FLAG,
+# which its type test decides alone.
 _FLAG = "True or False"
 _ADMITTED = {
     "> 0": lambda value: value > 0,
@@ -101,8 +94,9 @@ _ADMITTED = {
     ">= 1": lambda value: value >= 1,
     "in (0, 1)": lambda value: 0 < value < 1,
     "in [0, 1)": lambda value: 0 <= value < 1,
-    _FLAG: _flag,
+    _FLAG: lambda value: True,
 }
+_BOOLS = (bool, np.bool_)
 
 
 def _check_options(*options, unset=()):
@@ -110,19 +104,23 @@ def _check_options(*options, unset=()):
 
     Each option is a row (name, value, admitted) for a real and (name, value,
     admitted, int) for a count: the name its message shows, the value given,
-    and its range as a key of ``_ADMITTED``.  The range test runs first,
-    written so that NaN, which compares false with everything, gets the
-    range's message.  A value the range cannot compare, a string or None, is
-    refused with a message naming its type, never parsed.  A count must then
-    be an integer by ``operator.index``: NumPy integers pass, and a float is
-    refused, not truncated.  A flag's range is ``"True or False"``, which
-    refuses anything but a bool by its type.  A name in ``unset`` may be
-    None, which means chosen at run time.
+    and its range as a key of ``_ADMITTED``.  Each row's type is tested
+    once, first: a flag, whose range is ``"True or False"``, takes a bool,
+    NumPy's included, and nothing else, and every other row refuses a bool,
+    so 1 is never read as a truth value nor True as a number.  The range
+    test comes next, written so that NaN, which compares false with
+    everything, gets the range's message.  A value the range cannot
+    compare, a string or None, is refused with a message naming its type,
+    never parsed.  A count must then be an integer by ``operator.index``:
+    NumPy integers pass, and a float is refused, not truncated.  A name in
+    ``unset`` may be None, which means chosen at run time.
     """
     for name, value, admitted, *counts in options:
         if value is None and name in unset:
             continue
         try:
+            if (type(value) in _BOOLS) != (admitted == _FLAG):
+                raise TypeError
             if not _ADMITTED[admitted](value):
                 raise Diagnostic(f"{name} must be {admitted}, got {value}")
             if counts:

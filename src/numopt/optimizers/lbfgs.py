@@ -35,9 +35,19 @@ class LbfgsMemory:
 
     ``push`` copies ``s`` and ``y`` into the memory, so later writes to the
     caller's arrays change nothing here, and ``direction`` is the pairs'
-    only reader.  The first ``push`` after construction or ``clear`` fixes
-    the pairs' size and dtype; a pair of another size raises ``Diagnostic``,
-    and one of another dtype is cast.
+    only reader.  The first ``push`` fixes the pairs' size and dtype for the
+    memory's life, ``clear`` included: a later pair of another size raises
+    ``Diagnostic``, and one of another dtype is cast.  ``LBFGS`` builds one
+    memory per run, whose parameters keep one shape and dtype.
+
+    The initial inverse Hessian H0 is chosen here, as ensmallen's
+    ``ChooseScalingFactor`` chooses it.  A memory that has never accepted a
+    pair gives -g / max(1, |g|_2): steepest descent carries no curvature
+    scale, so the first trial step is capped at unit length (Nocedal &
+    Wright, 2nd ed., 3.5).  From the first accepted pair on, H0 = gamma I,
+    gamma being the newest accepted pair's s.y / y.y (Liu & Nocedal, Math.
+    Prog. 45, 1989; Nocedal & Wright, eq. 7.20), and ``clear`` keeps gamma,
+    so a cleared memory gives -gamma g.
 
     Storage is the compact form's.  With m = ``memory_size`` and k pairs
     stored, the pairs are the last k rows of S and of Y, oldest first, and
@@ -55,12 +65,9 @@ class LbfgsMemory:
     no refactorisation, because the trailing block of an upper-triangular
     inverse is the inverse of the trailing block.
 
-    ``clear`` drops the pairs but keeps gamma, the newest accepted pair's
-    s.y / y.y, as ``scale``: a cleared memory's direction is -gamma g, while
-    one that has accepted no pair gives exactly -g.  It zeroes the memory's
-    bank in place and keeps both banks, which an accepted push into the
-    spare bank overwrites wherever a direction reads, so a clear allocates
-    nothing; only a first pair of another size or dtype builds new banks.
+    ``clear`` zeroes the memory's bank in place and keeps both banks, which
+    an accepted push into the spare bank overwrites wherever a direction
+    reads, so a clear allocates nothing.
 
     Every product here is ``ndarray.dot``, not ``@`` or ``np.dot``.  They
     run the same BLAS routine, so the bits agree, but at these sizes the
@@ -78,8 +85,8 @@ class LbfgsMemory:
         self.memory_size = memory_size
         self._count = 0
         self._gamma = None  # set by the first accepted pair, kept by clear
-        self._width = None  # fixed by the first push after construction or clear
-        self._bank = None  # built by the first push, kept by clear
+        self._width = None  # fixed by the first push, for the memory's life
+        self._bank = None  # built by the first push
 
     def push(self, s, y):
         """Store the pair unless its curvature is too weak to trust.
@@ -122,11 +129,8 @@ class LbfgsMemory:
         return True
 
     def _fix(self, dim, dtype):
-        """Fix the pairs' size and dtype; new banks only if the old ones differ."""
+        """Fix the pairs' size and dtype, and build the banks in them."""
         self._width = dim
-        bank = self._bank
-        if bank is not None and bank.rows.shape[1] == dim and bank.rows.dtype == dtype:
-            return
         m = self.memory_size
         self._floor = max(CURVATURE_FLOOR, float(np.finfo(dtype).eps))
         self._bank, self._spare = _Bank(m, dim, dtype), _Bank(m, dim, dtype)
@@ -137,22 +141,10 @@ class LbfgsMemory:
         self._weights_s, self._weights_y = self._weights[:m], self._weights[m:]
 
     def clear(self):
-        """Drop every pair and keep gamma, the newest accepted pair's s.y / y.y.
-
-        The memory's bank is zeroed in place, and both banks are kept; the
-        next pair fixes size and dtype again, and builds new banks only if
-        it differs from them in either.
-        """
+        """Drop every pair, and keep gamma and the pairs' size and dtype."""
         self._count = 0
-        self._width = None
         if self._bank is not None:
             self._bank.zero()
-
-    @property
-    def scale(self):
-        """gamma, the newest accepted pair's s.y / y.y, kept across ``clear``;
-        None until a pair has been accepted."""
-        return self._gamma
 
     def __len__(self):
         return self._count
@@ -160,28 +152,26 @@ class LbfgsMemory:
     def direction(self, gradient):
         """Search direction -H.g, in compact form.
 
-        With no pairs stored H is gamma I, the compact form with k = 0, so
-        the direction is -gamma g with gamma kept by ``clear``; a memory that
-        has never accepted a pair gives exactly -g.  Otherwise H is the
-        L-BFGS inverse Hessian in the compact form of Byrd, Nocedal &
-        Schnabel (1994), written for S and Y holding the pairs as rows: with
-        a = S g, b = Y g and p2 = -R^-1 a,
+        With no pairs stored the direction is H0's, by the class's rule.
+        Otherwise H is the L-BFGS inverse Hessian in the compact form of
+        Byrd, Nocedal & Schnabel (1994), written for S and Y holding the
+        pairs as rows: with a = S g, b = Y g and p2 = -R^-1 a,
 
             H.g = gamma g + S^T p1 + gamma Y^T p2,
             p1  = R^-T ((D + gamma Y Y^T) R^-1 a - gamma b).
 
-        gamma = s.y / y.y from the newest pair is the standard initial
-        scaling that sizes the first trial step to the local curvature.  The
-        result has the gradient's dtype and shape, flat or column.  With pairs
-        near the curvature floor and R badly conditioned, this form can lose
-        more digits than the two-loop recursion, which keeps its running
+        The result has the gradient's dtype and shape, flat or column.  With
+        pairs near the curvature floor and R badly conditioned, this form can
+        lose more digits than the two-loop recursion, which keeps its running
         vector explicit; on typical pairs the two agree to rounding.  Drawn
         near-floor memories, float64 pairs with s.y / (|s| |y|) down to
         1e-12 and float32 ones down to 1e-4, still gave finite downhill
         directions.
         """
         if not self._count:
-            return -gradient if self._gamma is None else -self._gamma * gradient
+            if self._gamma is None:
+                return -gradient / max(1.0, float(np.linalg.norm(gradient.ravel())))
+            return -self._gamma * gradient
         m, gamma, bank = self.memory_size, self._gamma, self._bank
         flat = gradient if gradient.ndim == 1 else gradient.reshape(-1)
         products = bank.rows.dot(flat)  # [a; b]
@@ -293,13 +283,10 @@ class LBFGS:
     max(1, |f|).  Needs evaluate and gradient (a fused
     evaluate_with_gradient is used when present).
 
-    Until the run's first pair is accepted, the steepest-descent direction
-    is scaled to at most unit 2-norm, as in ensmallen.  A rejected pair
-    clears the memory, which allocates nothing and keeps the newest
-    accepted pair's gamma = s.y / y.y, so H0 = gamma I (Liu & Nocedal,
-    Math. Prog. 45, 1989; Nocedal & Wright, 2nd ed., eq. 7.20; ensmallen's
-    ``ChooseScalingFactor``) and the first trial after the restart is
-    x - gamma g.  The line search always starts at step 1.
+    The initial inverse Hessian, before the run's first pair and after a
+    restart, is ``LbfgsMemory``'s to choose (see its H0 rule).  A rejected
+    pair restarts the memory with ``clear``, which allocates nothing.  The
+    line search always starts at step 1.
     """
 
     memory_size: int = 10
@@ -340,11 +327,6 @@ class LBFGS:
             reason, _ = _gradient_stop(self, gradient)
             while reason is None:
                 direction = two_loop_direction(memory, gradient)
-                if memory.scale is None:
-                    # Before any pair, steepest descent carries no curvature scale;
-                    # cap the first trial step at unit length (Nocedal & Wright,
-                    # 2nd ed., 3.5).  After a restart the memory's gamma sizes it.
-                    direction = direction / max(1.0, float(np.linalg.norm(direction.ravel())))
                 found = backtracking_line_search(adapter, x, value, gradient, direction, self)
                 if found.failure is not None:
                     reason = found.failure

@@ -331,10 +331,14 @@ def generate_noisy_linear(d, n, noise_scale=10.0, seed=0):
     X and phi_true have entries uniform on (-1, 1) and
     y = X.T phi_true + noise_scale * standard normal draws, so the linear
     signal is O(1) per sample and noise_scale sets how badly it is buried.
-    phi_true comes back as a d x 1 column.  Same seed, same data.
+    phi_true comes back as a d x 1 column.  Same seed, same data: the seed
+    is a count, so None, which would draw from the OS, is refused.
     """
     _check_options(
-        ("d", d, ">= 1", int), ("n", n, ">= 1", int), ("noise_scale", noise_scale, ">= 0")
+        ("d", d, ">= 1", int),
+        ("n", n, ">= 1", int),
+        ("noise_scale", noise_scale, ">= 0"),
+        ("seed", seed, ">= 0", int),
     )
     rng = np.random.default_rng(seed)
     # rng.uniform(-1, 1) returns -1 + 2u for the draws u that rng.random

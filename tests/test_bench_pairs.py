@@ -1,6 +1,7 @@
 """Summary of paired benchmark runs (tools/bench_pairs.py), on canned records."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -253,7 +254,7 @@ def test_a_schedule_with_no_run_is_refused_before_any_copy(
     assert not output.exists()
 
 
-def test_a_trace_workload_benchmark_json_does_not_define_is_refused_before_any_copy(
+def test_a_workload_benchmark_json_does_not_define_is_refused_before_any_copy(
     bench_pairs, monkeypatch, tmp_path, capsys
 ):
     def copy(*args):
@@ -265,8 +266,48 @@ def test_a_trace_workload_benchmark_json_does_not_define_is_refused_before_any_c
     with pytest.raises(SystemExit) as exited:
         bench_pairs.main([
             "--seeds", "1", "--trace-seeds", "2",
-            "--trace-workloads", "lbfgs-linear,lbfgs-rosenbrok", "--output", str(output),
+            "--workloads", "lbfgs-linear,lbfgs-rosenbrok", "--output", str(output),
         ])
     assert exited.value.code == 2
     assert "BENCHMARK.json defines no lbfgs-rosenbrok" in capsys.readouterr().err
     assert not output.exists()
+
+
+def test_workloads_keeps_only_the_named_workloads_untraced_and_traced(
+    bench_pairs, monkeypatch, tmp_path, capsys
+):
+    """With the copies, git and the benchmark runs stubbed, ``--workloads``
+    schedules the named workload's untraced and traced pairs and no other
+    workload's, each pair once per side."""
+    ran = []
+
+    def run_once(root, benchmark, workload, seed, trace):
+        ran.append((root.name, workload, seed, trace))
+        metrics = {"solve_rel.p50": {"value": 1.0, "unit": "ratio"}}
+        env = {"nproc": 2, "machine": "x86_64", "blas": "openblas", "blas_threads": 1}
+        return {"attempted": 1, "failed": 0, "metrics": metrics}, env
+
+    monkeypatch.setattr(bench_pairs, "copy_parent", lambda *args: None)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda *args: None)
+    monkeypatch.setattr(bench_pairs, "run", lambda command, cwd=None: b"0123abcd\n")
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    output = tmp_path / "BENCH.json"
+    bench_pairs.main([
+        "--workloads", "lbfgs-rosenbrock", "--seeds", "1-2", "--trace-seeds", "3",
+        "--output", str(output),
+    ])
+    assert ran == [
+        ("parent", "lbfgs-rosenbrock", 1, 0),
+        ("change", "lbfgs-rosenbrock", 1, 0),
+        ("change", "lbfgs-rosenbrock", 2, 0),
+        ("parent", "lbfgs-rosenbrock", 2, 0),
+        ("parent", "lbfgs-rosenbrock", 3, 1),
+        ("change", "lbfgs-rosenbrock", 3, 1),
+    ]
+    summary = json.loads(output.read_text())["summary"]
+    assert {trace: list(workloads) for trace, workloads in summary.items()} == {
+        "trace0": ["lbfgs-rosenbrock"],
+        "trace1": ["lbfgs-rosenbrock"],
+    }
+    assert summary["trace0"]["lbfgs-rosenbrock"]["metrics"]["solve_rel.p50"]["pairs"] == 2
+    assert summary["trace1"]["lbfgs-rosenbrock"]["metrics"]["solve_rel.p50"]["pairs"] == 1

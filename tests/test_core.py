@@ -114,9 +114,9 @@ class TestCapabilities:
         with pytest.raises(Diagnostic, match="num_parts"):
             ObjectiveCapabilities.of(with_num_parts(0))
 
-    @pytest.mark.parametrize("value", [2.9, "3", 3.0], ids=repr)
+    @pytest.mark.parametrize("value", [2.9, "3", 3.0, True], ids=repr)
     def test_non_integer_num_parts_is_diagnostic(self, value):
-        # 2.9 used to become 2, so SGD never visited part 2.
+        # 2.9 used to become 2, so SGD never visited part 2, and True used to be 1.
         with pytest.raises(Diagnostic, match="num_parts must be an integer"):
             ObjectiveCapabilities.of(with_num_parts(value))
 

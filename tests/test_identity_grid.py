@@ -15,18 +15,20 @@ spec.loader.exec_module(identity_grid)
 
 
 def some_rows():
-    """L-BFGS on Rosenbrock in float64 unobserved, observed and stopped at
-    the 3rd step, and SGD with Adam on float32 least squares stopped at the 8th."""
+    """L-BFGS on Rosenbrock in float64 unobserved and observed from a flat
+    start and stopped at the 3rd step from a column, and SGD with Adam on
+    float32 least squares from a column stopped at the 8th."""
     wanted = {
-        ("lbfgs", "rosenbrock", np.float64, 30, None),
-        ("lbfgs", "rosenbrock", np.float64, 30, (None, 0)),
-        ("lbfgs", "rosenbrock", np.float64, 30, (StepTaken, 3)),
-        ("sgd-adam", "least-squares", np.float32, 26, (StepTaken, 8)),
+        ("lbfgs", "rosenbrock", np.float64, "flat", 30, None),
+        ("lbfgs", "rosenbrock", np.float64, "flat", 30, (None, 0)),
+        ("lbfgs", "rosenbrock", np.float64, "column", 30, (StepTaken, 3)),
+        ("sgd-adam", "least-squares", np.float32, "column", 26, (StepTaken, 8)),
     }
     rows = [
         row
         for row in identity_grid.rows()
-        if (row.name, row.problem, row.dtype, row.optimizer.max_iterations, row.watch) in wanted
+        if (row.name, row.problem, row.dtype, row.shape, row.optimizer.max_iterations, row.watch)
+        in wanted
     ]
     assert len(rows) == len(wanted)
     return rows

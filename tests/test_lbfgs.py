@@ -208,14 +208,14 @@ def drawn_memory(rng, memory_size, shape, dtype, stretch, before_clear, after_cl
     With ``refused``, each of the ``after_clear`` pairs pushed after the clear
     is (s, -y), whose negative curvature the memory refuses.  Returns the
     memory, the pairs it accepted since the clear and the newest accepted
-    pair's s.y / y.y, all in float64; that gamma is 1.0 while no pair has
+    pair's s.y / y.y, all in float64; that gamma is None while no pair has
     been accepted.
     """
     dim = shape[0]
     root = rng.uniform(-1, 1, (dim, dim))
     hessian = root @ root.T + dim * np.eye(dim)
     memory = LbfgsMemory(memory_size)
-    stored, gamma = [], 1.0
+    stored, gamma = [], None
     for index in range(before_clear + after_clear):
         if index == before_clear:
             memory.clear()
@@ -299,43 +299,46 @@ class TestDoubleBufferedMemory:
 
 class TestClearKeepsTheScale:
     """``clear`` drops the pairs but keeps gamma, the newest accepted pair's
-    s.y / y.y, and zeroes its bank in place: a cleared memory's direction is
-    -gamma g, and the next pair of the same size and dtype builds no bank."""
+    s.y / y.y, and the pairs' size and dtype, and zeroes its bank in place: a
+    cleared memory's direction is -gamma g, where a memory that has never
+    accepted a pair gives -g / max(1, |g|_2), and the next pair builds no bank."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(4,), (4, 1)])
     def test_a_cleared_memory_gives_minus_gamma_g(self, dtype, shape):
         rng = np.random.default_rng(53)
         memory = LbfgsMemory(3)
-        assert memory.scale is None
+        # |(0, 3, 0, -4)| = 5, so the fresh direction is (0, -0.6, 0, 0.8) bitwise.
+        fresh = memory.direction(np.array([0.0, 3.0, 0.0, -4.0], dtype).reshape(shape))
+        assert fresh.dtype == dtype
+        assert_array_equal(fresh, np.array([0.0, -0.6, 0.0, 0.8], dtype).reshape(shape))
         for _ in range(5):
             s, y = curved_pair(rng, dtype)
             assert memory.push(s, y)
         gamma = float(s.dot(y)) / float(y.dot(y))
         memory.clear()
         assert len(memory) == 0
-        assert memory.scale == gamma
         g = rng.uniform(-1, 1, 4).astype(dtype).reshape(shape)
         direction = memory.direction(g)
         assert direction.dtype == dtype
         assert direction.shape == shape
         assert_array_equal(direction, -gamma * g)
-        # A refused pair leaves the memory empty and its scale as it was.
+        # A refused pair leaves the memory empty and its gamma as it was.
         assert not memory.push(s, -y)
-        assert memory.scale == gamma
         assert_array_equal(memory.direction(g), -gamma * g)
 
     @pytest.mark.parametrize(
-        "dim, dtype, banks_built",
-        [(4, np.float64, 0), (3, np.float64, 2), (4, np.float32, 2)],
+        "dim, dtype", [(4, np.float64), (3, np.float64), (4, np.float32)],
         ids=["same", "another-size", "another-dtype"],
     )
-    def test_the_first_pair_after_a_clear_fixes_size_and_dtype(
-        self, monkeypatch, dim, dtype, banks_built
-    ):
-        # Only a pair of another size or dtype builds banks after a clear.
-        # Either way the memory then gives the directions of a new memory
-        # given the same pairs, and refuses a pair of another size.
+    def test_the_first_pair_after_a_clear_fixes_size_and_dtype(self, monkeypatch, dim, dtype):
+        # A clear keeps the size and dtype that the memory's first pair fixed,
+        # and builds no bank: a pair of another size is refused, and one of
+        # another dtype is cast.  The pair pushed after the clear has
+        # s.y / (|s| |y|) near 1e-9, above float64's curvature floor and below
+        # float32's, so the float64 memory takes it in float32 too, where a
+        # float32 memory refuses it, and gives the directions of a new memory
+        # given it in float64.
         built = []
 
         class CountedBank(lbfgs_module._Bank):
@@ -350,26 +353,33 @@ class TestClearKeepsTheScale:
             assert memory.push(*curved_pair(rng, np.float64))
         memory.clear()
         before = len(built)
+        s, y = np.zeros(dim, dtype), np.zeros(dim, dtype)
+        s[0], y[:2] = 1.0, (2.0**-20, 1024.0)
+        if dim != 4:
+            with pytest.raises(Diagnostic, match=r"\(4,\).*\(3,\).*\(3,\)"):
+                memory.push(s, y)
+            assert len(memory) == 0 and len(built) == before
+            return
+        assert memory.push(s, y)
+        assert len(built) == before
+        assert LbfgsMemory(3).push(s, y) == (dtype == np.float64)
         fresh = LbfgsMemory(3)
-        gradients = [rng.uniform(-1, 1, dim).astype(dtype) for _ in range(3)]
-        for pair_dtype in (dtype, np.float64):
-            pair = curved_pair(rng, pair_dtype, dim)
-            assert memory.push(*pair) and fresh.push(*pair)
-            for g in gradients:
-                direction = memory.direction(g)
-                assert direction.dtype == dtype
-                assert_array_equal(direction, fresh.direction(g))
-        assert len(built) - before == banks_built + 2  # the fresh memory's two
-        with pytest.raises(Diagnostic, match=rf"\({dim},\)"):
-            memory.push(np.ones(dim + 1), np.ones(dim + 1))
+        assert fresh.push(s.astype(np.float64), y.astype(np.float64))
+        for g in (rng.uniform(-1, 1, dim).astype(dtype) for _ in range(3)):
+            direction = memory.direction(g)
+            assert direction.dtype == dtype
+            assert_array_equal(direction, fresh.direction(g))
 
 
 class TestTwoLoopDirection:
     def test_empty_memory_is_negated_gradient_bitwise(self):
+        # A memory that has never accepted a pair gives -g / max(1, |g|_2).
         g = np.array([3.0, -1.0])
         d = LbfgsMemory(5).direction(g)
-        assert np.array_equal(d, [-3.0, 1.0])
+        assert np.array_equal(d, [-3.0 / np.sqrt(10.0), 1.0 / np.sqrt(10.0)])
         assert d is not g
+        small = np.array([0.5, -0.25])
+        assert np.array_equal(LbfgsMemory(5).direction(small), [-0.5, 0.25])
 
     def test_empty_memory_preserves_dtype(self):
         g = np.array([3.0, -1.0], dtype=np.float32)
@@ -434,8 +444,8 @@ class TestTwoLoopDirection:
         column gradients in float32 and float64, pairs near the curvature floor
         (s.y / (|s| |y|) falling towards 1e-12) included.  The @examples clear
         the memory and then refuse every pair, so the direction is -gamma g
-        with gamma from the last pair before the clear, or -g when no pair was
-        accepted."""
+        with gamma from the last pair before the clear, or -g / max(1, |g|_2)
+        when no pair was accepted."""
         # More pairs than the memory holds, after a clear at a drawn point:
         # the direction must match the oracle over the pairs still stored,
         # with gamma from the newest pair accepted, before the clear if none
@@ -456,6 +466,8 @@ class TestTwoLoopDirection:
         direction = memory.direction(g.reshape(shape))
         assert direction.dtype == dtype
         assert direction.shape == shape
+        if gamma is None:
+            gamma = 1.0 / max(1.0, float(np.linalg.norm(g.astype(np.float64))))
         kept = stored[-memory_size:]
         expected = dense_bfgs_direction(kept, g.astype(np.float64), gamma)
         eps = np.finfo(dtype).eps

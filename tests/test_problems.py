@@ -952,11 +952,17 @@ class TestGenerateNoisyLinear:
             ((2, "10", 1.0), "n must be an integer, got '10' of type str"),
             ((2, 10.0, 1.0), "n must be an integer, got 10.0 of type float"),
             ((2, 10, "1"), "noise_scale must be a number, got '1' of type str"),
+            ((2, 3, 1.0, -1), "seed must be >= 0, got -1"),
+            ((2, 3, 1.0, 1.5), "seed must be an integer, got 1.5 of type float"),
+            ((2, 3, 1.0, "3"), "seed must be an integer, got '3' of type str"),
+            ((2, 3, 1.0, None), "seed must be an integer, got None of type NoneType"),
         ],
     )
     def test_non_numbers_and_non_integer_sizes_are_diagnostic(self, args, message):
+        # A bad seed used to raise NumPy's error or a TypeError, or, for None,
+        # to draw from the OS.
         with pytest.raises(Diagnostic) as raised:
-            generate_noisy_linear(*args, seed=0)
+            generate_noisy_linear(*args)
         assert str(raised.value) == message
         for noise_scale in (-1.0, math.nan):
             with pytest.raises(Diagnostic, match="noise_scale"):

@@ -758,14 +758,17 @@ def test_every_option_refuses_nan_strings_and_non_integer_counts(owner, option, 
     BenchSpec option: each refuses NaN with its exact message and "3" with a
     message naming its type; each count refuses 2.0 and 2.5 and takes
     np.int64(3); each flag refuses 1, 0, None and "no" and takes Python's and
-    NumPy's bools."""
+    NumPy's bools, which every other option refuses by their type."""
     name = message.split(" must be ")[0]
     with pytest.raises(Diagnostic) as raised:
         owner(**{option: float("nan")})
     assert str(raised.value) == message
-    with pytest.raises(Diagnostic) as raised:
-        owner(**{option: "3"})
-    assert str(raised.value) == f"{name} must be {kind}, got '3' of type str"
+    refused = ["3"] if kind == FLAG else ["3", True, False, np.True_]
+    for value in refused:
+        with pytest.raises(Diagnostic) as raised:
+            owner(**{option: value})
+        got = f"{value!r} of type {type(value).__name__}"
+        assert str(raised.value) == f"{name} must be {kind}, got {got}"
     if kind == COUNT:
         for value in (2.5, 2.0):
             with pytest.raises(Diagnostic) as raised:

@@ -1,16 +1,18 @@
 """Paired benchmark runs of a parent commit and the working tree.
 
     python3 tools/bench_pairs.py --parent HEAD --seeds 8201-8210 --trace-seeds 8221 \
-        --trace-workloads lbfgs-linear,lbfgs-rosenbrock --output BENCH_8.json
+        --workloads lbfgs-linear,lbfgs-rosenbrock --output BENCH_8.json
 
 Run from the root of the repository.  Both sides run from fresh copies in a
 temporary directory: the parent is ``git archive <ref>`` and the change is
 every file of the working tree that git tracks or would track, uncommitted
 edits included.  Neither copy is a git checkout, so every ``env.git_sha`` is
 null.  The command, the workloads and the run length are
-``BENCHMARK.json``'s.  The command runs on each workload and seed, one
-process at a time, once per side, alternating which side runs first from
-seed to seed so that a drift of the host's speed falls on both sides alike.
+``BENCHMARK.json``'s; ``--workloads`` keeps only the workloads it names,
+for untraced and traced pairs alike.  The command runs on each workload
+and seed, one process at a time, once per side, alternating which side
+runs first from seed to seed so that a drift of the host's speed falls on
+both sides alike.
 The output file holds this text as its ``description``, every run (the JSON
 line the command prints last and its ``env`` record) and a summary: per
 metric, each side's median and quartiles over the seeds and how many pairs
@@ -34,7 +36,7 @@ that are claimable, and whether its per-solve counts were identical in every
 pair.  The standard error of git and of each run is the tool's, and a
 failed one ends the tool.  A run stopped by SIGTERM exits with status 143,
 its benchmark process killed and its copies removed; seeds that name no run,
-and a ``--trace-workloads`` name that ``BENCHMARK.json`` does not define, are
+and a ``--workloads`` name that ``BENCHMARK.json`` does not define, are
 refused with status 2 before anything is copied.
 """
 
@@ -274,18 +276,18 @@ def main(argv=None):
     parser.add_argument("--parent", default="HEAD", help="git ref of the parent side")
     parser.add_argument("--seeds", required=True, help="untraced seeds, e.g. 8201-8210")
     parser.add_argument("--trace-seeds", default="", help="traced seeds, e.g. 8221")
-    parser.add_argument("--trace-workloads", default="", help="comma-separated; default: all")
+    parser.add_argument("--workloads", default="", help="comma-separated; default: all")
     parser.add_argument("--output", required=True, type=Path)
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [workload["name"] for workload in benchmark["workloads"]]
-    trace_workloads = args.trace_workloads.split(",") if args.trace_workloads else workloads
-    unknown = [name for name in trace_workloads if name not in workloads]
+    defined = [workload["name"] for workload in benchmark["workloads"]]
+    workloads = args.workloads.split(",") if args.workloads else defined
+    unknown = [name for name in workloads if name not in defined]
     if unknown:
-        parser.error(f"--trace-workloads: BENCHMARK.json defines no {', '.join(unknown)}")
+        parser.error(f"--workloads: BENCHMARK.json defines no {', '.join(unknown)}")
     schedule = [(w, s, 0) for w in workloads for s in parse_seeds(args.seeds)]
-    schedule += [(w, s, 1) for w in trace_workloads for s in parse_seeds(args.trace_seeds)]
+    schedule += [(w, s, 1) for w in workloads for s in parse_seeds(args.trace_seeds)]
     if not schedule:
         parser.error(f"--seeds {args.seeds!r} and --trace-seeds {args.trace_seeds!r} name no run")
     signal.signal(signal.SIGTERM, stop)

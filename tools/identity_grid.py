@@ -6,9 +6,11 @@
 Runs each optimizer (gradient descent, L-BFGS, SGD with each update policy,
 simulated annealing and the compass search of ``demos/custom_optimizer.py``)
 on least squares, logistic regression with ridge 0.3 and, where the
-optimizer admits it, Rosenbrock, in float32 and float64.  Each of those runs
-once unobserved, once observed, and once with a callback that returns
-TERMINATE on the 1st, 3rd and 8th ``StepTaken``, ``EvaluateCalled``,
+optimizer admits it, Rosenbrock, in float32 and float64, from a flat start
+and from the same start as a (d, 1) column, the shape that reaches each
+optimizer's and objective's reshape paths.  Each of those runs once
+unobserved, once observed, and once with a callback that returns TERMINATE
+on the 1st, 3rd and 8th ``StepTaken``, ``EvaluateCalled``,
 ``GradientCalled`` and ``EndEpoch``; SGD does all of that at three iteration
 caps, inside an epoch, on its boundary and one step after it.  A run's
 record is x's bytes, dtype and shape, ``final_objective``, ``iterations``,
@@ -81,6 +83,7 @@ OPTIMIZERS = {
 }
 SGD_CAPS = (26, 27, 28)  # inside the 9th epoch, on its end, one step after it
 DTYPES = (np.float32, np.float64)
+SHAPES = ("flat", "column")
 # None runs unobserved; (kind, k) stops on the k-th event of type kind, and
 # (None, 0) only observes.
 WATCHES = [None, (None, 0)] + list(
@@ -95,6 +98,7 @@ class Row(NamedTuple):
     optimizer: object
     problem: str
     dtype: type
+    shape: str
     watch: tuple | None
 
 
@@ -105,8 +109,9 @@ def rows():
         stochastic = optimizer.requires.part_gradient
         problems = ["least-squares", "logistic"] + ([] if stochastic else ["rosenbrock"])
         caps = SGD_CAPS if stochastic else (optimizer.max_iterations,)
-        for problem, dtype, cap, watch in product(problems, DTYPES, caps, WATCHES):
-            grid.append(Row(name, replace(optimizer, max_iterations=cap), problem, dtype, watch))
+        for problem, dtype, shape, cap, watch in product(problems, DTYPES, SHAPES, caps, WATCHES):
+            capped = replace(optimizer, max_iterations=cap)
+            grid.append(Row(name, capped, problem, dtype, shape, watch))
     return grid
 
 
@@ -129,7 +134,7 @@ class Watcher:
 
 
 def problem_and_start(problem, dtype, part_wise):
-    """A fresh objective, so no memo carries over from another run, and x0."""
+    """A fresh objective, so no memo carries over from another run, and a flat x0."""
     if problem == "rosenbrock":
         return Rosenbrock(), np.array([-1.2, 1.0], dtype)
     predictors, responses = X.astype(dtype), Y.astype(dtype)
@@ -143,6 +148,8 @@ def problem_and_start(problem, dtype, part_wise):
 def record(row):
     """The bytes that stand for one run of ``row``."""
     objective, x0 = problem_and_start(row.problem, row.dtype, row.optimizer.requires.part_gradient)
+    if row.shape == "column":
+        x0 = x0.reshape(-1, 1)
     watcher = Watcher(*row.watch) if row.watch else None
     with np.errstate(all="ignore"):
         x, result = row.optimizer.optimize(objective, x0, [watcher] if watcher else [])
