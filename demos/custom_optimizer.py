@@ -2,21 +2,27 @@
 Writing your own optimizer
 ==========================
 
-The bundled optimizers are built from three public functions, and a new
-one needs nothing else to keep the same promises: the capability check
-before the first call, exact call counts, an untouched ``x0`` whose dtype
-sets the run, and no objective call after a callback's TERMINATE.
+The bundled optimizers are built from a small public kit, and a new one
+needs nothing else to keep the same promises: the capability check before
+the first call, exact call counts, an untouched ``x0`` whose dtype sets the
+run, no objective call after a callback's TERMINATE, and every bad option
+refused with a ``Diagnostic`` when the optimizer is built.
 
-``prepare_run`` checks the objective and opens the run; it returns the
-parameters and the adapter, the run's one handle.  The loop runs inside
-``with adapter:``, calls the objective through the adapter and reports
-each completed step with ``adapter.step_taken``, which counts it in
-``adapter.iterations`` and builds no event when no callback listens, so
-the loop keeps no step counter of its own.  Once a callback has asked to
-stop, the adapter refuses the next objective call and the block ends
-there.  ``finish_run(adapter, final_objective, termination)`` builds the
-result, its ``iterations`` read from the adapter; after a stop request it
-says CALLBACK_REQUESTED, whatever reason the loop had reached.
+``check_options`` is the option rule: each row names an option, its value
+and its admitted range, with ``int`` for a count.  ``prepare_run`` checks
+the objective and opens the run; it returns the parameters and the
+adapter, the run's one handle.  The loop runs inside ``with adapter:``,
+calls the objective through the adapter and reports each completed step
+with ``adapter.step_taken``, which counts it in ``adapter.iterations`` and
+builds no event when no callback listens, so the loop keeps no step
+counter of its own.  The stop rules read that count: ``cap_stop`` is the
+iteration cap (0 means none), ``steps_within_cap`` the steps left under
+it, ``gradient_stop`` the gradient-norm test and ``progress_stop`` the
+improvement test.  Once a callback has asked to stop, the adapter refuses
+the next objective call and the block ends there.
+``finish_run(adapter, final_objective, termination)`` builds the result,
+its ``iterations`` read from the adapter; after a stop request it says
+CALLBACK_REQUESTED, whatever reason the loop had reached.
 
 The example is compass search (Kolda, Lewis & Torczon, SIAM Review 2003):
 try x +- step along each axis, move to the first point that improves, and
@@ -29,7 +35,8 @@ from itertools import product
 
 import numpy as np
 
-from numopt import EarlyStopping, ObjectiveCapabilities, TerminationReason, finish_run, prepare_run
+from numopt import EarlyStopping, ObjectiveCapabilities, TerminationReason, cap_stop
+from numopt import check_options, finish_run, prepare_run
 from numopt.problems import generate_noisy_linear
 
 
@@ -44,6 +51,13 @@ class CompassSearch:
     max_iterations: int = 10000
 
     requires = ObjectiveCapabilities(evaluate=True)
+
+    def __post_init__(self):
+        check_options(
+            ("step", self.step, "> 0"),
+            ("min_step", self.min_step, "> 0"),
+            ("max_iterations", self.max_iterations, ">= 0", int),
+        )
 
     def optimize(self, objective, x0, callbacks=()):
         x, adapter = prepare_run(objective, x0, callbacks, self.requires, "compass search")
@@ -63,8 +77,8 @@ class CompassSearch:
                 adapter.step_taken(value)
                 if step < self.min_step:
                     reason = TerminationReason.STEP_SIZE_UNDERFLOW
-                elif self.max_iterations and adapter.iterations >= self.max_iterations:
-                    reason = TerminationReason.MAX_ITERATIONS
+                else:
+                    reason = cap_stop(self, adapter.iterations)
         return x, finish_run(adapter, value, reason)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Diagnostic, ObjectiveAdapter, TerminationReason, _check_options
+from .core import Diagnostic, ObjectiveAdapter, TerminationReason, check_options
 from .optimizers import (
     LBFGS,
     SGD,
@@ -79,7 +79,7 @@ class BenchSpec:
             raise Diagnostic(f"--problem must be one of {PROBLEMS}, got {self.problem!r}")
         if self.optimizer not in OPTIMIZERS:
             raise Diagnostic(f"--optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        _check_options(
+        check_options(
             ("--runs", self.runs, ">= 1", int),
             ("--d", self.d, ">= 1", int),
             ("--n", self.n, ">= 1", int),

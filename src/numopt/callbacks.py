@@ -27,7 +27,7 @@ import time
 import warnings
 
 from .core import BeginEpoch, BeginOptimization, CallbackDecision, CallbackList, EndEpoch
-from .core import EndOptimization, EvaluateCalled, GradientCalled, StepTaken, _check_options
+from .core import EndOptimization, EvaluateCalled, GradientCalled, StepTaken, check_options
 from .core import _CONTINUE, _TERMINATE
 
 __all__ = [
@@ -58,7 +58,7 @@ class EarlyStopping:
     """
 
     def __init__(self, patience=10, min_delta=0.0):
-        _check_options(("patience", patience, ">= 1", int), ("min_delta", min_delta, ">= 0"))
+        check_options(("patience", patience, ">= 1", int), ("min_delta", min_delta, ">= 0"))
         self.patience = patience
         self.min_delta = min_delta
         self.best = None
@@ -94,7 +94,7 @@ class ProgressPrinter:
     """
 
     def __init__(self, stream=None, period=1):
-        _check_options(("period", period, ">= 1", int))
+        check_options(("period", period, ">= 1", int))
         self.stream = stream
         self.period = period
 
@@ -154,7 +154,7 @@ class TimeLimit:
     """
 
     def __init__(self, limit_seconds):
-        _check_options(("limit_seconds", limit_seconds, "> 0"))
+        check_options(("limit_seconds", limit_seconds, "> 0"))
         self.limit_seconds = limit_seconds
         self.started = None
 

@@ -41,8 +41,11 @@ The run's events, ``CallbackDecision`` and ``CallbackList``, whose
 ``dispatch`` is the one dispatcher, are defined here, beside the adapter
 that sends them; ``numopt.callbacks`` exports them with the stock
 callbacks.  So are ``Diagnostic``, the one exception for a broken contract
-or a refused option, and the one option rule, ``_check_options``, which
-every module reads from here.
+or a refused option, and the one option rule, ``check_options``, which
+every module reads from here.  That rule is public: with ``prepare_run``,
+``finish_run`` and the stop rules ``progress_stop``, ``cap_stop``,
+``steps_within_cap`` and ``gradient_stop`` of ``numopt.optimizers``, it is
+the kit a new optimizer is built from, as every bundled one is.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ __all__ = [
     "ObjectiveAdapter",
     "OptimizationResult",
     "TerminationReason",
+    "check_options",
     "check_requirements",
     "finite_difference_gradient",
     "as_parameters",
@@ -74,14 +78,16 @@ class Diagnostic(ValueError):
     Raised instead of letting an AttributeError or a shape error surface from
     deep inside an optimizer loop.  The message names the offending method,
     argument, option or requirement.  Every option follows one rule
-    (``_check_options``): a bool is a flag and nothing else; the admitted
-    range is tested next, so NaN gets the range's message; a value the
-    range cannot compare, such as a string, is refused, never parsed; and a
-    count must then be an integer.  It is a ``ValueError``, so a refused
-    option is one exception wherever it was given: to an optimizer, an
-    update policy, a callback or a data helper.
-    It is defined here, in the bottom layer, so every numopt module raises
-    this one class.
+    (``check_options``, which a new optimizer calls too, beside the rest of
+    the public kit: ``prepare_run``, ``finish_run``, ``progress_stop``,
+    ``cap_stop``, ``steps_within_cap`` and ``gradient_stop``): a bool is a
+    flag and nothing else; the admitted range is tested next, so NaN gets
+    the range's message; a value the range cannot compare, such as a
+    string, is refused, never parsed; and a count must then be an integer.
+    It is a ``ValueError``, so a refused option is one exception wherever
+    it was given: to an optimizer, an update policy, a callback or a data
+    helper.  It is defined here, in the bottom layer, so every numopt
+    module raises this one class.
     """
 
 
@@ -99,7 +105,7 @@ _ADMITTED = {
 _BOOLS = (bool, np.bool_)
 
 
-def _check_options(*options, unset=()):
+def check_options(*options, unset=()):
     """Refuse the first of ``options`` outside its admitted range with a Diagnostic.
 
     Each option is a row (name, value, admitted) for a real and (name, value,
@@ -356,7 +362,7 @@ class ObjectiveCapabilities:
             raw = getattr(objective, "num_parts", None)
             if raw is None:
                 raise Diagnostic(f"{name} provides part-wise methods but no num_parts")
-            _check_options((f"{name}.num_parts", raw, ">= 1", int))
+            check_options((f"{name}.num_parts", raw, ">= 1", int))
             num_parts = operator.index(raw)
         return cls(num_parts=num_parts, **provided)
 
@@ -601,15 +607,20 @@ def finite_difference_gradient(objective, x, step=None):
     ``step`` defaults to 1e-6 * (1 + max|x|) so the stencil scales with the
     iterate.  Only objective evaluations are used, so this serves as an
     independent check of any analytic gradient.  Cost is 2 * x.size
-    evaluations.
+    evaluations.  ``x`` is admitted by the rule for parameters and data
+    (``_as_float_array``), and an empty or non-finite one is refused with a
+    Diagnostic before any step is chosen or any call is made.
     """
     adapter = (
         objective if isinstance(objective, ObjectiveAdapter) else ObjectiveAdapter(objective)
     )
-    x = np.asarray(x)
+    x = _as_float_array(x, "x")
+    if x.size == 0 or not np.isfinite(x).all():
+        got = f"shape {x.shape}, NaN or infinite at {np.count_nonzero(~np.isfinite(x))} of {x.size}"
+        raise Diagnostic(f"x must be non-empty and finite, got {got} entries")
     if step is None:
         step = 1e-6 * (1.0 + float(np.abs(x).max()))
-    _check_options(("finite difference step", step, "> 0"))
+    check_options(("finite difference step", step, "> 0"))
     g = np.empty_like(x, dtype=np.float64)
     for index in np.ndindex(x.shape):
         forward = x.astype(np.float64, copy=True)

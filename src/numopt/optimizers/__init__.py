@@ -1,13 +1,15 @@
 """Pre-built optimizers.  Each exposes optimize(objective, x0, callbacks=()) ->
 (parameters, OptimizationResult) and a ``requires`` capability constant.
-New ones are built from ``prepare_run``, ``finish_run`` and ``progress_stop``:
+Each is built from a public kit, and a new one needs nothing else:
 ``prepare_run`` returns the parameters and the run's adapter, the one handle
 the loop calls the objective through, reports each step to
 (``adapter.step_taken``, which counts it in ``adapter.iterations``) and
 hands to ``finish_run``; no optimizer keeps a step counter of its own.
-The stop rules live in ``_common``: the improvement stop
-(``progress_stop``), the iteration cap and the gradient-norm stop, each
-stated once; the max-abs gradient norm is ``core._max_abs_norm``."""
+The stop rules are ``progress_stop`` (improvement and cap), ``cap_stop``
+and ``steps_within_cap`` (the iteration cap) and ``gradient_stop`` (the
+max-abs gradient norm), each stated once in ``_common``, and the option
+rule is ``check_options``, from ``numopt.core``.  No optimizer module
+imports a private name."""
 
 from . import _common, annealing, gradient_descent, lbfgs, sgd
 from ._common import *

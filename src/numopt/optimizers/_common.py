@@ -1,24 +1,27 @@
-"""Run setup, teardown and the stop rules: the parts every optimizer is built from.
+"""Run setup, teardown and the stop rules: the public kit every optimizer is built from.
 
-``prepare_run``, ``finish_run`` and ``progress_stop`` are public.  A run's
-one object is the ``ObjectiveAdapter`` that ``prepare_run`` returns beside
-the parameters: it holds the run's callbacks and its stop request itself,
-the loop calls the objective and reports each step (``step_taken``, which
-counts it in ``adapter.iterations``) through it, and ``finish_run`` reads
-the stop request, the start time, the step count and the call counts from
-it; no optimizer keeps a step counter of its own, and no module but
-``core`` builds a ``CallbackList``.  The run's BeginOptimization and
+Every function here is public, and with ``core.check_options``, the option
+rule, it is the whole kit: a new optimizer needs no other name to keep the
+bundled optimizers' promises.  A run's one object is the
+``ObjectiveAdapter`` that ``prepare_run`` returns beside the parameters: it
+holds the run's callbacks and its stop request itself, the loop calls the
+objective and reports each step (``step_taken``, which counts it in
+``adapter.iterations``) through it, and ``finish_run`` reads the stop
+request, the start time, the step count and the call counts from it; no
+optimizer keeps a step counter of its own, and no module but ``core``
+builds a ``CallbackList``.  The run's BeginOptimization and
 EndOptimization go out through ``adapter.announce``, so an unobserved run
-builds neither.  The iteration cap (``_cap_stop``, tested on
-``adapter.iterations``, and ``_steps_within_cap``, the steps left under it)
-and the gradient-norm stop (``_gradient_stop``) are stated here once and
-read by every bundled optimizer; the norm itself is ``core._max_abs_norm``.
-Every optimizer reads the cap once per block of steps: SGD (a block is an
-epoch) and annealing (a temperature) run the block's ``_steps_within_cap``
-steps and test ``_cap_stop`` after it, and gradient descent and L-BFGS
-test it through ``progress_stop``, after each step, a block of one.
-``_gradient_stop`` returns the norm it tested beside its reason, and the
-loop hands it to ``step_taken``, so an observed step computes it once.
+builds neither.  The stop rules are stated here once and read by every
+optimizer: the improvement stop (``progress_stop``), the iteration cap
+(``cap_stop``, tested on ``adapter.iterations``, and ``steps_within_cap``,
+the steps left under it) and the gradient-norm stop (``gradient_stop``),
+whose norm is ``core._max_abs_norm``.  Every optimizer reads the cap once
+per block of steps: SGD (a block is an epoch) and annealing (a
+temperature) run the block's ``steps_within_cap`` steps and test
+``cap_stop`` after it, and gradient descent and L-BFGS test it through
+``progress_stop``, after each step, a block of one.  ``gradient_stop``
+returns the norm it tested beside its reason, and the loop hands it to
+``step_taken``, so an observed step computes it once.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from ..core import (
     as_parameters,
 )
 
-__all__ = ["prepare_run", "finish_run", "progress_stop"]
+__all__ = [
+    "prepare_run", "finish_run", "progress_stop", "cap_stop", "steps_within_cap", "gradient_stop"
+]
 
 
 def prepare_run(objective, x0, callbacks, requires, consumer):
@@ -66,24 +71,24 @@ def progress_stop(options, value, new_value, iteration):
     improvement = value - new_value
     if 0 <= improvement <= options.min_objective_improvement * max(1.0, abs(value)):
         return TerminationReason.OBJECTIVE_IMPROVEMENT_TOLERANCE
-    return _cap_stop(options, iteration)
+    return cap_stop(options, iteration)
 
 
-def _cap_stop(options, iteration):
+def cap_stop(options, iteration):
     """MAX_ITERATIONS once ``iteration`` reaches ``options.max_iterations``
     (0 means no cap), else None."""
     capped = options.max_iterations and iteration >= options.max_iterations
     return TerminationReason.MAX_ITERATIONS if capped else None
 
 
-def _steps_within_cap(options, iteration, steps):
+def steps_within_cap(options, iteration, steps):
     """How many of ``steps`` further steps from ``iteration`` stay within
     ``options.max_iterations`` (0 means no cap): ``steps``, or fewer near it."""
     cap = options.max_iterations
     return min(steps, cap - iteration) if cap else steps
 
 
-def _gradient_stop(options, gradient):
+def gradient_stop(options, gradient):
     """(reason, norm): GRADIENT_NORM_TOLERANCE when ``gradient``'s max-abs
     norm is at most ``options.min_gradient_norm``, else None, and that norm,
     which the loop hands to ``step_taken`` so that an observed step does not

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ObjectiveCapabilities, _check_options
-from ._common import _cap_stop, _steps_within_cap, finish_run, prepare_run
+from ..core import ObjectiveCapabilities, check_options
+from ._common import cap_stop, finish_run, prepare_run, steps_within_cap
 
 __all__ = ["SimulatedAnnealing"]
 
@@ -70,7 +70,7 @@ class SimulatedAnnealing:
     requires = ObjectiveCapabilities(evaluate=True)
 
     def __post_init__(self):
-        _check_options(
+        check_options(
             ("initial_temperature", self.initial_temperature, "> 0"),
             ("cooling_factor", self.cooling_factor, "in (0, 1)"),
             ("moves_per_temperature", self.moves_per_temperature, ">= 1", int),
@@ -92,7 +92,7 @@ class SimulatedAnnealing:
             value = best_value = adapter.evaluate(x)
             temperature = self.initial_temperature or 100.0 * abs(value) + 1.0
             while reason is None:
-                for _ in range(_steps_within_cap(self, adapter.iterations, moves_per_temperature)):
+                for _ in range(steps_within_cap(self, adapter.iterations, moves_per_temperature)):
                     u_coordinate, u_offset, u_gate = next(uniforms)
                     # u < 1 and x.size < 2**53, so the product rounds below x.size.
                     j = int(u_coordinate * x.size)
@@ -113,5 +113,5 @@ class SimulatedAnnealing:
                             best_x, best_value = x, value
                     adapter.step_taken(value)
                 temperature *= self.cooling_factor
-                reason = _cap_stop(self, adapter.iterations)
+                reason = cap_stop(self, adapter.iterations)
         return best_x, finish_run(adapter, best_value, reason)

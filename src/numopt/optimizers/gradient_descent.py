@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ObjectiveCapabilities, _check_options
-from ._common import _gradient_stop, finish_run, prepare_run, progress_stop
+from ..core import ObjectiveCapabilities, check_options
+from ._common import finish_run, gradient_stop, prepare_run, progress_stop
 
 __all__ = ["GradientDescent"]
 
@@ -36,7 +36,7 @@ class GradientDescent:
     requires = ObjectiveCapabilities(evaluate=True, gradient=True)
 
     def __post_init__(self):
-        _check_options(
+        check_options(
             ("step_size", self.step_size, "> 0"),
             ("max_iterations", self.max_iterations, ">= 0", int),
             ("min_gradient_norm", self.min_gradient_norm, ">= 0"),
@@ -51,7 +51,7 @@ class GradientDescent:
             value = adapter.evaluate(x)
             while reason is None:
                 gradient = adapter.gradient(x)
-                reason, norm = _gradient_stop(self, gradient)
+                reason, norm = gradient_stop(self, gradient)
                 if reason is not None:
                     break
                 new_x = x - self.step_size * gradient

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, _check_options
-from ._common import _gradient_stop, finish_run, prepare_run, progress_stop
+from ..core import Diagnostic, ObjectiveCapabilities, TerminationReason, check_options
+from ._common import finish_run, gradient_stop, prepare_run, progress_stop
 
 __all__ = ["LbfgsMemory", "backtracking_line_search", "LBFGS"]
 
@@ -81,7 +81,7 @@ class LbfgsMemory:
     """
 
     def __init__(self, memory_size=10):
-        _check_options(("memory_size", memory_size, ">= 1", int))
+        check_options(("memory_size", memory_size, ">= 1", int))
         self.memory_size = memory_size
         self._count = 0
         self._gamma = None  # set by the first accepted pair, kept by clear
@@ -300,7 +300,7 @@ class LBFGS:
     requires = ObjectiveCapabilities(evaluate=True, gradient=True)
 
     def __post_init__(self):
-        _check_options(
+        check_options(
             ("memory_size", self.memory_size, ">= 1", int),
             ("max_iterations", self.max_iterations, ">= 0", int),
             ("min_gradient_norm", self.min_gradient_norm, ">= 0"),
@@ -324,7 +324,7 @@ class LBFGS:
             value, gradient = adapter.evaluate_with_gradient(x)
             gradient = gradient.copy()
             memory = LbfgsMemory(self.memory_size)
-            reason, _ = _gradient_stop(self, gradient)
+            reason, _ = gradient_stop(self, gradient)
             while reason is None:
                 direction = two_loop_direction(memory, gradient)
                 found = backtracking_line_search(adapter, x, value, gradient, direction, self)
@@ -340,7 +340,7 @@ class LBFGS:
                     # history stalls in that situation, so restart it; its
                     # newest curvature scale gamma stays.
                     memory.clear()
-                reason, norm = _gradient_stop(self, new_gradient)
+                reason, norm = gradient_stop(self, new_gradient)
                 adapter.step_taken(found.value, norm=norm)
                 reason = reason or progress_stop(self, value, found.value, adapter.iterations)
                 value, gradient = found.value, new_gradient

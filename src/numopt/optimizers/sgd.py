@@ -23,9 +23,9 @@ from ..core import (
     EndEpoch,
     ObjectiveCapabilities,
     TerminationReason,
-    _check_options,
+    check_options,
 )
-from ._common import _cap_stop, _steps_within_cap, finish_run, prepare_run
+from ._common import cap_stop, finish_run, prepare_run, steps_within_cap
 
 __all__ = ["UpdatePolicy", "VanillaUpdate", "MomentumUpdate", "AdamUpdate", "SGD"]
 
@@ -62,7 +62,7 @@ class MomentumUpdate:
     momentum: float = 0.9
 
     def __post_init__(self):
-        _check_options(("momentum", self.momentum, "in [0, 1)"))
+        check_options(("momentum", self.momentum, "in [0, 1)"))
 
     def initialize(self, x):
         return np.zeros_like(x)
@@ -115,7 +115,7 @@ class AdamUpdate:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        _check_options(
+        check_options(
             ("beta1", self.beta1, "in [0, 1)"),
             ("beta2", self.beta2, "in [0, 1)"),
             ("epsilon", self.epsilon, "> 0"),
@@ -180,7 +180,7 @@ class SGD:
     requires = ObjectiveCapabilities(part_evaluate=True, part_gradient=True)
 
     def __post_init__(self):
-        _check_options(
+        check_options(
             ("step_size", self.step_size, "> 0"),
             ("batch_size", self.batch_size, ">= 1", int),
             ("max_iterations", self.max_iterations, ">= 0", int),
@@ -223,7 +223,7 @@ class SGD:
                 epoch += 1
                 adapter.announce(BeginEpoch, epoch)
                 order = rng.permutation(len(windows)) if self.shuffle else range(len(windows))
-                steps = _steps_within_cap(self, adapter.iterations, len(windows))
+                steps = steps_within_cap(self, adapter.iterations, len(windows))
                 epoch_total = 0.0
                 for window in order[:steps]:
                     first, count, size = windows[window]
@@ -233,7 +233,7 @@ class SGD:
                     epoch_total += batch_value
                     observed = batch_value / count
                     adapter.step_taken(observed, gradient)
-                reason = _cap_stop(self, adapter.iterations)
+                reason = cap_stop(self, adapter.iterations)
                 if steps == len(windows):
                     # Epoch completed; the mean is over values observed at the
                     # iterates current when each window was visited.

@@ -12,7 +12,7 @@ import csv
 
 import numpy as np
 
-from .core import Diagnostic, _as_float_array, _check_options
+from .core import Diagnostic, _as_float_array, check_options
 
 # Products with X stay `@`: perfbench counts them as np.matmul calls, which ndarray.dot bypasses.
 
@@ -245,7 +245,7 @@ class LogisticRegression(_ColumnData):
                 f"{type(self).__name__} labels must all be 0 or 1, "
                 f"got values {np.unique(self.y)[:5]}"
             )
-        _check_options(("ridge", ridge, ">= 0"))
+        check_options(("ridge", ridge, ">= 0"))
         self.ridge = float(ridge)
 
     @property
@@ -334,7 +334,7 @@ def generate_noisy_linear(d, n, noise_scale=10.0, seed=0):
     phi_true comes back as a d x 1 column.  Same seed, same data: the seed
     is a count, so None, which would draw from the OS, is refused.
     """
-    _check_options(
+    check_options(
         ("d", d, ">= 1", int),
         ("n", n, ">= 1", int),
         ("noise_scale", noise_scale, ">= 0"),

@@ -545,10 +545,32 @@ class TestFiniteDifferences:
         finite_difference_gradient(adapter, np.ones((3, 1)))
         assert adapter.evaluate_calls == 6
 
-    @pytest.mark.parametrize("step", [0.0, float("nan")])
-    def test_rejects_bad_step(self, step):
-        with pytest.raises(Diagnostic, match="step must be > 0"):
-            finite_difference_gradient(FullObjective(), np.zeros(1), step=step)
+    @pytest.mark.parametrize(
+        "step, x, message",
+        [
+            (0.0, np.zeros(1), "step must be > 0"),
+            (float("nan"), np.zeros(1), "step must be > 0"),
+            # A bad x is refused by name before the default step is chosen
+            # from it, and never parsed, truncated or differenced into NaN.
+            (None, np.zeros(0), r"^x must be non-empty and finite, got shape \(0,\), "
+             r"NaN or infinite at 0 of 0 entries$"),
+            (None, [np.nan, 1.0], r"^x must be non-empty and finite, got shape \(2,\), "
+             r"NaN or infinite at 1 of 2 entries$"),
+            (None, [1.0, np.inf], r"^x must be non-empty and finite, got shape \(2,\), "
+             r"NaN or infinite at 1 of 2 entries$"),
+            (1e-6, np.full((2, 1, 2), -np.inf), r"^x must be non-empty and finite, got "
+             r"shape \(2, 1, 2\), NaN or infinite at 4 of 4 entries$"),
+            (None, np.array([1 + 1j, 2]), r"^x must be real numbers, got dtype complex128$"),
+            (None, np.array(["1", "2"]), r"^x must be real numbers, got dtype <U1$"),
+            (None, [[1.0, 2.0], [3.0]], r"^x must be real numbers, got a ragged sequence$"),
+        ],
+        ids=["0.0", "nan", "empty-x", "nan-x", "inf-x", "3d-x", "complex-x", "str-x", "ragged-x"],
+    )
+    def test_rejects_bad_step(self, step, x, message):
+        adapter = ObjectiveAdapter(FullObjective())
+        with pytest.raises(Diagnostic, match=message):
+            finite_difference_gradient(adapter, x, step=step)
+        assert adapter.evaluate_calls == 0
 
     def test_string_step_is_refused_not_parsed(self):
         with pytest.raises(Diagnostic) as raised:
@@ -592,12 +614,16 @@ class TestPublicSurface:
             "__version__",
             "as_parameters",
             "backtracking_line_search",
+            "cap_stop",
+            "check_options",
             "check_requirements",
             "finish_run",
             "finite_difference_gradient",
+            "gradient_stop",
             "parse_progress_line",
             "prepare_run",
             "progress_stop",
+            "steps_within_cap",
         ]
 
     def test_optimizer_names(self):
@@ -612,9 +638,12 @@ class TestPublicSurface:
             "UpdatePolicy",
             "VanillaUpdate",
             "backtracking_line_search",
+            "cap_stop",
             "finish_run",
+            "gradient_stop",
             "prepare_run",
             "progress_stop",
+            "steps_within_cap",
         ]
 
     def test_diagnostic_is_one_value_error_under_its_public_name(self):
@@ -671,7 +700,7 @@ class TestPublicSurface:
         }
         for name in set(numopt.callbacks.__all__) - stock:
             assert getattr(numopt.callbacks, name) is getattr(numopt.core, name), name
-        assert numopt.callbacks._check_options is numopt.core._check_options
+        assert numopt.callbacks.check_options is numopt.core.check_options
         defined = {
             name
             for name, member in vars(numopt.callbacks).items()

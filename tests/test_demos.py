@@ -1,5 +1,6 @@
 """The documentation runs: every script in demos/ runs to completion as a
-program, using public names only; every Python example in README.md runs and
+program, using public names only, as every bundled optimizer module is
+built from public names; every Python example in README.md runs and
 prints what its comments show; and every test, file and ``bench`` command the
 README cites exists."""
 
@@ -20,6 +21,7 @@ from numopt.bench import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+OPTIMIZERS = sorted((ROOT / "src" / "numopt" / "optimizers").glob("[!_]*.py"))
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
@@ -63,6 +65,21 @@ def test_demo_imports_only_public_names(path):
         public = importlib.import_module(node.module).__all__
         for alias in node.names:
             assert alias.name in public, f"line {node.lineno}: {node.module}.{alias.name}"
+
+
+@pytest.mark.parametrize("path", OPTIMIZERS, ids=lambda path: path.stem)
+def test_bundled_optimizer_imports_no_private_name(path):
+    """A bundled optimizer uses the kit a user's optimizer has, so it imports
+    no underscore name.  The module ``_common`` is the kit's home, whose
+    public names it may import."""
+    private = [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 @pytest.mark.parametrize("block", EXAMPLES, ids=[f"example{i}" for i in range(len(EXAMPLES))])

@@ -748,6 +748,9 @@ OPTIONS = [
     (BenchSpec, "max_iterations", "--max-iterations must be >= 0, got nan", COUNT),
     (BenchSpec, "seed", "--seed must be >= 0, got nan", COUNT),
     (BenchSpec, "noise_scale", "--noise must be >= 0, got nan", NUMBER),
+    (CompassSearch, "step", "step must be > 0, got nan", NUMBER),
+    (CompassSearch, "min_step", "min_step must be > 0, got nan", NUMBER),
+    (CompassSearch, "max_iterations", "max_iterations must be >= 0, got nan", COUNT),
 ]
 
 
@@ -755,7 +758,8 @@ OPTIONS = [
 def test_every_option_refuses_nan_strings_and_non_integer_counts(owner, option, message, kind):
     """Every option is checked by one rule, from one table of (owner, option,
     NaN message, kind) covering every optimizer, update-policy, callback and
-    BenchSpec option: each refuses NaN with its exact message and "3" with a
+    BenchSpec option, and the compass demo's, which a user's optimizer
+    refuses by the same public rule: each refuses NaN with its exact message and "3" with a
     message naming its type; each count refuses 2.0 and 2.5 and takes
     np.int64(3); each flag refuses 1, 0, None and "no" and takes Python's and
     NumPy's bools, which every other option refuses by their type."""
@@ -789,7 +793,10 @@ def test_every_option_refuses_nan_strings_and_non_integer_counts(owner, option, 
 # kind is its field's: a flag for a bool, a count for an integer.
 @pytest.mark.parametrize(
     "owner",
-    [GradientDescent, LBFGS, SGD, MomentumUpdate, AdamUpdate, SimulatedAnnealing, BenchSpec],
+    [
+        GradientDescent, LBFGS, SGD, MomentumUpdate, AdamUpdate, SimulatedAnnealing, BenchSpec,
+        CompassSearch,
+    ],
 )
 def test_the_option_table_lists_every_numeric_field(owner):
     """Every numeric or bool dataclass field of each option owner has a row in
