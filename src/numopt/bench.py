@@ -83,7 +83,7 @@ class BenchSpec:
             ("--runs", self.runs, ">= 1", int),
             ("--d", self.d, ">= 1", int),
             ("--n", self.n, ">= 1", int),
-            ("--max-iterations", self.max_iterations, ">= 0", int),
+            ("--max-iterations", self.max_iterations, ">= 1", int),
             ("--seed", self.seed, ">= 0", int),
             ("--noise", self.noise_scale, ">= 0"),
         )
@@ -122,7 +122,7 @@ def _build_objective(spec, optimizer, X, y):
     the optimizer needs parts."""
     if spec.problem == "logistic":
         return LogisticRegression(X, y)
-    if optimizer.requires.part_gradient:
+    if optimizer.requires.gradient_parts:
         return SeparableLinearRegression(X, y)
     return LinearRegression(X, y)
 

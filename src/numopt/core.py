@@ -11,7 +11,9 @@ An objective is any object exposing some subset of:
     gradient_parts(x, first, count) -> ndarray
 
 Nothing is registered or subclassed; presence of the methods is the contract.
-``ObjectiveCapabilities.of`` reports what an object provides.  Two inference
+``ObjectiveCapabilities.of`` reports what an object provides, one flag per
+method, each flag named as its method is, so a requirement such as
+``SGD.requires`` names the methods an optimizer calls.  Two inference
 rules, stated once in ``_with_inference``, say what can be built from that:
 the full value from the parts, and the fused call from evaluate and
 gradient.  A run infers once: ``ObjectiveAdapter`` keeps the result as its
@@ -53,7 +55,7 @@ from __future__ import annotations
 import operator
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import partial
 
@@ -319,20 +321,10 @@ def as_parameters(x0):
     return x
 
 
-# Each capability flag and the contract method that provides it, in
-# diagnostic order.
-_METHODS = {
-    "evaluate": "evaluate",
-    "gradient": "gradient",
-    "evaluate_with_gradient": "evaluate_with_gradient",
-    "part_evaluate": "evaluate_parts",
-    "part_gradient": "gradient_parts",
-}
-
-
 @dataclass(frozen=True)
 class ObjectiveCapabilities:
-    """What an objective object provides directly.
+    """What an objective object provides directly: each flag is the name of
+    the contract method it stands for, True when the object has it callable.
 
     ``num_parts`` is only meaningful when one of the part-wise flags is set.
     """
@@ -340,8 +332,8 @@ class ObjectiveCapabilities:
     evaluate: bool = False
     gradient: bool = False
     evaluate_with_gradient: bool = False
-    part_evaluate: bool = False
-    part_gradient: bool = False
+    evaluate_parts: bool = False
+    gradient_parts: bool = False
     num_parts: int | None = None
 
     @classmethod
@@ -354,11 +346,9 @@ class ObjectiveCapabilities:
         or parsed but refused.
         """
         name = type(objective).__name__
-        provided = {
-            flag: callable(getattr(objective, method, None)) for flag, method in _METHODS.items()
-        }
+        provided = {method: callable(getattr(objective, method, None)) for method in _CONTRACT}
         num_parts = None
-        if provided["part_evaluate"] or provided["part_gradient"]:
+        if provided["evaluate_parts"] or provided["gradient_parts"]:
             raw = getattr(objective, "num_parts", None)
             if raw is None:
                 raise Diagnostic(f"{name} provides part-wise methods but no num_parts")
@@ -367,12 +357,26 @@ class ObjectiveCapabilities:
         return cls(num_parts=num_parts, **provided)
 
 
+# The contract's methods, in diagnostic order: every flag but ``num_parts``.
+_CONTRACT = tuple(f.name for f in fields(ObjectiveCapabilities) if f.name != "num_parts")
+
+
+def _capabilities(name, caps):
+    """``caps``, the argument ``name`` of a requirement check, when it is an
+    ``ObjectiveCapabilities``; else a Diagnostic is raised naming the argument
+    and its type, so that an objective, an optimizer or a dict passed in its
+    place is refused before any of its attributes is read."""
+    if isinstance(caps, ObjectiveCapabilities):
+        return caps
+    raise Diagnostic(f"{name} is a {type(caps).__name__}, not ObjectiveCapabilities.of(objective)")
+
+
 def _with_inference(caps):
     """``caps`` plus what the two inference rules build: the full value from
     the parts, and the fused call from evaluate and gradient.  A run reads
     the rules here once, when its ``ObjectiveAdapter`` is built, and
     ``check_requirements`` once per probe."""
-    evaluate = caps.evaluate or caps.part_evaluate
+    evaluate = caps.evaluate or caps.evaluate_parts
     fused = caps.evaluate_with_gradient or (evaluate and caps.gradient)
     return replace(caps, evaluate=evaluate, evaluate_with_gradient=fused)
 
@@ -380,11 +384,13 @@ def _with_inference(caps):
 def _shortfall(available, required, consumer):
     """The one missing-method rule: None when ``available`` has every flag set
     in ``required``, else a Diagnostic naming each missing method and
-    ``consumer``.  ``available`` already holds what inference builds."""
+    ``consumer``.  ``available`` already holds what inference builds, and
+    ``required`` must be an ``ObjectiveCapabilities`` (``_capabilities``)."""
+    _capabilities("required", required)
     missing = [
-        method + (" (with num_parts)" if flag.startswith("part_") else "")
-        for flag, method in _METHODS.items()
-        if getattr(required, flag) and not getattr(available, flag)
+        method + (" (with num_parts)" if method.endswith("_parts") else "")
+        for method in _CONTRACT
+        if getattr(required, method) and not getattr(available, method)
     ]
     if not missing:
         return None
@@ -397,8 +403,9 @@ def _shortfall(available, required, consumer):
 def check_requirements(provided, required, consumer="optimizer"):
     """Return None when every required capability is available, else a Diagnostic.
 
-    ``provided`` and ``required`` are ``ObjectiveCapabilities``; a True flag in
-    ``required`` means ``consumer`` will call that method.  Requirements are
+    ``provided`` and ``required`` are ``ObjectiveCapabilities``, and anything
+    else raises a Diagnostic; a True flag in ``required`` means
+    ``consumer`` will call the method of that name.  Requirements are
     satisfiable either directly or through the two inference rules (full value
     from parts, fused call from separate evaluate and gradient).  The returned
     Diagnostic names each missing method and the consumer that wants it; it is
@@ -406,7 +413,7 @@ def check_requirements(provided, required, consumer="optimizer"):
     the public probe: it infers from ``provided``, then applies the rule that
     a run applies to its adapter's ``available`` record (``_shortfall``).
     """
-    return _shortfall(_with_inference(provided), required, consumer)
+    return _shortfall(_with_inference(_capabilities("provided", provided)), required, consumer)
 
 
 class _StopRequested(Exception):
@@ -458,18 +465,18 @@ class ObjectiveAdapter(CallbackList):
         # it would make each adapter a reference cycle that outlives its run.
         cls = type(self)
 
-        def bind(flag, own, inferred=None):
-            if getattr(caps, flag):
+        def bind(method, own, inferred=None):
+            if getattr(caps, method):
                 return own
-            return inferred if getattr(available, flag) else partial(cls._refuse, flag=flag)
+            return inferred if getattr(available, method) else partial(cls._refuse, method=method)
 
         # The inferred full value is one window spanning all parts.
         summed = partial(cls._own_evaluate_parts, first=0, count=caps.num_parts)
         self._evaluate = bind("evaluate", cls._own_evaluate, summed)
         self._gradient = bind("gradient", cls._own_gradient)
         self._evaluate_with_gradient = bind("evaluate_with_gradient", cls._own_fused, cls._paired)
-        self._evaluate_parts = bind("part_evaluate", cls._own_evaluate_parts)
-        self._gradient_parts = bind("part_gradient", cls._own_gradient_parts)
+        self._evaluate_parts = bind("evaluate_parts", cls._own_evaluate_parts)
+        self._gradient_parts = bind("gradient_parts", cls._own_gradient_parts)
 
     def __enter__(self):
         return self
@@ -555,9 +562,9 @@ class ObjectiveAdapter(CallbackList):
             self.objective.gradient_parts(x, first, count), x, "gradient_parts"
         )
 
-    def _refuse(self, *args, flag):
+    def _refuse(self, *args, method):
         consumer = f"the adapter of {type(self.objective).__name__}"
-        raise _shortfall(self.available, ObjectiveCapabilities(**{flag: True}), consumer)
+        raise _shortfall(self.available, ObjectiveCapabilities(**{method: True}), consumer)
 
     def _admit(self, evaluations, gradients):
         """Refuse the call after a termination request, else count it."""

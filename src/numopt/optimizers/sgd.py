@@ -177,7 +177,7 @@ class SGD:
     seed: int = 0
     update: UpdatePolicy = field(default_factory=VanillaUpdate)
 
-    requires = ObjectiveCapabilities(part_evaluate=True, part_gradient=True)
+    requires = ObjectiveCapabilities(evaluate_parts=True, gradient_parts=True)
 
     def __post_init__(self):
         check_options(

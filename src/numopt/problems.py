@@ -236,6 +236,10 @@ class LogisticRegression(_ColumnData):
     X (sigmoid(X.T phi) - y), softplus being ``np.logaddexp(0, z)``.  Also
     separable per column.  ``ridge`` adds an optional penalty
     ridge * ||phi||^2 (part windows carry a count/n share of it); off by default.
+    With BLAS on one thread, a gradient keeps its bits.  On more threads its
+    product X (sigmoid(X.T phi) - y), one BLAS call, can change in its last
+    bits with the thread count: at d=100, n=10000, one and two OpenBLAS
+    threads give different gradients and the same value.
     """
 
     def __init__(self, predictors, responses, ridge=0.0):

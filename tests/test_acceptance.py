@@ -85,7 +85,7 @@ def test_03_two_method_objects_run_and_gaps_are_named():
     capabilities = ObjectiveCapabilities.of(objective)
     assert capabilities.evaluate and capabilities.gradient
     assert not capabilities.evaluate_with_gradient
-    assert not capabilities.part_evaluate and not capabilities.part_gradient
+    assert not capabilities.evaluate_parts and not capabilities.gradient_parts
 
     x0 = np.zeros((3, 1))
     for optimizer in (

@@ -109,6 +109,9 @@ class TestRunBench:
             run_bench(small_spec(n=0))
         with pytest.raises(Diagnostic, match="--max-iterations"):
             run_bench(small_spec(max_iterations=-1))
+        # 0 is no cap: a timed run of annealing, or of diverging GD, never ends.
+        with pytest.raises(Diagnostic, match="--max-iterations must be >= 1, got 0"):
+            run_bench(small_spec(max_iterations=0))
         with pytest.raises(Diagnostic, match="--noise"):
             run_bench(small_spec(noise_scale=-1.0))
         for option, flag in (("runs", "--runs"), ("d", "--d"), ("n", "--n"),
@@ -244,8 +247,8 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "option",
-        [["--runs", "0"], ["--noise", "nan"], ["--seed", "-1"]],
-        ids=["runs", "noise", "seed"],
+        [["--runs", "0"], ["--noise", "nan"], ["--seed", "-1"], ["--max-iterations", "0"]],
+        ids=["runs", "noise", "seed", "max-iterations"],
     )
     def test_invalid_value_is_a_usage_error(self, option, capsys):
         with pytest.raises(SystemExit) as stop:

@@ -3,7 +3,7 @@
 import ast
 import inspect
 import weakref
-from dataclasses import fields
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +26,10 @@ from numopt import (
     as_parameters,
     check_requirements,
     finite_difference_gradient,
+    prepare_run,
 )
-from numopt.core import _METHODS
-from numopt.problems import LinearRegression
+from numopt.core import _CONTRACT
+from numopt.problems import LinearRegression, Rosenbrock
 
 # Hand-checkable instance: X = [1 2] (d=1, n=2), y = (1, 2).  At phi = 0 the
 # residual is (-1, -2), so f = 5 and the gradient is 2*(1*-1 + 2*-2) = -10.
@@ -93,12 +94,12 @@ class TestCapabilities:
         caps = ObjectiveCapabilities.of(FullObjective())
         assert caps.evaluate and caps.gradient
         assert not caps.evaluate_with_gradient
-        assert not caps.part_evaluate and not caps.part_gradient
+        assert not caps.evaluate_parts and not caps.gradient_parts
         assert caps.num_parts is None
 
     def test_detects_parts(self):
         caps = ObjectiveCapabilities.of(PartsOnlyObjective())
-        assert caps.part_evaluate and caps.part_gradient
+        assert caps.evaluate_parts and caps.gradient_parts
         assert caps.num_parts == 2
         assert not caps.evaluate
 
@@ -130,6 +131,30 @@ class TestCapabilities:
         objective.gradient_parts = lambda phi, first, count: np.zeros_like(phi)
         with pytest.raises(Diagnostic, match="num_parts"):
             SGD(batch_size=1, max_iterations=3).optimize(objective, np.zeros(1))
+
+    # The one place the tests spell the contract's methods; the others read
+    # core's list, which core derives from the capability flags.
+    @pytest.mark.parametrize(
+        "methods",
+        [
+            subset
+            for size in range(6)
+            for subset in combinations(
+                ("evaluate", "gradient", "evaluate_with_gradient",
+                 "evaluate_parts", "gradient_parts"),
+                size,
+            )
+        ],
+        ids=lambda methods: "+".join(methods) or "none",
+    )
+    def test_each_flag_is_the_method_of_its_name(self, methods):
+        namespace = dict.fromkeys(methods, lambda self, *args: 0.0)
+        parts = any(method.endswith("_parts") for method in methods)
+        if parts:
+            namespace["num_parts"] = 2
+        caps = ObjectiveCapabilities.of(type("Subset", (), namespace)())
+        assert {method for method in _CONTRACT if getattr(caps, method)} == set(methods)
+        assert caps.num_parts == (2 if parts else None)
 
     def test_non_callable_attributes_do_not_count(self):
         class Impostor:
@@ -181,7 +206,7 @@ class TestCheckRequirements:
 
     def test_part_requirements_need_real_parts(self):
         caps = ObjectiveCapabilities.of(FullObjective())
-        need = ObjectiveCapabilities(part_evaluate=True, part_gradient=True)
+        need = ObjectiveCapabilities(evaluate_parts=True, gradient_parts=True)
         diagnostic = check_requirements(caps, need, consumer="SGD")
         assert "evaluate_parts" in str(diagnostic)
         assert "gradient_parts" in str(diagnostic)
@@ -197,21 +222,39 @@ class TestCheckRequirements:
             SGD().optimize(LinearRegression(X_TINY, Y_TINY), np.zeros(1))
         assert str(raised.value) == str(diagnostic)
 
-    def test_method_table_covers_exactly_the_capability_flags_in_order(self):
-        flags = [field.name for field in fields(ObjectiveCapabilities) if field.type == "bool"]
-        assert list(_METHODS) == flags
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: check_requirements(LinearRegression(X_TINY, Y_TINY), LBFGS.requires),
+                "provided is a LinearRegression, not ObjectiveCapabilities.of(objective)",
+            ),
+            (
+                lambda: check_requirements(ObjectiveCapabilities.of(FullObjective()), LBFGS),
+                "required is a type, not ObjectiveCapabilities.of(objective)",
+            ),
+            (
+                lambda: prepare_run(Rosenbrock(), np.zeros(2), (), {"evaluate": True}, "mine"),
+                "required is a dict, not ObjectiveCapabilities.of(objective)",
+            ),
+        ],
+        ids=["objective-as-provided", "optimizer-as-required", "dict-as-requires"],
+    )
+    def test_a_record_of_another_type_is_refused(self, call, message):
+        with pytest.raises(Diagnostic) as raised:
+            call()
+        assert str(raised.value) == message
 
     def test_monotone_in_requirements(self):
         # If a requirement set passes, every subset passes.
         rng = np.random.default_rng(0)
-        flags = ("evaluate", "gradient", "evaluate_with_gradient", "part_evaluate", "part_gradient")
         providers = [FullObjective(), PartsOnlyObjective(), FusedObjective()]
         for provider in providers:
             caps = ObjectiveCapabilities.of(provider)
             for _ in range(40):
-                required = {flag: bool(rng.integers(2)) for flag in flags}
+                required = {flag: bool(rng.integers(2)) for flag in _CONTRACT}
                 if check_requirements(caps, ObjectiveCapabilities(**required)) is None:
-                    for dropped in flags:
+                    for dropped in _CONTRACT:
                         subset = dict(required)
                         subset[dropped] = False
                         assert check_requirements(caps, ObjectiveCapabilities(**subset)) is None
@@ -323,7 +366,7 @@ class TestOneInferencePerRun:
         ids=lambda optimizer: type(optimizer).__name__,
     )
     def test_a_run_infers_once(self, optimizer, inferences):
-        part_wise = optimizer.requires.part_gradient
+        part_wise = optimizer.requires.gradient_parts
         optimizer.optimize(PartsOnlyObjective() if part_wise else FullObjective(), np.zeros(1))
         assert len(inferences) == 1
 

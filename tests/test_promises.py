@@ -50,7 +50,7 @@ from numopt import (
     VanillaUpdate,
 )
 from numopt.bench import BenchSpec
-from numopt.core import _METHODS
+from numopt.core import _CONTRACT
 from numopt.optimizers.lbfgs import LbfgsMemory
 from numopt.problems import (
     LinearRegression,
@@ -244,7 +244,7 @@ def make_problem(problem, dtype, seed, part_wise):
 def grid():
     for name, factory in OPTIMIZERS.items():
         problems = ["least-squares", "logistic", "logistic-float64"]
-        if not factory(0).requires.part_gradient:
+        if not factory(0).requires.gradient_parts:
             problems.append("rosenbrock")
         for problem in problems:
             for dtype in (np.float32, np.float64):
@@ -261,7 +261,7 @@ def grid():
 )
 def test_x0_is_kept_and_its_dtype_sets_the_run(name, problem, dtype, start, column, data_seed, seed):
     optimizer = OPTIMIZERS[name](seed)
-    objective, dim = make_problem(problem, dtype, data_seed, optimizer.requires.part_gradient)
+    objective, dim = make_problem(problem, dtype, data_seed, optimizer.requires.gradient_parts)
     x0 = np.array(start[:dim], dtype=dtype).reshape((dim, 1) if column else (dim,))
     before = x0.copy()
     # Finiteness is not asserted: gradient descent at its default step diverges.
@@ -317,7 +317,7 @@ def test_a_reused_gradient_buffer_changes_no_result(
     runs = []
     for wrap in (lambda objective: objective, reusing_buffers):
         optimizer = OPTIMIZERS[name](seed)
-        objective, dim = make_problem(problem, dtype, data_seed, optimizer.requires.part_gradient)
+        objective, dim = make_problem(problem, dtype, data_seed, optimizer.requires.gradient_parts)
         x0 = np.array(start[:dim], dtype=dtype).reshape((dim, 1) if column else (dim,))
         with np.errstate(over="ignore", invalid="ignore"):
             x, result = optimizer.optimize(wrap(objective), x0)
@@ -343,7 +343,7 @@ def test_complex_start_is_refused_before_any_call(name):
 )
 def test_malformed_callbacks_are_refused_before_any_event_or_call(name, callbacks, kind):
     optimizer = OPTIMIZERS[name](0)
-    if optimizer.requires.part_gradient:
+    if optimizer.requires.gradient_parts:
         objective, x0 = CountingParts(SeparableLinearRegression(X, Y)), np.zeros(3)
     else:
         objective, x0 = CountingFull(Rosenbrock()), np.array([-1.2, 1.0])
@@ -467,7 +467,7 @@ def returning_run(name, value, gradient, fused, offset, dtype, seed):
     on Rosenbrock, or on least squares by parts, with every value passed
     through ``value`` and every gradient through ``gradient``."""
     optimizer = OPTIMIZERS[name](seed)
-    if optimizer.requires.part_gradient:
+    if optimizer.requires.gradient_parts:
         counting, inner, x0 = CountingParts, SeparableLinearRegression(X, Y), offset[[0, 1, 0]]
     else:
         counting, inner = CountingFused if fused else CountingFull, Rosenbrock()
@@ -493,7 +493,7 @@ def returned_as(kind):
 GRADIENT_USERS = [
     name
     for name, factory in OPTIMIZERS.items()
-    if factory(0).requires.gradient or factory(0).requires.part_gradient
+    if factory(0).requires.gradient or factory(0).requires.gradient_parts
 ]
 SIDES = {
     "value": (VALUE_KINDS, REFUSED_VALUES),
@@ -551,7 +551,7 @@ def test_what_an_objective_returns_is_admitted_by_one_rule(
     # Refused at the first call that returned the kind, by a message that
     # names the objective's type and method.
     assert objective.calls == objective.inner.first[side] is not None
-    methods = "|".join(_METHODS.values())
+    methods = "|".join(_CONTRACT)
     assert re.search(rf"\b{type(objective).__name__}\.({methods})\b", str(raised.value))
 
 
@@ -745,7 +745,7 @@ OPTIONS = [
     (BenchSpec, "runs", "--runs must be >= 1, got nan", COUNT),
     (BenchSpec, "d", "--d must be >= 1, got nan", COUNT),
     (BenchSpec, "n", "--n must be >= 1, got nan", COUNT),
-    (BenchSpec, "max_iterations", "--max-iterations must be >= 0, got nan", COUNT),
+    (BenchSpec, "max_iterations", "--max-iterations must be >= 1, got nan", COUNT),
     (BenchSpec, "seed", "--seed must be >= 0, got nan", COUNT),
     (BenchSpec, "noise_scale", "--noise must be >= 0, got nan", NUMBER),
     (CompassSearch, "step", "step must be > 0, got nan", NUMBER),
