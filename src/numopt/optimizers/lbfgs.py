@@ -280,8 +280,10 @@ class LBFGS:
 
     ``max_iterations`` of 0 means no cap.  ``min_gradient_norm`` is tested
     with the max-abs norm; ``min_objective_improvement`` is relative to
-    max(1, |f|).  Needs evaluate and gradient (a fused
-    evaluate_with_gradient is used when present).
+    max(1, |f|).  Needs evaluate and gradient.  A fused
+    evaluate_with_gradient, when present, is called once, at the starting
+    point: each line-search trial then calls evaluate, and each accepted
+    point gradient, so no rejected trial costs a gradient.
 
     The initial inverse Hessian, before the run's first pair and after a
     restart, is ``LbfgsMemory``'s to choose (see its H0 rule).  A rejected

@@ -1,14 +1,16 @@
 """Ready-made objectives and data helpers.
 
 Conventions: predictors X are d x n (one sample per column), responses y are
-length n, parameters phi are a length-d vector or d x 1 column.  Gradients
-come back in phi's shape.  Data arrays keep float32 or float64 as given, so
+length n, parameters phi are a length-d vector or d x 1 column, read by every
+bundled objective through one intake, ``_parameters``.  Gradients come back
+in phi's shape.  Data arrays keep float32 or float64 as given, so
 single-precision problems stay single precision end to end.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -33,9 +35,31 @@ def _data_array(values, name):
     return a
 
 
+# np.ndarray bound once: looked up per call, it was ~20 ns of the ~55 ns the
+# intake's type and dtype test added to each objective call (2-CPU Xeon).
+_ndarray = np.ndarray
+
+
+def _parameters(phi, size, owner):
+    """phi as a float32 or float64 array of ``size`` entries: the one intake
+    of the parameters a bundled objective ``owner`` is called with.
+
+    A float32 or float64 ndarray, not a subclass, passes on one type and
+    dtype test, in either byte order and uncopied; anything else is admitted
+    by the rule for parameters and data (``_as_float_array``) first, which
+    makes a subclass a plain ndarray.  Then the size test runs.
+    """
+    if not (type(phi) is _ndarray and phi.dtype.char in "fd"):
+        phi = _as_float_array(phi, f"{type(owner).__name__} parameters")
+    if phi.size != size:
+        raise Diagnostic(f"{type(owner).__name__} expects {size} parameters, got shape {phi.shape}")
+    return phi
+
+
 class _ColumnData:
     """Predictors X (d x n) and responses y (length n), checked once, and the
-    parameter and column-window checks of the bundled data objectives.
+    column-window check of the bundled data objectives, whose parameters,
+    one per row of X, are read through ``_parameters``.
 
     X stays an instance attribute, so it can be swapped per object.
     """
@@ -49,17 +73,6 @@ class _ColumnData:
         if y.shape[0] != X.shape[1]:
             raise Diagnostic(f"{owner}: {X.shape[1]} predictor columns but {y.shape[0]} responses")
         self.X, self.y = X, y
-
-    def _parameters(self, phi):
-        """phi as an array with one entry per row of X; kernels take its
-        ``ravel()`` and gradients its ``shape``."""
-        phi = np.asarray(phi)
-        d = self.X.shape[0]
-        if phi.size != d:
-            raise Diagnostic(
-                f"{type(self).__name__} expects {d} parameters, got shape {phi.shape}"
-            )
-        return phi
 
     def _columns(self, first, count):
         """(X, y) cut to the checked column window [first, first+count).
@@ -144,7 +157,7 @@ class _LeastSquares(_ColumnData):
         always does.  A float32 product, of float32 X and phi, is never made
         in blocks: OpenBLAS's sgemv rounds an output by the product's length.
         """
-        phi = self._parameters(phi)
+        phi = _parameters(phi, self.X.shape[0], self)
         flat = phi.ravel()
         key = (first, count, type(first), type(count), flat.dtype, flat.tobytes())
         kept = self._kept
@@ -177,7 +190,8 @@ class _LeastSquares(_ColumnData):
 
 
 class LinearRegression(_LeastSquares):
-    """Least squares f(phi) = ||X.T phi - y||^2 with gradient 2 X (X.T phi - y).
+    """Least squares f(phi) = ||X.T phi - y||^2 with gradient 2 X (X.T phi - y),
+    phi, one entry per row of X, read through ``_parameters``.
 
     Deliberately provides only ``evaluate`` and ``gradient``; that pair is
     enough for every gradient-based optimizer here, and the annealer needs
@@ -256,8 +270,9 @@ class LogisticRegression(_ColumnData):
     def num_parts(self):
         return self.X.shape[1]
 
-    def _value(self, flat, X, y, share):
+    def _value(self, phi, X, y, share):
         """Value over the columns X, y; share is their count/n of the ridge penalty."""
+        flat = _parameters(phi, self.X.shape[0], self).ravel()
         z = X.T @ flat
         # add.reduce is what ndarray.sum and np.sum run, without NumPy's Python
         # wrapper (_methods._sum) around it: the same pairwise sum, ~0.15 us less.
@@ -267,52 +282,46 @@ class LogisticRegression(_ColumnData):
             value += self.ridge * float(flat @ flat) * share
         return value
 
-    def _gradient(self, flat, X, y, share):
+    def _gradient(self, phi, X, y, share):
+        """Gradient over the columns X, y in phi's shape; share as for ``_value``."""
+        phi = _parameters(phi, self.X.shape[0], self)
+        flat = phi.ravel()
         z = X.T @ flat
         zero = _ZEROS.get(z.dtype.char, 0.0)
         g = X @ (np.exp(z - np.logaddexp(zero, z)) - y)
         if self.ridge:
             g = g + 2.0 * self.ridge * flat * share
-        return g
+        return g.reshape(phi.shape)
 
     # Full calls pass X and y whole: cutting them as the window [0, n) made an
     # evaluate at d=5 n=200 about 10% slower (15.5 -> 17.1 us on a 2-CPU Xeon,
     # slower in 15 of 15 interleaved rounds), about 6% of an annealing move.
     def evaluate(self, phi):
-        return self._value(self._parameters(phi).ravel(), self.X, self.y, 1.0)
+        return self._value(phi, self.X, self.y, 1.0)
 
     def gradient(self, phi):
-        phi = self._parameters(phi)
-        return self._gradient(phi.ravel(), self.X, self.y, 1.0).reshape(phi.shape)
+        return self._gradient(phi, self.X, self.y, 1.0)
 
-    # float(count): a NumPy-integer count would make the share, and with it
-    # a float32 ridge gradient, float64.
+    # The window is checked before the parameters.  float(count): a
+    # NumPy-integer count would make the share, and with it a float32 ridge
+    # gradient, float64.
     def evaluate_parts(self, phi, first, count):
-        X, y = self._columns(first, count)
-        return self._value(self._parameters(phi).ravel(), X, y, float(count) / self.X.shape[1])
+        return self._value(phi, *self._columns(first, count), float(count) / self.X.shape[1])
 
     def gradient_parts(self, phi, first, count):
-        X, y = self._columns(first, count)
-        phi = self._parameters(phi)
-        g = self._gradient(phi.ravel(), X, y, float(count) / self.X.shape[1])
-        return g.reshape(phi.shape)
+        return self._gradient(phi, *self._columns(first, count), float(count) / self.X.shape[1])
 
 
 class Rosenbrock:
     """The banana-valley test function (1-a)^2 + 100(b-a^2)^2 on 2-D points.
 
     Global minimum 0 at (1, 1); the curved narrow valley makes it a standard
-    stress test for line searches and curvature models.
+    stress test for line searches and curvature models.  The point [a, b] is
+    read through ``_parameters`` and computed on as Python floats.
     """
 
-    def _point(self, x):
-        """[a, b] of the array ``x`` as Python floats, in one call."""
-        if x.size != 2:
-            raise Diagnostic(f"Rosenbrock is 2-D, got shape {x.shape}")
-        return x.ravel().tolist()
-
     def evaluate(self, x):
-        a, b = self._point(np.asarray(x))
+        a, b = _parameters(x, 2, self).ravel().tolist()
         try:
             return (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
         except OverflowError:
@@ -320,8 +329,8 @@ class Rosenbrock:
             return np.inf
 
     def gradient(self, x):
-        x = np.asarray(x)
-        a, b = self._point(x)
+        x = _parameters(x, 2, self)
+        a, b = x.ravel().tolist()
         ga = -2.0 * (1.0 - a) - 400.0 * a * (b - a * a)
         gb = 200.0 * (b - a * a)
         g = np.array([ga, gb], dtype=x.dtype)
@@ -359,23 +368,28 @@ def generate_noisy_linear(d, n, noise_scale=10.0, seed=0):
 def load_csv(path):
     """Read a numeric CSV into (X, y): one sample per row, last column is y.
 
-    A single leading non-numeric row is skipped as a header; any other
-    non-numeric cell is a Diagnostic.  Returns X as d x n (samples become
-    columns) and y as an n-vector, both float64.
+    The file is read as UTF-8, a leading byte-order mark dropped.  A single
+    leading non-numeric row is skipped as a header; any other non-numeric
+    cell, and any NaN or infinite cell, is a Diagnostic naming its line.
+    Returns X as d x n (samples become columns) and y as an n-vector, both
+    float64.
     """
     rows = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for line_number, row in enumerate(csv.reader(handle), start=1):
             if not row:
                 continue
             try:
-                rows.append([float(cell) for cell in row])
+                values = [float(cell) for cell in row]
             except ValueError:
                 if line_number == 1:
                     continue
                 raise Diagnostic(
                     f"{path}: line {line_number} is not numeric: {','.join(row)!r}"
                 ) from None
+            if not all(map(math.isfinite, values)):
+                raise Diagnostic(f"{path}: line {line_number} contains NaN or infinity")
+            rows.append(values)
     if not rows:
         raise Diagnostic(f"{path}: no data rows")
     widths = {len(row) for row in rows}

@@ -268,6 +268,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert "LogisticRegression labels must all be 0 or 1, got values [0.7 2. ]" in err
 
+    @pytest.mark.parametrize("response", ["nan", "inf"])
+    def test_a_non_finite_cell_is_a_runtime_error(self, tmp_path, capsys, response):
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,y\n0.5,1.0\n-0.3,{response}\n1.2,0.4\n")
+        code = main(["--dataset", str(path), "--runs", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {path}: line 3 contains NaN or infinity" in captured.err
+
     def test_dataset_run_succeeds(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
         path.write_text("a,b,y\n0.5,1.0,1\n-0.3,0.2,0\n1.2,-0.7,1\n0.8,0.1,0\n")

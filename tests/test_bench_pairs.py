@@ -127,6 +127,29 @@ def test_claimable_needs_nine_tenths_of_pairs_and_medians_beyond_the_parents_spr
     assert metric["solve_rel.p50"]["claimable"] is claimable
 
 
+# lbfgs-rosenbrock solve_rel.p90 in BENCH_37.json, where only one isinstance
+# per solve changed: better in 10 of 10 pairs and the median 1.2% lower,
+# beyond the parent's spread, yet the change's q3 (3.7745) is above the
+# parent's q1 (3.7716).
+BENCH_37_PARENT = [3.7708, 3.8003, 3.7974, 3.7694, 3.793, 3.8133, 3.7687, 3.784, 3.8001, 3.7742]
+BENCH_37_CHANGE = [3.6848, 3.7269, 3.7859, 3.7693, 3.7762, 3.6786, 3.6848, 3.756, 3.788, 3.6833]
+
+
+@pytest.mark.parametrize("metric, sign", [("solve_rel.p50", 1.0), ("accept_ratio", -1.0)])
+@pytest.mark.parametrize("shift, claimable", [(0.0, False), (0.01, True)],
+                         ids=["overlapping", "apart"])
+def test_claimable_needs_the_quartile_ranges_apart(bench_pairs, metric, sign, shift, claimable):
+    parent = [sign * p for p in BENCH_37_PARENT]
+    change = [sign * (c - shift) for c in BENCH_37_CHANGE]
+    summary = bench_pairs.summarize(ten_pairs(parent, change, metric), BETTER)
+    result = summary["trace0"]["w"]["metrics"][metric]
+    assert result["change_better_pairs"] == 10
+    assert abs(result["parent"]["median"] - result["change"]["median"]) > (
+        result["parent"]["q3"] - result["parent"]["q1"]
+    )
+    assert result["claimable"] is claimable
+
+
 def test_claimable_follows_a_higher_is_better_metric(bench_pairs):
     summary = bench_pairs.summarize(
         ten_pairs(PARENT, [p + 5.0 for p in PARENT], "accept_ratio"), BETTER

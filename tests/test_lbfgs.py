@@ -793,6 +793,29 @@ class TestLbfgsOptimize:
         LBFGS().optimize(Fused(), np.array([10.0, -7.0]))
         assert calls["fused"] == 1
 
+    def test_the_fused_call_is_made_at_the_starting_point_only(self):
+        """On an objective with all three methods, each line-search trial
+        calls evaluate and each accepted point gradient; the fused call is
+        made once, at x0.  Each step here is accepted at its first trial."""
+        calls = []
+
+        class Probe:
+            def evaluate(self, x):
+                calls.append("evaluate")
+                return 0.25 * float(x @ x)
+
+            def gradient(self, x):
+                calls.append("gradient")
+                return 0.5 * x
+
+            def evaluate_with_gradient(self, x):
+                calls.append("fused")
+                return 0.25 * float(x @ x), 0.5 * x
+
+        _, result = LBFGS(max_iterations=2).optimize(Probe(), np.array([3.0, -1.0]))
+        assert result.iterations == 2
+        assert calls == ["fused", "evaluate", "gradient", "evaluate", "gradient"]
+
     def test_line_search_failure_returns_last_accepted_state(self):
         class Cliff:
             """Finite at the start, NaN everywhere the search can reach."""

@@ -101,6 +101,65 @@ def test_boolean_and_integer_data_become_float64(cls):
     assert objective.y.tolist() == [1.0, 0.0]
 
 
+# The four bundled objectives read their parameters through one intake, the
+# admission rule of the data: booleans and integers are the float64 call,
+# complex numbers, strings and None are refused by their dtype, never cast,
+# parsed or passed to a kernel, and the size is checked after.  Each case is
+# two parameters, called through the part methods for the part-wise objective.
+INTAKE_DATA = ([[1.0, -2.0, 0.5], [0.25, 3.0, -1.0]], [1.0, 0.0, 1.0])
+INTAKE_OBJECTIVES = {
+    "LinearRegression": lambda: LinearRegression(*INTAKE_DATA),
+    "SeparableLinearRegression": lambda: SeparableLinearRegression(*INTAKE_DATA),
+    "LogisticRegression": lambda: LogisticRegression(*INTAKE_DATA, ridge=0.3),
+    "Rosenbrock": Rosenbrock,
+}
+
+
+def intake_call(name, method, phi):
+    objective = INTAKE_OBJECTIVES[name]()
+    if name == "SeparableLinearRegression":
+        return getattr(objective, f"{method}_parts")(phi, 0, 3)
+    return getattr(objective, method)(phi)
+
+
+@pytest.mark.parametrize("name", list(INTAKE_OBJECTIVES))
+@pytest.mark.parametrize("method", ["evaluate", "gradient"])
+@pytest.mark.parametrize(
+    "phi, refusal",
+    [
+        (np.array([True, False]), None),
+        (np.array([[2], [-1]], dtype=np.int32), None),
+        ([3, 0], None),
+        (np.array([1 + 0j, 2]), "parameters must be real numbers, got dtype complex128"),
+        (np.array(["1", "2"]), "parameters must be real numbers, got dtype <U1"),
+        (None, "parameters must be real numbers, got dtype object"),
+        (np.zeros(3), "expects 2 parameters, got shape (3,)"),
+        (np.zeros((1, 1), dtype=np.int64), "expects 2 parameters, got shape (1, 1)"),
+    ],
+    ids=["bool", "int-column", "int-list", "complex", "string", "none", "size", "int-size"],
+)
+def test_parameters_pass_one_intake(name, method, phi, refusal):
+    if refusal is not None:
+        with pytest.raises(Diagnostic) as raised:
+            intake_call(name, method, phi)
+        assert str(raised.value) == f"{name} {refusal}"
+        return
+    got = intake_call(name, method, phi)
+    expected = intake_call(name, method, np.asarray(phi, dtype=np.float64))
+    if method == "evaluate":
+        assert type(got) is float and got == expected
+    else:
+        assert got.dtype == np.float64 and got.shape == np.shape(phi)
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_logistic_parts_check_the_window_before_the_parameters():
+    objective = INTAKE_OBJECTIVES["LogisticRegression"]()
+    for method in (objective.evaluate_parts, objective.gradient_parts):
+        with pytest.raises(Diagnostic, match="window"):
+            method(np.array([1j, 0]), 2, 5)
+
+
 # A window bound that is not an integer fails the range test or the slice;
 # either way the objective reports a Diagnostic that names it.  A cold case
 # builds a fresh objective, so no residual memo holds a window to hit.  A
@@ -873,7 +932,7 @@ class TestRosenbrock:
         assert g.ravel().tolist() == [-2.0, 0.0]
 
     def test_wrong_size_is_diagnostic(self):
-        with pytest.raises(Diagnostic, match="2-D"):
+        with pytest.raises(Diagnostic, match="expects 2 parameters"):
             Rosenbrock().evaluate(np.zeros(3))
 
     def test_overflowing_value_is_inf(self):
@@ -993,6 +1052,20 @@ class TestLoadCsv:
         X, y = load_csv(path)
         assert X.shape == (2, 1)
         assert y.tolist() == [0.0]
+
+    def test_a_byte_order_mark_keeps_the_first_sample(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1,2,3\n4,5,6\n7,8,9\n", encoding="utf-8-sig")
+        X, y = load_csv(path)
+        assert X.shape == (2, 3)
+        assert y.tolist() == [3.0, 6.0, 9.0]
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e309"])
+    def test_nan_or_infinite_cell_is_diagnostic(self, tmp_path, cell):
+        path = self.write(tmp_path, f"a,b,y\n1,2,3\n4,{cell},6\n")
+        with pytest.raises(Diagnostic) as raised:
+            load_csv(path)
+        assert str(raised.value) == f"{path}: line 3 contains NaN or infinity"
 
     def test_non_numeric_data_line_is_diagnostic(self, tmp_path):
         path = self.write(tmp_path, "1,2,3\nx,5,6\n")

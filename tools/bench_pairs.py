@@ -18,8 +18,13 @@ line the command prints last and its ``env`` record) and a summary: per
 metric, each side's median and quartiles over the seeds and how many pairs
 the change read better, in the direction ``BENCHMARK.json`` declares.  A
 metric is ``claimable`` when, of at least ten pairs, the change read better
-in at least nine tenths and its median is better than the parent's by more
-than the parent's quartile spread; an end-to-end metric is ``beyond_bound``
+in at least nine tenths, its median is better than the parent's by more
+than the parent's quartile spread, and the two sides' quartile ranges are
+separate: for a metric where lower is better, the change's third quartile
+is below the parent's first, and mirrored where higher is better.  Even so,
+a shift of placement or order that is the same in every pair, on a metric
+with tight quartiles, can still pass: a claim on a workload whose code did
+not change is noise.  An end-to-end metric is ``beyond_bound``
 when the change's median is worse than the parent's by more than the
 metric's relative ``bound``.  The per-solve counts ``evals_per_solve`` and
 ``calls_per_solve`` also say whether every pair read identical values
@@ -136,6 +141,11 @@ def summarize(runs, better, bounds=None):
             parent_spread, change_spread = spread(parent), spread(change)
             parent_median, change_median = parent_spread["median"], change_spread["median"]
             better_pairs = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+            separate = (
+                change_spread["q3"] < parent_spread["q1"]
+                if sign > 0
+                else change_spread["q1"] > parent_spread["q3"]
+            )
             # Signed so that a positive number means the change reads worse.
             worsening = sign * (change_median - parent_median)
             summary_of_metric = {
@@ -148,7 +158,8 @@ def summarize(runs, better, bounds=None):
                 ),
                 "claimable": len(pairs) >= CLAIM_PAIRS
                 and 10 * better_pairs >= 9 * len(pairs)
-                and -worsening > parent_spread["q3"] - parent_spread["q1"],
+                and -worsening > parent_spread["q3"] - parent_spread["q1"]
+                and separate,
             }
             if metric in bounds:
                 summary_of_metric["beyond_bound"] = worsening > bounds[metric] * abs(parent_median)
