@@ -5,9 +5,9 @@ The inverse-Hessian model is never formed.  It lives in the newest
 small matrices, and is applied in the compact form of Byrd, Nocedal &
 Schnabel ("Representations of quasi-Newton matrices and their use in
 limited memory methods", Math. Prog. 63, 1994), the representation behind
-L-BFGS-B.  A direction and a memory update each cost O(memory * dim)
-arithmetic in a fixed number of NumPy calls, whatever the memory length;
-the line search comes on top.
+L-BFGS-B.  A direction makes two passes over the stored pairs and an
+accepted pair one, each in a fixed number of NumPy calls, whatever the
+memory length; the line search comes on top.
 """
 
 from __future__ import annotations
@@ -49,35 +49,31 @@ class LbfgsMemory:
     Prog. 45, 1989; Nocedal & Wright, eq. 7.20), and ``clear`` keeps gamma,
     so a cleared memory gives -gamma g.
 
-    Storage is the compact form's.  With m = ``memory_size`` and k pairs
-    stored, the pairs are the last k rows of S and of Y, oldest first, and
-    the rows before them are zero.  Beside them, in the pairs' dtype, sit
-    R^-1, where R is the upper triangle of S Y^T (R_ij = s_i.y_j for
-    i <= j), then Y Y^T and D = diag(s_i.y_i), zero outside their trailing
-    k x k blocks.  These arrays are kept twice, in two banks of the same
-    shapes, one of them the memory's.  An accepted ``push`` copies the
-    memory's rows and columns, shifted by one so that the oldest pair drops
-    out, into the spare bank, fills in the newest pair there from one
-    product of [S; Y] with the new y, and makes that bank the memory's.  A
-    shift within one bank would overlap its source, which NumPy stages
-    through a temporary; the copy between banks needs none.  A refused pair
-    writes nothing, and the memory's bank stays as it was.  The shift needs
-    no refactorisation, because the trailing block of an upper-triangular
-    inverse is the inverse of the trailing block.
-
-    ``clear`` zeroes the memory's bank in place and keeps both banks, which
-    an accepted push into the spare bank overwrites wherever a direction
-    reads, so a clear allocates nothing.
+    Storage is the compact form's, kept as a ring of m = ``memory_size``
+    slots.  Slot i holds one pair as row i of S and of Y, and R^-1, Y Y^T
+    and D = diag(s_i.y_i) are kept in the same slot order, R being the upper
+    triangle of S Y^T in time order (R_ij = s_i.y_j when pair i came no
+    later than pair j).  Slots not yet written are zero throughout.  An
+    accepted ``push`` writes one slot, the one after the newest pair's,
+    which is the oldest pair's once the memory is full, and nothing else:
+    its rows of S and Y; R^-1's row, zeroed, which drops the oldest pair,
+    because the trailing block of an upper-triangular inverse is the
+    inverse of the trailing block and the oldest pair's column of R^-1
+    holds only its diagonal entry; R^-1's column, and Y Y^T's row and
+    column and D's entry, from one product of [S; Y] with the new y.  A
+    refused pair writes nothing.  Nothing shifts, so a push costs one pass
+    over [S; Y].  The direction's sums run over the slots in slot order,
+    which past a wrap is not time order, so their last bits depend on where
+    the ring stands.  ``clear`` zeroes the arrays in place and allocates
+    nothing, so a cleared memory equals a new one given the same pairs,
+    bit for bit.
 
     Every product here is ``ndarray.dot``, not ``@`` or ``np.dot``.  They
     run the same BLAS routine, so the bits agree, but at these sizes the
-    call is the cost: with 10 pairs in 2 dimensions, ``@`` takes about
-    1.7 us and ``.dot`` 0.95 us (one BLAS thread, shared 2-CPU x86_64 VM),
-    and a push and a direction make ten such calls between them.  Each
-    bank's views are made once, the push's product is written into a buffer
-    of its own, and the direction's inner vector is built in place, so
-    there, at a full memory, a push takes about 5.3 us and a direction
-    6.1 us (best of five timeit runs).
+    call is the cost, and a push and a direction make ten such calls
+    between them.  The views that ``direction`` reads are made once, the
+    push's product is written into a buffer of its own, and the direction's
+    inner vector is built in place.
     """
 
     def __init__(self, memory_size=10):
@@ -85,8 +81,8 @@ class LbfgsMemory:
         self.memory_size = memory_size
         self._count = 0
         self._gamma = None  # set by the first accepted pair, kept by clear
-        self._width = None  # fixed by the first push, for the memory's life
-        self._bank = None  # built by the first push
+        self._slot = 0  # the next slot to write
+        self._width = None  # fixed by the first push, with the arrays
 
     def push(self, s, y):
         """Store the pair unless its curvature is too weak to trust.
@@ -110,41 +106,46 @@ class LbfgsMemory:
         # Written so that a NaN curvature is refused too.
         if not curvature > self._floor * math.sqrt(float(s_flat.dot(s_flat)) * y_norm2):
             return False
-        source, bank = self._bank, self._spare
-        bank.pairs_head[...] = source.pairs_tail
-        bank.small_head[...] = source.small_tail
-        bank.s_new[...] = s_flat
-        bank.y_new[...] = y_flat
+        m, slot, rows, inverse_r = self.memory_size, self._slot, self._rows, self._inverse_r
+        rows[slot] = s_flat
+        rows[m + slot] = y_flat
         # [S y; Y y], the new pair included, in the memory's dtype like its operands.
-        bank.rows.dot(bank.y_new, out=self._column)
+        rows.dot(rows[m + slot], out=self._column)
         # R gains the column [b; c], b = S_old y and c = s.y, so R^-1 gains
-        # [-R^-1 b / c; 1/c]; its last row stays (0, ..., 0, 1/c).
-        np.multiply(bank.r_block.dot(self._column_head), -1.0 / curvature, out=bank.r_column)
-        bank.inverse_r[-1, -1] = 1.0 / curvature
-        bank.yty_row[...] = bank.yty_column[...] = self._column_tail
-        bank.d[-1, -1] = curvature
-        self._bank, self._spare = bank, source
-        self._count = min(self._count + 1, self.memory_size)
+        # [-R^-1 b / c; 1/c].  With the slot's row zeroed, the oldest pair is
+        # gone and R^-1 reads no entry of the product in this slot.
+        inverse_r[slot] = 0
+        np.multiply(inverse_r.dot(self._column_s), -1.0 / curvature, out=inverse_r[:, slot])
+        inverse_r[slot, slot] = 1.0 / curvature
+        self._yty[slot] = self._yty[:, slot] = self._column_y
+        self._curvatures[slot] = curvature
+        self._slot = (slot + 1) % m
+        self._count = min(self._count + 1, m)
         self._gamma = curvature / y_norm2
         return True
 
     def _fix(self, dim, dtype):
-        """Fix the pairs' size and dtype, and build the banks in them."""
+        """Fix the pairs' size and dtype, and build the memory in them."""
         self._width = dim
         m = self.memory_size
         self._floor = max(CURVATURE_FLOOR, float(np.finfo(dtype).eps))
-        self._bank, self._spare = _Bank(m, dim, dtype), _Bank(m, dim, dtype)
+        self._rows = np.zeros((2 * m, dim), dtype)  # [S; Y]
+        # R^-1, Y Y^T and D's diagonal in one array, so that clear is one fill.
+        self._small = np.zeros((2 * m + 1, m), dtype)
+        self._inverse_r, self._yty = self._small[:m], self._small[m:-1]
+        self._curvatures = self._small[-1]
         self._column = np.zeros(2 * m, dtype)
-        self._column_head, self._column_tail = self._column[: m - 1], self._column[m:]
+        self._column_s, self._column_y = self._column[:m], self._column[m:]
         # The direction's weights on the rows of S and of Y.
         self._weights = np.zeros(2 * m, dtype)
         self._weights_s, self._weights_y = self._weights[:m], self._weights[m:]
 
     def clear(self):
         """Drop every pair, and keep gamma and the pairs' size and dtype."""
-        self._count = 0
-        if self._bank is not None:
-            self._bank.zero()
+        self._count = self._slot = 0
+        if self._width is not None:
+            self._rows.fill(0)
+            self._small.fill(0)
 
     def __len__(self):
         return self._count
@@ -172,49 +173,23 @@ class LbfgsMemory:
             if self._gamma is None:
                 return -gradient / max(1.0, float(np.linalg.norm(gradient.ravel())))
             return -self._gamma * gradient
-        m, gamma, bank = self.memory_size, self._gamma, self._bank
+        m, gamma, rows, inverse_r = self.memory_size, self._gamma, self._rows, self._inverse_r
         flat = gradient if gradient.ndim == 1 else gradient.reshape(-1)
-        products = bank.rows.dot(flat)  # [a; b]
-        r_a = bank.inverse_r.dot(products[:m])  # -p2
+        products = rows.dot(flat)  # [a; b]
+        r_a = inverse_r.dot(products[:m])  # -p2
         # D R^-1 a + gamma (Y Y^T R^-1 a - b), built in place: IEEE addition
         # and multiplication commute, so the bits are those of that sum.
-        inner = bank.yty.dot(r_a)
+        inner = self._yty.dot(r_a)
         inner -= products[m:]
         inner *= gamma
-        inner += bank.curvatures * r_a
+        inner += self._curvatures * r_a
         # Assigned, not written with out=: a product's out must have its exact
         # dtype, and a float64 gradient makes a float32 memory's product float64.
-        self._weights_s[...] = inner.dot(bank.inverse_r)  # p1
+        self._weights_s[...] = inner.dot(inverse_r)  # p1
         np.multiply(r_a, -gamma, out=self._weights_y)  # gamma p2
         direction = -gamma * flat
-        direction -= self._weights.dot(bank.rows)
+        direction -= self._weights.dot(rows)
         return direction if gradient.ndim == 1 else direction.reshape(gradient.shape)
-
-
-class _Bank:
-    """One copy of ``LbfgsMemory``'s arrays, with the views that ``push`` and
-    ``direction`` read and write, made once: slicing them per call costs
-    0.4-0.7 us of a push or a direction."""
-
-    def __init__(self, m, dim, dtype):
-        pairs = np.zeros((2, m, dim), dtype)  # S then Y
-        # D is the diagonal of a third layer, so one copy moves all three.
-        small = np.zeros((3, m, m), dtype)
-        self.rows = pairs.reshape(2 * m, dim)  # [S; Y]
-        self.small = small
-        self.inverse_r, self.yty, self.d = small
-        self.curvatures = self.d.diagonal()  # read-only view of D's diagonal
-        # Read when this bank is the memory's and a push shifts it ...
-        self.pairs_tail, self.small_tail = pairs[:, 1:], small[:, 1:, 1:]
-        # ... and written when this bank is the spare that takes the shift.
-        self.pairs_head, self.small_head = pairs[:, :-1], small[:, :-1, :-1]
-        self.s_new, self.y_new = pairs[:, -1]
-        self.r_block, self.r_column = self.inverse_r[:-1, :-1], self.inverse_r[:-1, -1]
-        self.yty_row, self.yty_column = self.yty[-1], self.yty[:, -1]
-
-    def zero(self):
-        self.rows.fill(0)
-        self.small.fill(0)
 
 
 # The name perfbench's tracer patches to time the direction.

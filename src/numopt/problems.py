@@ -368,28 +368,32 @@ def generate_noisy_linear(d, n, noise_scale=10.0, seed=0):
 def load_csv(path):
     """Read a numeric CSV into (X, y): one sample per row, last column is y.
 
-    The file is read as UTF-8, a leading byte-order mark dropped.  A single
+    The file is read as UTF-8, a leading byte-order mark dropped; a file
+    that does not decode is a Diagnostic naming its path.  A single
     leading non-numeric row is skipped as a header; any other non-numeric
     cell, and any NaN or infinite cell, is a Diagnostic naming its line.
     Returns X as d x n (samples become columns) and y as an n-vector, both
     float64.
     """
     rows = []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        for line_number, row in enumerate(csv.reader(handle), start=1):
-            if not row:
-                continue
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                if line_number == 1:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            for line_number, row in enumerate(csv.reader(handle), start=1):
+                if not row:
                     continue
-                raise Diagnostic(
-                    f"{path}: line {line_number} is not numeric: {','.join(row)!r}"
-                ) from None
-            if not all(map(math.isfinite, values)):
-                raise Diagnostic(f"{path}: line {line_number} contains NaN or infinity")
-            rows.append(values)
+                try:
+                    values = [float(cell) for cell in row]
+                except ValueError:
+                    if line_number == 1:
+                        continue
+                    raise Diagnostic(
+                        f"{path}: line {line_number} is not numeric: {','.join(row)!r}"
+                    ) from None
+                if not all(map(math.isfinite, values)):
+                    raise Diagnostic(f"{path}: line {line_number} contains NaN or infinity")
+                rows.append(values)
+    except UnicodeDecodeError as problem:
+        raise Diagnostic(f"{path}: not UTF-8 text ({problem.reason})") from None
     if not rows:
         raise Diagnostic(f"{path}: no data rows")
     widths = {len(row) for row in rows}

@@ -278,6 +278,15 @@ class TestMain:
         assert captured.out == ""
         assert f"error: {path}: line 3 contains NaN or infinity" in captured.err
 
+    def test_a_file_that_is_not_utf8_is_a_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_bytes("a,y\n0.5,1.0\n-0.3,\u00e9\n1.2,0.4\n".encode("latin-1"))
+        code = main(["--dataset", str(path), "--runs", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {path}: not UTF-8 text" in captured.err
+
     def test_dataset_run_succeeds(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
         path.write_text("a,b,y\n0.5,1.0,1\n-0.3,0.2,0\n1.2,-0.7,1\n0.8,0.1,0\n")

@@ -17,7 +17,6 @@ from numopt import (
     TraceRecorder,
     backtracking_line_search,
 )
-from numopt.optimizers import lbfgs as lbfgs_module
 from numopt.problems import (
     LinearRegression,
     LogisticRegression,
@@ -231,17 +230,25 @@ def drawn_memory(rng, memory_size, shape, dtype, stretch, before_clear, after_cl
     return memory, stored, gamma
 
 
-class TestDoubleBufferedMemory:
-    """The memory keeps its arrays in two banks and makes the spare one its own
-    on each accepted push; no bank may show through where it should not."""
+def memory_arrays(memory):
+    """The memory's array attributes, by name."""
+    return {name: value for name, value in vars(memory).items() if isinstance(value, np.ndarray)}
+
+
+class TestRingMemory:
+    """The memory keeps its pairs in one set of arrays used as a ring: an
+    accepted pair writes its own slot, and no row may show through where it
+    should not."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("pushes", [2, 7], ids=["partial", "full"])
+    @pytest.mark.parametrize("pushes", [2, 3, 7], ids=["partial", "full", "wrapped"])
     @pytest.mark.parametrize("refused", ["nan", "below-floor"])
-    def test_a_refused_pair_swaps_no_bank(self, dtype, pushes, refused):
-        # A memory of 3: two pairs leave it partial; seven fill it and swap
-        # its banks seven times.  The refused pair must change no direction,
-        # now or after the next accepted pair, against a twin that never saw it.
+    def test_a_refused_pair_writes_nothing(self, dtype, pushes, refused):
+        # A memory of 3: two pairs leave it partial, three fill it with the
+        # ring back at slot 0, and seven wrap it twice, to slot 1.  The
+        # refused pair must change no attribute and no bit of any array, nor
+        # any direction, now or after the next accepted pair, against a twin
+        # that never saw it.
         rng = np.random.default_rng(41)
         memory, twin = LbfgsMemory(3), LbfgsMemory(3)
         for _ in range(pushes):
@@ -249,12 +256,17 @@ class TestDoubleBufferedMemory:
             assert memory.push(*pair) and twin.push(*pair)
         gradients = [rng.uniform(-1, 1, 4).astype(dtype) for _ in range(3)]
         before = [memory.direction(g) for g in gradients]
+        state = {name: value.copy() for name, value in memory_arrays(memory).items()}
+        scalars = {k: v for k, v in vars(memory).items() if k not in state}
         s = rng.uniform(-1, 1, 4)
         # Below the floor: y orthogonal to s, so y.s is exactly 0.
         orthogonal = s[[1, 0, 3, 2]] * [-1.0, 1.0, -1.0, 1.0]
         y = np.array([np.nan, 1.0, 0.5, 2.0]) if refused == "nan" else orthogonal
         assert not memory.push(s.astype(dtype), y.astype(dtype))
         assert len(memory) == min(pushes, 3)
+        assert {k: v for k, v in vars(memory).items() if k not in state} == scalars
+        for name, value in memory_arrays(memory).items():
+            assert_array_equal(value, state[name])
         for g, direction in zip(gradients, before):
             assert_array_equal(memory.direction(g), direction)
         pair = curved_pair(rng, dtype)
@@ -264,8 +276,9 @@ class TestDoubleBufferedMemory:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_clear_leaves_no_stale_row(self, dtype):
-        # After a clear, each pair pushed gives the directions of a fresh
-        # memory given the same pairs, until both are full and past it.
+        # After a clear, each pair pushed gives the arrays and the directions
+        # of a fresh memory given the same pairs, bit for bit, until both
+        # are full and past it.
         rng = np.random.default_rng(43)
         memory = LbfgsMemory(3)
         for _ in range(5):
@@ -276,12 +289,14 @@ class TestDoubleBufferedMemory:
         for _ in range(4):
             pair = curved_pair(rng, dtype)
             assert memory.push(*pair) and fresh.push(*pair)
+            for name, value in memory_arrays(fresh).items():
+                assert_array_equal(memory_arrays(memory)[name], value)
             for g in gradients:
                 assert_array_equal(memory.direction(g), fresh.direction(g))
 
-    def test_memory_owns_its_pairs_past_both_banks(self):
+    def test_memory_owns_its_pairs_past_a_full_wrap(self):
         # As test_memory_owns_its_pairs, with more than twice the memory's
-        # size in pushes, so each bank has been written and swapped in.
+        # size in pushes, so every slot has been written twice or more.
         rng = np.random.default_rng(47)
         memory = LbfgsMemory(3)
         pushed = []
@@ -299,9 +314,10 @@ class TestDoubleBufferedMemory:
 
 class TestClearKeepsTheScale:
     """``clear`` drops the pairs but keeps gamma, the newest accepted pair's
-    s.y / y.y, and the pairs' size and dtype, and zeroes its bank in place: a
-    cleared memory's direction is -gamma g, where a memory that has never
-    accepted a pair gives -g / max(1, |g|_2), and the next pair builds no bank."""
+    s.y / y.y, and the pairs' size and dtype, and zeroes its arrays in place:
+    a cleared memory's direction is -gamma g, where a memory that has never
+    accepted a pair gives -g / max(1, |g|_2), and the next pair allocates no
+    array of the memory's."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(4,), (4, 1)])
@@ -331,37 +347,35 @@ class TestClearKeepsTheScale:
         "dim, dtype", [(4, np.float64), (3, np.float64), (4, np.float32)],
         ids=["same", "another-size", "another-dtype"],
     )
-    def test_the_first_pair_after_a_clear_fixes_size_and_dtype(self, monkeypatch, dim, dtype):
+    def test_the_first_pair_after_a_clear_fixes_size_and_dtype(self, dim, dtype):
         # A clear keeps the size and dtype that the memory's first pair fixed,
-        # and builds no bank: a pair of another size is refused, and one of
-        # another dtype is cast.  The pair pushed after the clear has
-        # s.y / (|s| |y|) near 1e-9, above float64's curvature floor and below
-        # float32's, so the float64 memory takes it in float32 too, where a
-        # float32 memory refuses it, and gives the directions of a new memory
-        # given it in float64.
-        built = []
-
-        class CountedBank(lbfgs_module._Bank):
-            def __init__(self, *args):
-                built.append(args)
-                super().__init__(*args)
-
-        monkeypatch.setattr(lbfgs_module, "_Bank", CountedBank)
+        # and the memory's arrays: a pair of another size is refused, and one
+        # of another dtype is cast, into the same array objects.  The pair
+        # pushed after the clear has s.y / (|s| |y|) near 1e-9, above
+        # float64's curvature floor and below float32's, so the float64
+        # memory takes it in float32 too, where a float32 memory refuses it,
+        # and gives the directions of a new memory given it in float64.
         rng = np.random.default_rng(59)
         memory = LbfgsMemory(3)
         for _ in range(5):
             assert memory.push(*curved_pair(rng, np.float64))
+        arrays = memory_arrays(memory)
+
+        def keeps_its_arrays():
+            now = memory_arrays(memory)
+            return now.keys() == arrays.keys() and all(now[k] is v for k, v in arrays.items())
+
         memory.clear()
-        before = len(built)
+        assert keeps_its_arrays()
         s, y = np.zeros(dim, dtype), np.zeros(dim, dtype)
         s[0], y[:2] = 1.0, (2.0**-20, 1024.0)
         if dim != 4:
             with pytest.raises(Diagnostic, match=r"\(4,\).*\(3,\).*\(3,\)"):
                 memory.push(s, y)
-            assert len(memory) == 0 and len(built) == before
+            assert len(memory) == 0 and keeps_its_arrays()
             return
         assert memory.push(s, y)
-        assert len(built) == before
+        assert keeps_its_arrays()
         assert LbfgsMemory(3).push(s, y) == (dtype == np.float64)
         fresh = LbfgsMemory(3)
         assert fresh.push(s.astype(np.float64), y.astype(np.float64))
@@ -414,7 +428,7 @@ class TestTwoLoopDirection:
         memory_size=st.sampled_from([1, 3, 10]),
         dim=st.integers(1, 9),
         pairs_before_clear=st.integers(0, 12),
-        pairs_past_capacity=st.integers(1, 12),
+        pairs_past_capacity=st.integers(1, 25),
         column=st.booleans(),
         dtype=st.sampled_from([np.float32, np.float64]),
         stretch=st.integers(0, 12),
@@ -1068,8 +1082,8 @@ def golden_problem(name, dtype):
 # moves any bit of an L-BFGS run (a reordered product, a fused update) fails
 # here; such a change must say so and renew the table on purpose.
 GOLDEN_RUNS = [
-    ("rosenbrock-0", np.float32, 31, 34, 32, "GRADIENT_NORM_TOLERANCE", [
-        "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    ("rosenbrock-0", np.float32, 31, 35, 32, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
+        "0x1.0000000000000p+0", "0x1.0000020000000p+0",
     ]),
     ("rosenbrock-1", np.float32, 17, 27, 18, "GRADIENT_NORM_TOLERANCE", [
         "0x1.0000000000000p+0", "0x1.0000000000000p+0",
@@ -1080,20 +1094,20 @@ GOLDEN_RUNS = [
     ("rosenbrock-3", np.float32, 20, 24, 21, "GRADIENT_NORM_TOLERANCE", [
         "0x1.0000000000000p+0", "0x1.0000000000000p+0",
     ]),
-    ("rosenbrock-4", np.float32, 25, 31, 26, "GRADIENT_NORM_TOLERANCE", [
-        "0x1.fffffe0000000p-1", "0x1.fffffc0000000p-1",
+    ("rosenbrock-4", np.float32, 25, 31, 26, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
+        "0x1.fffffe0000000p-1", "0x1.fffffe0000000p-1",
     ]),
-    ("rosenbrock-5", np.float32, 20, 24, 21, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
-        "0x1.0000000000000p+0", "0x1.fffffe0000000p-1",
+    ("rosenbrock-5", np.float32, 19, 23, 20, "GRADIENT_NORM_TOLERANCE", [
+        "0x1.fffff20000000p-1", "0x1.ffffe40000000p-1",
     ]),
     ("rosenbrock-6", np.float32, 27, 33, 28, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
         "0x1.fffffe0000000p-1", "0x1.fffffe0000000p-1",
     ]),
-    ("rosenbrock-7", np.float32, 30, 41, 31, "GRADIENT_NORM_TOLERANCE", [
+    ("rosenbrock-7", np.float32, 28, 38, 29, "GRADIENT_NORM_TOLERANCE", [
         "0x1.0000000000000p+0", "0x1.0000000000000p+0",
     ]),
     ("rosenbrock-8", np.float32, 28, 36, 29, "GRADIENT_NORM_TOLERANCE", [
-        "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000020000000p+0", "0x1.0000040000000p+0",
     ]),
     ("rosenbrock-9", np.float32, 24, 26, 25, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
         "0x1.0000020000000p+0", "0x1.0000060000000p+0",
@@ -1107,19 +1121,19 @@ GOLDEN_RUNS = [
         "0x1.42f4b00000000p-2", "0x1.8702dc0000000p-2",
     ]),
     ("rosenbrock-0", np.float64, 31, 34, 32, "GRADIENT_NORM_TOLERANCE", [
-        "0x1.ffffffb77318dp-1", "0x1.ffffff63df012p-1",
+        "0x1.ffffffb77318dp-1", "0x1.ffffff63df011p-1",
     ]),
     ("rosenbrock-1", np.float64, 17, 28, 18, "GRADIENT_NORM_TOLERANCE", [
         "0x1.0000006dbdae6p+0", "0x1.000000d34a9d5p+0",
     ]),
     ("rosenbrock-2", np.float64, 26, 39, 27, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
-        "0x1.0000004f794e9p+0", "0x1.0000015b6f5ebp+0",
+        "0x1.0000004f794eap+0", "0x1.0000015b6f5edp+0",
     ]),
     ("rosenbrock-3", np.float64, 20, 25, 21, "GRADIENT_NORM_TOLERANCE", [
         "0x1.00000000f66bcp+0", "0x1.00000001b1e49p+0",
     ]),
     ("rosenbrock-4", np.float64, 25, 31, 26, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
-        "0x1.fffff90c10526p-1", "0x1.fffff182ab038p-1",
+        "0x1.fffff90c10435p-1", "0x1.fffff182aae37p-1",
     ]),
     ("rosenbrock-5", np.float64, 20, 24, 21, "GRADIENT_NORM_TOLERANCE", [
         "0x1.ffffff6219f8ap-1", "0x1.fffffec3d9f93p-1",
@@ -1128,7 +1142,7 @@ GOLDEN_RUNS = [
         "0x1.ffffffff453e5p-1", "0x1.fffffffde0abcp-1",
     ]),
     ("rosenbrock-7", np.float64, 28, 38, 29, "OBJECTIVE_IMPROVEMENT_TOLERANCE", [
-        "0x1.fffffbf5d68abp-1", "0x1.fffff7a730790p-1",
+        "0x1.fffffbf5d68bdp-1", "0x1.fffff7a7307b3p-1",
     ]),
     ("rosenbrock-8", np.float64, 29, 37, 30, "GRADIENT_NORM_TOLERANCE", [
         "0x1.ffffffe682ad2p-1", "0x1.ffffffca02a4bp-1",

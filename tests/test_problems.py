@@ -1060,6 +1060,13 @@ class TestLoadCsv:
         assert X.shape == (2, 3)
         assert y.tolist() == [3.0, 6.0, 9.0]
 
+    def test_a_file_that_is_not_utf8_is_diagnostic(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes("a,b,y\n1,2,3\n4,caf\u00e9,6\n".encode("latin-1"))
+        with pytest.raises(Diagnostic) as raised:
+            load_csv(path)
+        assert str(raised.value) == f"{path}: not UTF-8 text (invalid continuation byte)"
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e309"])
     def test_nan_or_infinite_cell_is_diagnostic(self, tmp_path, cell):
         path = self.write(tmp_path, f"a,b,y\n1,2,3\n4,{cell},6\n")
